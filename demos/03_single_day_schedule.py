@@ -39,7 +39,6 @@ inputs = DayInputs(
     s0=0.5 * spec.capacity,
     case_id="MULTI",
     degradation_in_objective=False,
-    relax_step_binaries=True,
 )
 
 size = model_size(inputs)

@@ -33,8 +33,7 @@ spec = BatterySpec()
 inputs = DayInputs(
     grid=grid, prices=synth_prices(8, grid.hours),
     contents=energy_content(synth_frequency(7, grid), grid),
-    spec=spec, s0=0.5, case_id="MULTI", degradation_in_objective=False,
-    relax_step_binaries=True)
+    spec=spec, s0=0.5, case_id="MULTI", degradation_in_objective=False)
 model = build_day_model(inputs)
 
 workdir = Path(tempfile.mkdtemp(prefix="fcrsched_demo_"))

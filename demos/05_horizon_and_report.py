@@ -33,8 +33,7 @@ outdir = tempfile.mkdtemp(prefix="fcrsched_demo_")
 # solved in order; each day's final state of energy seeds the next day,
 # and every day is checkpointed so reruns resume instead of recomputing.
 cfg = RunConfig(case_id="MULTI", days=tuple(range(3)), steps_per_hour=4,
-                hours_per_day=24, solver="scipy", mip_gap=1e-4,
-                relax_step_binaries=True, outdir=outdir)
+                hours_per_day=24, solver="scipy", mip_gap=1e-4, outdir=outdir)
 bundle = load_bundle(cfg, synthetic_seed=5)
 
 res = run_case(bundle, degradation_in_objective=True)

@@ -9,7 +9,9 @@ Subcommands:
 * ``fcr-sched report --from <outdir>`` - rebuild tables from a previous
   run's checkpoints and write the CSV report files.
 * ``fcr-sched export-model --config cfg.json --day D [--format mps]`` -
-  write one day's optimization model to a solver-exchange file.
+  write one day's optimization model to a solver-exchange file: the model
+  ``run`` solves for that day, started from day D-1's checkpointed final
+  SoE when a matching checkpoint exists (else from ``initial_soe``).
 
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 data error.
 """
@@ -31,8 +33,16 @@ from .errors import (
     SolverError,
 )
 from .ingest import CASES, RunConfig
-from .milp import DayInputs, build_day_model, model_size
-from .orchestrate import load_bundle, load_horizon, run_case, run_matrix
+from .milp import build_day_model
+from .orchestrate import (
+    calendar_age,
+    carried_soe,
+    day_inputs,
+    load_bundle,
+    load_horizon,
+    run_case,
+    run_matrix,
+)
 from .report import (
     DELTA_COLUMNS,
     MIX_COLUMNS,
@@ -171,38 +181,16 @@ def cmd_export(args) -> int:
     bundle = load_bundle(cfg, synthetic_seed=args.synthetic_seed)
     case = args.case or cfg.case_id
     deg = not args.no_deg_objective and cfg.degradation_in_objective
-    from .degradation import battery_npv, linearize_calendar, linearize_cycle
-    from .droop import energy_content
-    from .ingest import FrequencyTrace
-
-    spec = cfg.battery
-    grid = cfg.grid_for(args.day)
-    cal_lin = cyc_lin = None
-    if deg:
-        npv = battery_npv(spec)
-        cal_lin = linearize_calendar(
-            spec, spec.temperature, cfg.start_age_days, grid.step_seconds,
-            npv, arrhenius_positive=cfg.arrhenius_positive)
-        cyc_lin = linearize_cycle(spec, spec.temperature, npv)
-    inputs = DayInputs(
-        grid=grid, prices=bundle.prices.day_slice(args.day, cfg.hours_per_day),
-        contents=energy_content(
-            FrequencyTrace(bundle.frequency.day_values(args.day), grid.n_steps),
-            grid),
-        spec=spec, s0=cfg.initial_soe, case_id=case,
-        degradation_in_objective=deg, cal_lin=cal_lin, cyc_lin=cyc_lin,
-        relax_step_binaries=cfg.relax_step_binaries,
-        tax_on_discharge=cfg.tax_on_discharge,
-        efficiency_on_activation=cfg.efficiency_on_activation,
-        force_zero_baseline=cfg.force_zero_baseline)
+    k = cfg.days.index(args.day)
+    inputs = day_inputs(bundle, args.day, carried_soe(bundle, case, deg, k),
+                        calendar_age(cfg, k), case, deg)
     model = build_day_model(inputs)
     ext = "lp" if args.format == "lp" else "mps"
     out = args.out or os.path.join(cfg.outdir, f"day_{args.day:04d}.{ext}")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     sidecar = export_model(model, out, args.format)
-    size = model_size(inputs)
-    print(f"wrote {out} ({size['n_vars']} variables, "
-          f"{size['n_binaries']} binaries, {size['n_rows']} rows)")
+    print(f"wrote {out} ({model.n_vars} variables, "
+          f"{model.n_binaries} binaries, {model.n_rows} rows)")
     print(f"name map: {sidecar}")
     return 0
 

@@ -314,19 +314,3 @@ def post_calculate_aging(solution, spec: "BatterySpec", temp_K: float,
                                     spec.aging, spec.capacity)
     scale = eur_per_pct(battery_npv(spec), spec.eol_retained)
     return cal_pct * scale, cyc_pct * scale, cal_pct, cyc_pct
-
-
-def write_linearization_csv(cal: CalendarLinearization,
-                            cyc: CycleLinearization, path) -> None:
-    """Audit dump of the linearization segments and cycle coefficient."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "lo", "hi", "slope", "intercept", "max_err"])
-        for seg in cal.segments:
-            w.writerow(["calendar", repr(seg.lo_mwh), repr(seg.hi_mwh),
-                        repr(seg.slope_eur_per_mwh), repr(seg.intercept_eur),
-                        repr(seg.max_gap_eur)])
-        w.writerow(["cycle", repr(cyc.p_lo), repr(cyc.p_hi),
-                    repr(cyc.k_cyc), repr(0.0), repr(cyc.max_rel_err)])

@@ -11,7 +11,6 @@ up-regulation (discharging) at under-frequency.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -201,15 +200,3 @@ def energy_content(trace: FrequencyTrace, grid: TimeGrid,
         e_ur_n=e_ur_n, e_dr_n=e_dr_n, e_ur_du=e_ur_du, e_dr_dd=e_dr_dd,
         frac_nd=frac_nd, frac_nu=frac_nu, frac_du=frac_du, frac_dd=frac_dd,
         eh_ur_n=eh_ur_n, eh_dr_n=eh_dr_n, steps_per_hour=grid.steps_per_hour)
-
-
-def write_contents_csv(series: EnergyContentSeries, path) -> None:
-    """Audit dump: one row per timestep with the four energy contents."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestep", "e_ur_n", "e_dr_n", "e_ur_du", "e_dr_dd"])
-        for t in range(series.n_steps):
-            w.writerow([t, repr(float(series.e_ur_n[t])),
-                        repr(float(series.e_dr_n[t])),
-                        repr(float(series.e_ur_du[t])),
-                        repr(float(series.e_dr_dd[t]))])

@@ -43,14 +43,6 @@ class TooLarge(SolverError):
     """Model exceeds the micro-solver size caps."""
 
 
-class Unbounded(SolverError):
-    """The LP/MILP is unbounded."""
-
-
-class InfeasibleError(SolverError):
-    """No feasible point exists (raised only where a result object cannot)."""
-
-
 class SolverFailure(SolverError):
     """A day's solve did not reach optimality inside an orchestrated run."""
 

@@ -183,9 +183,6 @@ class PriceSeries:
             up_reg=self.up_reg[lo:hi], down_reg=self.down_reg[lo:hi],
             grid_tariff=self.grid_tariff, tax=self.tax)
 
-    def with_scalars(self, grid_tariff: float, tax: float) -> "PriceSeries":
-        return dataclasses.replace(self, grid_tariff=grid_tariff, tax=tax)
-
 
 @dataclass(frozen=True)
 class BatterySpec:
@@ -285,7 +282,6 @@ class RunConfig:
     start_age_days: float = 0.0
     grid_tariff: float = 0.0           # EUR/MWh on charged energy
     tax: float = 0.0                   # EUR/MWh
-    relax_step_binaries: bool = False
     tax_on_discharge: bool = True
     efficiency_on_activation: bool = False
     arrhenius_positive: bool = False

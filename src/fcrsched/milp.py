@@ -3,7 +3,9 @@
 One model covers one day: hourly baseline charge/discharge and reserve bids,
 per-step realized powers pinned to the droop activation of those bids, the
 state-of-energy recursion, reserve power and endurance requirements, and the
-linearized degradation cost when it is priced in the objective.
+linearized degradation cost when it is priced in the objective: cycle
+aging per step on the throughput, calendar aging once per hour on the
+hour's mean SoE.
 
 Variable registry names follow the `family[index]` pattern, e.g. `p_ch[t=37]`
 or `bid_n[h=5]`; constraint names follow the same pattern. The exact count of
@@ -153,7 +155,6 @@ class DayInputs:
     degradation_in_objective: bool = True
     cal_lin: CalendarLinearization | None = None
     cyc_lin: CycleLinearization | None = None
-    relax_step_binaries: bool = False
     tax_on_discharge: bool = True
     efficiency_on_activation: bool = False
     force_zero_baseline: bool = False
@@ -175,35 +176,42 @@ class DayInputs:
             raise InvalidParameter(
                 "degradation in objective requires cal_lin and cyc_lin")
 
+    @property
+    def step_binaries(self) -> bool:
+        """Whether realized powers need charge/discharge binaries.
+
+        Only a positive `p_min` needs them. With `p_min == 0` the pinned net
+        power fixes p_ch - p_ds, and any overlap of the two only adds cycle
+        cost in deg mode; `extract_day_solution` re-splits the net power.
+        """
+        return self.spec.p_min > 0.0
+
 
 def model_size(inputs: DayInputs) -> dict[str, int]:
     """Closed-form variable/binary/row counts for a day model.
 
     With H hours, T steps, A = number of case-allowed markets whose minimum
-    bid is positive, relax = relax_step_binaries, deg = degradation in
-    objective and pmin = (p_min > 0):
+    bid is positive, deg = degradation in objective and pmin = (p_min > 0):
 
-      vars  = 2H + 2H + 3H + A*H + 2T + (0 if relax else 2T) + T + (6T if deg)
-      bins  = 2H + A*H + (0 if relax else 2T) + (3T if deg)
+      vars  = 2H + 2H + 3H + A*H + 2T + (2T if pmin) + T + (6H if deg)
+      bins  = 2H + A*H + (2T if pmin) + (3H if deg)
       rows  = 2H + (2H if pmin) + H              baseline bounds + exclusivity
-            + (0 if relax else 3T + (2T if pmin)) step bounds + exclusivity
+            + (5T if pmin)                        step bounds + exclusivity
             + 2T                                  SoE recursion + pinning
             + 2*A*H                               bid bounds
             + 2H + 10H                            power requirement + endurance
-            + (8T if deg)                         calendar piecewise rows
+            + (8H if deg)                         hourly calendar rows
     """
     H, T = inputs.grid.hours, inputs.grid.n_steps
     A = sum(1 for m in CASE_MARKETS[inputs.case_id]
             if inputs.spec.min_bid(m) > 0.0)
-    relax = inputs.relax_step_binaries
     deg = inputs.degradation_in_objective
-    pmin = inputs.spec.p_min > 0.0
-    n_vars = 2 * H + 2 * H + 3 * H + A * H + 2 * T + (0 if relax else 2 * T) \
-        + T + (6 * T if deg else 0)
-    n_bins = 2 * H + A * H + (0 if relax else 2 * T) + (3 * T if deg else 0)
-    n_rows = 2 * H + (2 * H if pmin else 0) + H \
-        + (0 if relax else 3 * T + (2 * T if pmin else 0)) \
-        + 2 * T + 2 * A * H + 2 * H + 10 * H + (8 * T if deg else 0)
+    pmin = inputs.step_binaries
+    n_vars = 2 * H + 2 * H + 3 * H + A * H + 2 * T + (2 * T if pmin else 0) \
+        + T + (6 * H if deg else 0)
+    n_bins = 2 * H + A * H + (2 * T if pmin else 0) + (3 * H if deg else 0)
+    n_rows = 2 * H + (2 * H if pmin else 0) + H + (5 * T if pmin else 0) \
+        + 2 * T + 2 * A * H + 2 * H + 10 * H + (8 * H if deg else 0)
     return {"n_vars": n_vars, "n_binaries": n_bins, "n_rows": n_rows}
 
 
@@ -242,7 +250,7 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
 
     p_ch = [m.add_variable(f"p_ch[t={t}]", 0.0, spec.p_max) for t in range(T)]
     p_ds = [m.add_variable(f"p_ds[t={t}]", 0.0, spec.p_max) for t in range(T)]
-    if not inputs.relax_step_binaries:
+    if inputs.step_binaries:
         b_ch = [m.add_variable(f"b_ch[t={t}]", 0.0, 1.0, binary=True)
                 for t in range(T)]
         b_ds = [m.add_variable(f"b_ds[t={t}]", 0.0, 1.0, binary=True)
@@ -252,10 +260,10 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
 
     if inputs.degradation_in_objective:
         segs = inputs.cal_lin.segments
-        z_cal = [[m.add_variable(f"z_cal[t={t},k={k}]", 0.0, 1.0, binary=True)
-                  for k in range(3)] for t in range(T)]
-        s_cal = [[m.add_variable(f"s_cal[t={t},k={k}]", 0.0, segs[k].hi_mwh)
-                  for k in range(3)] for t in range(T)]
+        z_cal = [[m.add_variable(f"z_cal[h={h},k={k}]", 0.0, 1.0, binary=True)
+                  for k in range(3)] for h in range(H)]
+        s_cal = [[m.add_variable(f"s_cal[h={h},k={k}]", 0.0, segs[k].hi_mwh)
+                  for k in range(3)] for h in range(H)]
 
     # baseline bounds and hourly exclusivity
     for h in range(H):
@@ -272,17 +280,16 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
                          [(b_ch_bl[h], 1.0), (b_ds_bl[h], 1.0)], "<=", 1.0)
 
     # realized power bounds and per-step exclusivity
-    if not inputs.relax_step_binaries:
+    if inputs.step_binaries:
         for t in range(T):
             m.add_constraint(f"st_up_ch[t={t}]",
                              [(p_ch[t], 1.0), (b_ch[t], -spec.p_max)], "<=", 0.0)
             m.add_constraint(f"st_up_ds[t={t}]",
                              [(p_ds[t], 1.0), (b_ds[t], -spec.p_max)], "<=", 0.0)
-            if spec.p_min > 0.0:
-                m.add_constraint(f"st_lo_ch[t={t}]",
-                                 [(p_ch[t], 1.0), (b_ch[t], -spec.p_min)], ">=", 0.0)
-                m.add_constraint(f"st_lo_ds[t={t}]",
-                                 [(p_ds[t], 1.0), (b_ds[t], -spec.p_min)], ">=", 0.0)
+            m.add_constraint(f"st_lo_ch[t={t}]",
+                             [(p_ch[t], 1.0), (b_ch[t], -spec.p_min)], ">=", 0.0)
+            m.add_constraint(f"st_lo_ds[t={t}]",
+                             [(p_ds[t], 1.0), (b_ds[t], -spec.p_min)], ">=", 0.0)
             m.add_constraint(f"st_excl[t={t}]",
                              [(b_ch[t], 1.0), (b_ds[t], 1.0)], "<=", 1.0)
 
@@ -369,21 +376,23 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
             m.add_constraint(f"{label}_min[h={h}]", prev + terms, ">=",
                              spec.soe_min - prev_const)
 
-    # calendar piecewise selection and linking
+    # calendar piecewise selection, linked to each hour's mean SoE
     if inputs.degradation_in_objective:
-        for t in range(T):
-            m.add_constraint(f"cal_pick[t={t}]",
-                             [(z_cal[t][k], 1.0) for k in range(3)], "==", 1.0)
+        for h in range(H):
+            m.add_constraint(f"cal_pick[h={h}]",
+                             [(z_cal[h][k], 1.0) for k in range(3)], "==", 1.0)
             for k in range(3):
                 m.add_constraint(
-                    f"cal_lo[t={t},k={k}]",
-                    [(s_cal[t][k], 1.0), (z_cal[t][k], -segs[k].lo_mwh)], ">=", 0.0)
+                    f"cal_lo[h={h},k={k}]",
+                    [(s_cal[h][k], 1.0), (z_cal[h][k], -segs[k].lo_mwh)], ">=", 0.0)
                 m.add_constraint(
-                    f"cal_up[t={t},k={k}]",
-                    [(s_cal[t][k], 1.0), (z_cal[t][k], -segs[k].hi_mwh)], "<=", 0.0)
-            m.add_constraint(f"cal_link[t={t}]",
-                             [(s_cal[t][k], 1.0) for k in range(3)]
-                             + [(soe[t], -1.0)], "==", 0.0)
+                    f"cal_up[h={h},k={k}]",
+                    [(s_cal[h][k], 1.0), (z_cal[h][k], -segs[k].hi_mwh)], "<=", 0.0)
+            m.add_constraint(f"cal_link[h={h}]",
+                             [(s_cal[h][k], 1.0) for k in range(3)]
+                             + [(soe[t], -1.0 / spH)
+                                for t in range(h * spH, (h + 1) * spH)],
+                             "==", 0.0)
 
     # objective: spot revenue + reserve revenue - charging cost - degradation
     tax_ds = prices.tax if inputs.tax_on_discharge else 0.0
@@ -402,9 +411,12 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
         for t in range(T):
             m.set_objective_coeff(p_ch[t], -k_cyc * dt_h)
             m.set_objective_coeff(p_ds[t], -k_cyc * dt_h)
+        # the per-step secant cost, charged spH times at the hour's mean SoE
+        for h in range(H):
             for k in range(3):
-                m.set_objective_coeff(s_cal[t][k], -segs[k].slope_eur_per_mwh)
-                m.set_objective_coeff(z_cal[t][k], -segs[k].intercept_eur)
+                m.set_objective_coeff(s_cal[h][k],
+                                      -spH * segs[k].slope_eur_per_mwh)
+                m.set_objective_coeff(z_cal[h][k], -spH * segs[k].intercept_eur)
 
     built = model_size(inputs)
     assert (m.n_vars, m.n_binaries, m.n_rows) == (
@@ -504,6 +516,7 @@ class DaySolution:
     objective: float
     status: str = "Optimal"
     gap: float = 0.0
+    nodes: int = 0
     wall_time: float = 0.0
     cal_cost: float = math.nan
     cyc_cost: float = math.nan
@@ -523,8 +536,8 @@ class DaySolution:
         out = {}
         for f in ("day_index", "steps_per_hour", "hours", "dt_seconds", "s0",
                   "r_da", "r_n", "r_du", "r_dd", "c_da", "c_deg_lin",
-                  "objective", "status", "gap", "wall_time", "cal_cost",
-                  "cyc_cost", "cal_pct", "cyc_pct", "profit"):
+                  "objective", "status", "gap", "nodes", "wall_time",
+                  "cal_cost", "cyc_cost", "cal_pct", "cyc_pct", "profit"):
             out[f] = getattr(self, f)
         for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd",
                   "p_ch", "p_ds", "soe"):
@@ -543,18 +556,18 @@ class DaySolution:
 def extract_day_solution(model: MilpModel, x: np.ndarray,
                          inputs: DayInputs,
                          status: str = "Optimal", gap: float = 0.0,
-                         wall_time: float = 0.0) -> DaySolution:
+                         wall_time: float = 0.0, nodes: int = 0) -> DaySolution:
     """Unpack a solution vector through the registry into market units.
 
-    Tiny negative values are clamped to zero. When per-step exclusivity
-    binaries were relaxed, realized powers are re-split canonically from the
+    Tiny negative values are clamped to zero. When the model has no per-step
+    exclusivity binaries, realized powers are re-split canonically from the
     pinned net power so that reported throughput is minimal; the objective
     decomposition always uses the raw solver values so that its parts sum to
     the solver objective.
     """
     x = np.asarray(x, dtype=float)
     grid, prices, cont = inputs.grid, inputs.prices, inputs.contents
-    H, T = grid.hours, grid.n_steps
+    H, T, spH = grid.hours, grid.n_steps, grid.steps_per_hour
 
     def pull(fmt: str, n: int, tag: str) -> np.ndarray:
         return np.array([x[model.col(fmt.format(i=i, tag=tag))] for i in range(n)])
@@ -582,17 +595,17 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
         segs = inputs.cal_lin.segments
         k_cyc = inputs.cyc_lin.k_cyc
         c_deg_lin = k_cyc * grid.dt_hours * float(np.sum(p_ch_raw + p_ds_raw))
-        for t in range(T):
+        for h in range(H):
             for k in range(3):
-                c_deg_lin += (segs[k].slope_eur_per_mwh
-                              * x[model.col(f"s_cal[t={t},k={k}]")]
-                              + segs[k].intercept_eur
-                              * x[model.col(f"z_cal[t={t},k={k}]")])
+                c_deg_lin += spH * (segs[k].slope_eur_per_mwh
+                                    * x[model.col(f"s_cal[h={h},k={k}]")]
+                                    + segs[k].intercept_eur
+                                    * x[model.col(f"z_cal[h={h},k={k}]")])
 
     def clean(arr: np.ndarray) -> np.ndarray:
         return np.where(np.abs(arr) < 1e-9, 0.0, np.maximum(arr, 0.0))
 
-    if inputs.relax_step_binaries:
+    if not inputs.step_binaries:
         net = p_ch_raw - p_ds_raw
         p_ch = np.maximum(net, 0.0)
         p_ds = np.maximum(-net, 0.0)
@@ -614,4 +627,4 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
         r_da=r_da, r_n=r_n, r_du=r_du, r_dd=r_dd, c_da=c_da,
         c_deg_lin=c_deg_lin,
         objective=model.objective_value(x),
-        status=status, gap=gap, wall_time=wall_time)
+        status=status, gap=gap, nodes=nodes, wall_time=wall_time)

@@ -232,8 +232,11 @@ def _write_checkpoint(path: str, config_hash: str, data_hash: str,
 
 def _read_checkpoint(path: str, config_hash: str, data_hash: str,
                      case_id: str, deg: bool, day: int,
-                     s0: float) -> DaySolution | None:
-    """Load a matching checkpoint; None when absent or stale."""
+                     s0: float | None) -> DaySolution | None:
+    """Load a matching checkpoint; None when absent or stale.
+
+    With `s0` given, a checkpoint that started from another SoE is stale.
+    """
     if not os.path.exists(path):
         return None
     try:
@@ -248,9 +251,62 @@ def _read_checkpoint(path: str, config_hash: str, data_hash: str,
             or payload.get("day") != day):
         return None
     sol = DaySolution.from_dict(payload["solution"])
-    if abs(sol.s0 - s0) > 1e-9:
+    if s0 is not None and abs(sol.s0 - s0) > 1e-9:
         return None  # carry-over changed upstream; recompute
     return sol
+
+
+# -- one day's model inputs ------------------------------------------------------
+
+def calendar_age(config: RunConfig, k: int) -> float:
+    """Battery age (days) at which the k-th day's calendar cost is priced:
+    the mid-horizon age, or the day's own age with `relinearize_daily`."""
+    if config.relinearize_daily:
+        return config.start_age_days + float(k)
+    return config.start_age_days + 0.5 * len(config.days)
+
+
+def day_inputs(bundle: DataBundle, day: int, s0: float, age: float,
+               case_id: str, deg: bool) -> DayInputs:
+    """The inputs of one day's model, as `run_case` and `export-model` build
+    them: energy contents from the day's trace and, in deg mode, the
+    calendar cost linearized at `age` days and the cycle cost."""
+    cfg = bundle.config
+    spec = cfg.battery
+    grid = cfg.grid_for(day)
+    cal_lin = cyc_lin = None
+    if deg:
+        npv = battery_npv(spec)
+        cal_lin = linearize_calendar(
+            spec, spec.temperature, age, grid.step_seconds, npv,
+            arrhenius_positive=cfg.arrhenius_positive)
+        cyc_lin = linearize_cycle(spec, spec.temperature, npv)
+    day_trace = FrequencyTrace(bundle.frequency.day_values(day), grid.n_steps)
+    return DayInputs(
+        grid=grid,
+        prices=bundle.prices.day_slice(day, cfg.hours_per_day),
+        contents=energy_content(day_trace, grid),
+        spec=spec, s0=s0, case_id=case_id,
+        degradation_in_objective=deg,
+        cal_lin=cal_lin, cyc_lin=cyc_lin,
+        tax_on_discharge=cfg.tax_on_discharge,
+        efficiency_on_activation=cfg.efficiency_on_activation,
+        force_zero_baseline=cfg.force_zero_baseline)
+
+
+def carried_soe(bundle: DataBundle, case_id: str, deg: bool, k: int) -> float:
+    """Start SoE of the k-th configured day: the final SoE of day k-1's
+    checkpoint when it matches this configuration and data, else
+    `initial_soe`."""
+    cfg = bundle.config
+    if k > 0:
+        prev = cfg.days[k - 1]
+        path = _checkpoint_path(_run_dir(cfg, case_id, deg), prev)
+        sol = _read_checkpoint(path, cfg.config_hash(), bundle.data_hash(),
+                               case_id, deg, prev, None)
+        if sol is not None:
+            return float(sol.soe[-1])
+    return cfg.initial_soe
 
 
 # -- the horizon loop ---------------------------------------------------------
@@ -271,47 +327,21 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
         else degradation_in_objective
     spec = cfg.battery
     backend = get_backend(cfg.solver)
-    npv = battery_npv(spec)
     run_dir = _run_dir(cfg, case, deg)
     os.makedirs(run_dir, exist_ok=True)
     chash = cfg.config_hash()
     dhash = bundle.data_hash()
 
-    mid_age = cfg.start_age_days + 0.5 * len(cfg.days)
-    cyc_lin = linearize_cycle(spec, spec.temperature, npv) if deg else None
-    cal_static = None
-    if deg and not cfg.relinearize_daily:
-        cal_static = linearize_calendar(
-            spec, spec.temperature, mid_age, cfg.grid_for(0).step_seconds,
-            npv, arrhenius_positive=cfg.arrhenius_positive)
-
     s0 = cfg.initial_soe
     solutions: list[DaySolution] = []
     for k, day in enumerate(cfg.days):
-        grid = cfg.grid_for(day)
         age_k = cfg.start_age_days + float(k)
         ckpt = _checkpoint_path(run_dir, day)
         sol = _read_checkpoint(ckpt, chash, dhash, case, deg, day, s0) \
             if resume else None
         if sol is None:
-            cal_lin = cal_static
-            if deg and cfg.relinearize_daily:
-                cal_lin = linearize_calendar(
-                    spec, spec.temperature, age_k, grid.step_seconds, npv,
-                    arrhenius_positive=cfg.arrhenius_positive)
-            day_trace = FrequencyTrace(bundle.frequency.day_values(day),
-                                       grid.n_steps)
-            inputs = DayInputs(
-                grid=grid,
-                prices=bundle.prices.day_slice(day, cfg.hours_per_day),
-                contents=energy_content(day_trace, grid),
-                spec=spec, s0=s0, case_id=case,
-                degradation_in_objective=deg,
-                cal_lin=cal_lin, cyc_lin=cyc_lin,
-                relax_step_binaries=cfg.relax_step_binaries,
-                tax_on_discharge=cfg.tax_on_discharge,
-                efficiency_on_activation=cfg.efficiency_on_activation,
-                force_zero_baseline=cfg.force_zero_baseline)
+            inputs = day_inputs(bundle, day, s0, calendar_age(cfg, k), case,
+                                deg)
             model = build_day_model(inputs)
             result = backend(model, time_limit_s=cfg.time_limit_s,
                              mip_gap=cfg.mip_gap)
@@ -326,10 +356,11 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
                 raise SolverFailure(day, f"solution violates {worst}")
             sol = extract_day_solution(model, result.x, inputs,
                                        status=result.status, gap=result.gap,
-                                       wall_time=result.wall_time)
-            log.info("day %d case %s (%s): objective %.2f EUR in %.2fs",
-                     day, case, "deg" if deg else "nodeg",
-                     sol.objective, result.wall_time)
+                                       wall_time=result.wall_time,
+                                       nodes=result.nodes)
+            log.info("day %d case %s (%s): objective %.2f EUR, gap %.2e, "
+                     "%d nodes in %.2fs", day, case, "deg" if deg else "nodeg",
+                     sol.objective, sol.gap, sol.nodes, result.wall_time)
         else:
             log.info("day %d case %s: checkpoint reused", day, case)
 

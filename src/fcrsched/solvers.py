@@ -20,12 +20,15 @@ reproduce the model exactly.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import logging
 import math
 import os
 import re
 import shlex
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -47,6 +50,8 @@ MICRO_MAX_CONTINUOUS = 200
 
 EXPORT_FORMATS = ("mps", "mps-fixed", "lp")
 
+log = logging.getLogger("fcrsched")
+
 _STATUS_WORDS = {"Optimal", "Infeasible", "TimeLimit", "BackendError"}
 
 
@@ -59,6 +64,8 @@ class SolveResult:
     wall_time: float
     backend: str
     message: str = ""
+    nodes: int = 0                  # branch-and-bound nodes, where reported
+    dual_bound: float = math.nan    # in the model's (maximize) sense
 
     def __post_init__(self):
         if self.status not in _STATUS_WORDS:
@@ -714,39 +721,78 @@ def _model_matrices(model: MilpModel):
     return a, lo_row, hi_row
 
 
+def _flush_c_stdio() -> None:
+    """Flush C-level stdio buffers, so that solver output written through
+    them lands in whatever file descriptor 1 points at right now."""
+    try:
+        ctypes.CDLL(None).fflush(None)
+    except (OSError, AttributeError):
+        pass
+
+
+def _milp_quiet(*args, **kwargs):
+    """`scipy.optimize.milp` with file descriptor 1 sent to a temp file.
+
+    HiGHS prints stray lines to the process's standard output even with
+    ``disp`` off; they would mix into the tables the CLI prints. Whatever
+    was written is logged at debug level instead.
+    """
+    import scipy.optimize
+
+    sys.stdout.flush()
+    saved = os.dup(1)
+    with tempfile.TemporaryFile() as sink:
+        os.dup2(sink.fileno(), 1)
+        try:
+            return scipy.optimize.milp(*args, **kwargs)
+        finally:
+            _flush_c_stdio()
+            os.dup2(saved, 1)
+            os.close(saved)
+            sink.seek(0)
+            for line in sink.read().decode(errors="replace").splitlines():
+                log.debug("HiGHS: %s", line)
+
+
 def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
                 mip_gap: float = 1e-6) -> SolveResult:
     """In-process solve through `scipy.optimize.milp` (maximization handled
     by negating the objective)."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize import Bounds, LinearConstraint
 
     a, lo_row, hi_row = _model_matrices(model)
     c = -model.objective_vector()
     integrality = np.array(model.is_binary, dtype=np.uint8)
     bounds = Bounds(np.array(model.lb), np.array(model.ub))
     t0 = time.perf_counter()
-    res = milp(c, constraints=LinearConstraint(a, lo_row, hi_row),
-               integrality=integrality, bounds=bounds,
-               options={"time_limit": float(time_limit_s),
-                        "mip_rel_gap": float(mip_gap),
-                        "disp": False})
+    res = _milp_quiet(c, constraints=LinearConstraint(a, lo_row, hi_row),
+                      integrality=integrality, bounds=bounds,
+                      options={"time_limit": float(time_limit_s),
+                               "mip_rel_gap": float(mip_gap),
+                               "disp": False})
     wall = time.perf_counter() - t0
     gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
+    nodes = int(getattr(res, "mip_node_count", 0) or 0)
+    dual = getattr(res, "mip_dual_bound", None)
+    # HiGHS minimizes -objective; report the bound in the maximize sense.
+    dual_bound = math.nan if dual is None else -float(dual) \
+        + model.objective_const
+
+    def result(status, x, obj, gap_, message=str(res.message)):
+        return SolveResult(status, x, obj, gap_, wall, "scipy", message,
+                           nodes=nodes, dual_bound=dual_bound)
+
     if res.status == 0:
-        return SolveResult("Optimal", np.asarray(res.x, dtype=float),
-                           model.objective_value(res.x), gap, wall, "scipy",
-                           str(res.message))
+        return result("Optimal", np.asarray(res.x, dtype=float),
+                      model.objective_value(res.x), gap)
     if res.status == 1:
         x = None if res.x is None else np.asarray(res.x, dtype=float)
         obj = None if x is None else model.objective_value(x)
-        return SolveResult("TimeLimit", x, obj,
-                           gap if x is not None else math.inf,
-                           wall, "scipy", str(res.message))
+        return result("TimeLimit", x, obj, gap if x is not None else math.inf)
     if res.status == 2:
-        return SolveResult("Infeasible", None, None, math.inf, wall, "scipy",
-                           str(res.message))
-    return SolveResult("BackendError", None, None, math.inf, wall, "scipy",
-                       f"status {res.status}: {res.message}")
+        return result("Infeasible", None, None, math.inf)
+    return result("BackendError", None, None, math.inf,
+                  f"status {res.status}: {res.message}")
 
 
 # -- micro branch and bound ---------------------------------------------------

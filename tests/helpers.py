@@ -30,7 +30,6 @@ def toy_config(outdir, **overrides) -> RunConfig:
         hours_per_day=4,
         solver="scipy",
         mip_gap=1e-9,
-        relax_step_binaries=True,
         outdir=str(outdir),
     )
     base.update(overrides)
@@ -49,7 +48,7 @@ def toy_bundle(config: RunConfig, seed: int = 7) -> DataBundle:
 
 def day_inputs(seed: int = 7, case: str = "MULTI", hours: int = 4,
                steps_per_hour: int = 4, deg: bool = False,
-               s0: float | None = None, relax: bool = True,
+               s0: float | None = None,
                spec: BatterySpec | None = None, age_days: float = 30.0,
                prices: PriceSeries | None = None, **extra) -> DayInputs:
     """One-day model inputs on synthetic data, compact by default."""
@@ -74,7 +73,6 @@ def day_inputs(seed: int = 7, case: str = "MULTI", hours: int = 4,
         degradation_in_objective=deg,
         cal_lin=cal,
         cyc_lin=cyc,
-        relax_step_binaries=relax,
         **extra,
     )
 

@@ -216,7 +216,7 @@ def test_pricing_degradation_reduces_realized_aging_in_6_of_7_seeds(tmp_path):
     t0 = time.perf_counter()
     base = RunConfig(case_id="MULTI", days=tuple(range(7)), steps_per_hour=4,
                      hours_per_day=24, solver="scipy", mip_gap=1e-4,
-                     relax_step_binaries=True, outdir=str(tmp_path))
+                     outdir=str(tmp_path))
     wins = []
     for seed in range(1, 8):
         cfg = dataclasses.replace(base, outdir=str(tmp_path / f"seed{seed}"))
@@ -287,7 +287,7 @@ def test_full_year_multi_run_dominated_by_du_dd_and_beats_single_markets(tmp_pat
     cfg = RunConfig(case_id="MULTI", degradation_in_objective=True,
                     days=tuple(range(365)), steps_per_hour=60,
                     hours_per_day=24, solver="scipy", mip_gap=1e-4,
-                    relax_step_binaries=True, outdir=str(tmp_path / "year"),
+                    outdir=str(tmp_path / "year"),
                     frequency_csv=SE3_FREQ, prices_csv=SE3_PRICES)
     bundle = load_bundle(cfg)
     multi = run_case(bundle)

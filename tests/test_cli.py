@@ -11,7 +11,15 @@ from importlib.metadata import EntryPoint
 
 import pytest
 
+from fcrsched import (
+    RunConfig,
+    battery_npv,
+    build_day_model,
+    linearize_calendar,
+    load_bundle,
+)
 from fcrsched.cli import main
+from fcrsched.orchestrate import day_inputs
 from fcrsched.solvers import SolveResult, parse_mps
 
 
@@ -24,7 +32,6 @@ def write_config(tmp_path, name="cfg.json", **overrides) -> str:
         hours_per_day=2,
         solver="scipy",
         mip_gap=1e-9,
-        relax_step_binaries=True,
         outdir=str(tmp_path / "out"),
     )
     base.update(overrides)
@@ -210,6 +217,50 @@ def test_export_model_deg_objective(tmp_path):
                  "--synthetic-seed", "3", "--out", out_path]) == 0
     model = parse_mps(out_path)
     assert any("z_cal" in name for name in model.var_names)
+
+
+def test_export_model_is_the_model_run_solved(tmp_path):
+    cfg_path = write_config(tmp_path, case_id="MULTI", days=[0, 1],
+                            degradation_in_objective=True)
+    assert main(["run", "--config", cfg_path, "--synthetic-seed", "3"]) == 0
+    day0 = json.loads((tmp_path / "out" / "MULTI_deg" / "day_0000.json")
+                      .read_text())["solution"]
+    out_path = str(tmp_path / "day1.mps")
+    assert main(["export-model", "--config", cfg_path, "--day", "1",
+                 "--synthetic-seed", "3", "--out", out_path]) == 0
+    model = parse_mps(out_path)
+
+    # day 1 starts from day 0's final SoE
+    rows = {name: (coeffs, sense, rhs) for name, coeffs, sense, rhs
+            in model.rows}
+    assert rows["soe_rec[t=0]"][2] == day0["soe"][-1]
+    # the calendar cost is priced at the mid-horizon age, 0 + 0.5 * 2 days
+    cfg = RunConfig.from_file(cfg_path)
+    spec = cfg.battery
+    cal = linearize_calendar(spec, spec.temperature, 1.0,
+                             cfg.grid_for(1).step_seconds, battery_npv(spec))
+    sph = cfg.steps_per_hour
+    for k, seg in enumerate(cal.segments):
+        col = model.col(f"s_cal[h=0,k={k}]")
+        assert model.objective[col] == pytest.approx(
+            -sph * seg.slope_eur_per_mwh, rel=1e-12)
+    # and it is, row by row, the model run built
+    bundle = load_bundle(cfg, synthetic_seed=3)
+    built = build_day_model(day_inputs(bundle, 1, day0["soe"][-1], 1.0,
+                                       "MULTI", True))
+    assert model.var_names == built.var_names
+    assert {n: (sorted(c), s, r) for n, c, s, r in model.rows} == \
+        {n: (sorted(c), s, r) for n, c, s, r in built.rows}
+    assert model.objective == pytest.approx(built.objective, rel=1e-12)
+
+
+def test_export_model_without_checkpoint_starts_from_initial_soe(tmp_path):
+    cfg_path = write_config(tmp_path, days=[0, 1])
+    out_path = str(tmp_path / "day1.mps")
+    assert main(["export-model", "--config", cfg_path, "--day", "1",
+                 "--synthetic-seed", "3", "--out", out_path]) == 0
+    rows = {name: rhs for name, _, _, rhs in parse_mps(out_path).rows}
+    assert rows["soe_rec[t=0]"] == 0.5   # initial_soe of the 1 MWh default
 
 
 # -- declared entry point -----------------------------------------------------------

@@ -163,6 +163,12 @@ def test_run_config_unknown_key_and_missing_file(tmp_path):
         RunConfig.from_file(bad)
 
 
+def test_run_config_rejects_removed_relax_step_binaries():
+    # the step binaries now follow from p_min; an old config says so loudly
+    with pytest.raises(InvalidParameter, match="relax_step_binaries"):
+        RunConfig.from_dict({"relax_step_binaries": True})
+
+
 def test_config_hash_ignores_file_locations():
     a = RunConfig(outdir="runs/a", frequency_csv="x.csv")
     b = RunConfig(outdir="runs/b", frequency_csv="y.csv", prices_csv="p.csv")

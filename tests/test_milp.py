@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fcrsched import (
+    BatterySpec,
     DayInputs,
     InfeasibleBounds,
     InvalidParameter,
@@ -101,11 +102,14 @@ def test_day_inputs_misaligned_contents():
 # -- size formula -----------------------------------------------------------
 
 @pytest.mark.parametrize("case", ["WO_FCR", "FCR_N", "FCR_DU", "FCR_DD", "MULTI"])
-@pytest.mark.parametrize("relax", [False, True])
+@pytest.mark.parametrize("positive_p_min", [False, True])
 @pytest.mark.parametrize("deg", [False, True])
-def test_model_size_formula(case, relax, deg):
-    inp = day_inputs(case=case, hours=3, steps_per_hour=4, relax=relax, deg=deg)
+def test_model_size_formula(case, positive_p_min, deg):
+    spec = BatterySpec(p_min=0.05 if positive_p_min else 0.0)
+    inp = day_inputs(case=case, hours=3, steps_per_hour=4, spec=spec, deg=deg)
     m = build_day_model(inp)
+    assert m.has("b_ch[t=0]") == positive_p_min
+    assert m.has("z_cal[h=2,k=0]") == deg
     size = model_size(inp)
     assert m.n_vars == size["n_vars"]
     assert m.n_binaries == size["n_binaries"]
@@ -113,9 +117,8 @@ def test_model_size_formula(case, relax, deg):
 
 
 def test_model_size_with_p_min():
-    from fcrsched import BatterySpec
     spec = BatterySpec(p_min=0.05)
-    inp = day_inputs(hours=2, relax=False, spec=spec)
+    inp = day_inputs(hours=2, spec=spec)
     m = build_day_model(inp)
     size = model_size(inp)
     assert (m.n_vars, m.n_rows, m.n_binaries) == (
@@ -128,7 +131,7 @@ def test_registry_names_unique_and_resolvable():
     assert len(set(m.var_names)) == m.n_vars
     assert len({r[0] for r in m.rows}) == m.n_rows
     for name in ("ch_bl[h=0]", "bid_n[h=1]", "p_ch[t=7]", "soe[t=0]",
-                 "z_cal[t=3,k=2]", "s_cal[t=3,k=0]"):
+                 "z_cal[h=1,k=2]", "s_cal[h=1,k=0]"):
         assert m.has(name)
 
 
@@ -163,8 +166,10 @@ def test_validator_flags_injected_violation():
 
 
 def test_relaxed_split_never_overlaps():
-    inp = day_inputs(seed=5, hours=3, relax=True)
-    _, _, sol = solve_day(inp)
+    inp = day_inputs(seed=5, hours=3)
+    assert inp.spec.p_min == 0.0
+    model, _, sol = solve_day(inp)
+    assert not model.has("b_ch[t=0]")
     assert float(np.min(sol.p_ch)) >= 0.0
     assert float(np.min(sol.p_ds)) >= 0.0
     assert float(np.max(sol.p_ch * sol.p_ds)) == 0.0
@@ -198,9 +203,10 @@ def test_degradation_term_in_objective():
     inp = day_inputs(seed=9, hours=2, deg=True)
     model, res, sol = solve_day(inp)
     # recompute the linear degradation charge from the extracted arrays
-    dt_h = inp.grid.dt_hours
+    dt_h, sph = inp.grid.dt_hours, inp.grid.steps_per_hour
     cyc = inp.cyc_lin.k_cyc * dt_h * float(np.sum(sol.p_ch + sol.p_ds))
-    cal = sum(inp.cal_lin.cost_at(float(s)) for s in sol.soe)
+    hour_means = sol.soe.reshape(inp.grid.hours, sph).mean(axis=1)
+    cal = sum(sph * inp.cal_lin.cost_at(float(s)) for s in hour_means)
     assert sol.c_deg_lin == pytest.approx(cyc + cal, abs=1e-6)
     assert sol.c_deg_lin >= 0.0
 
@@ -209,11 +215,13 @@ def test_calendar_pieces_select_correct_segment():
     inp = day_inputs(seed=10, hours=2, deg=True)
     model, res, sol = solve_day(inp)
     segs = inp.cal_lin.segments
-    for t in range(inp.grid.n_steps):
-        z = [res.x[model.col(f"z_cal[t={t},k={k}]")] for k in range(3)]
-        s = [res.x[model.col(f"s_cal[t={t},k={k}]")] for k in range(3)]
+    sph = inp.grid.steps_per_hour
+    for h in range(inp.grid.hours):
+        z = [res.x[model.col(f"z_cal[h={h},k={k}]")] for k in range(3)]
+        s = [res.x[model.col(f"s_cal[h={h},k={k}]")] for k in range(3)]
         assert sum(z) == pytest.approx(1.0, abs=1e-6)
-        assert sum(s) == pytest.approx(sol.soe[t], abs=1e-6)
+        mean_soe = float(np.mean(sol.soe[h * sph:(h + 1) * sph]))
+        assert sum(s) == pytest.approx(mean_soe, abs=1e-6)
         k = int(np.argmax(z))
         assert segs[k].lo_mwh - 1e-6 <= s[k] <= segs[k].hi_mwh + 1e-6
 
@@ -234,3 +242,15 @@ def test_validate_rejects_wrong_length():
     m = build_day_model(inp)
     with pytest.raises(InvalidParameter):
         validate_solution(m, np.zeros(3))
+
+
+@pytest.mark.parametrize("steps_per_hour, expected", [
+    (4, (672, 192, 888)),
+    (60, (4704, 192, 3576)),
+])
+def test_model_size_of_a_default_multi_deg_day(steps_per_hour, expected):
+    # no per-step binaries for the default battery: 3H calendar binaries,
+    # 2H baseline and 3H minimum-bid binaries at any resolution
+    inp = day_inputs(hours=24, steps_per_hour=steps_per_hour, deg=True)
+    size = model_size(inp)
+    assert (size["n_vars"], size["n_binaries"], size["n_rows"]) == expected

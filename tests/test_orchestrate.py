@@ -160,6 +160,26 @@ def test_resume_reuses_checkpoints(tmp_path, monkeypatch):
         assert a.objective == pytest.approx(b.objective)
 
 
+def test_day_solution_keeps_highs_node_count(tmp_path, monkeypatch):
+    cfg = toy_config(tmp_path, degradation_in_objective=True)
+    results: list = []
+
+    def recording_backend(model, time_limit_s=600.0, mip_gap=1e-6):
+        results.append(solve_scipy(model, time_limit_s=time_limit_s,
+                                   mip_gap=mip_gap))
+        return results[-1]
+
+    patch_backend(monkeypatch, recording_backend)
+    sol = run_case(toy_bundle(cfg)).days[0]
+    assert sol.nodes == results[0].nodes
+    ckpt = tmp_path / "MULTI_deg" / "day_0000.json"
+    payload = json.loads(ckpt.read_text())
+    assert payload["solution"]["nodes"] == sol.nodes
+    # a checkpoint written before the field existed still loads
+    del payload["solution"]["nodes"]
+    assert DaySolution.from_dict(payload["solution"]).nodes == 0
+
+
 def test_resume_solves_only_missing_days(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path, days=(0, 1, 2))
     bundle = toy_bundle(cfg)

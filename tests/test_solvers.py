@@ -66,7 +66,7 @@ def assert_models_equal(a: MilpModel, b: MilpModel) -> None:
 
 def test_sanitize_name():
     assert sanitize_name("p_ch[t=37]") == "p_ch_t37"
-    assert sanitize_name("z_cal[t=3,k=1]") == "z_cal_t3_k1"
+    assert sanitize_name("z_cal[h=3,k=1]") == "z_cal_h3_k1"
     assert sanitize_name("plain") == "plain"
 
 
@@ -280,6 +280,41 @@ def test_scipy_objective_recomputed_from_x():
     m = tiny_milp()
     res = solve_scipy(m)
     assert res.objective == pytest.approx(m.objective_value(res.x), rel=1e-12)
+
+
+def test_scipy_keeps_highs_node_count_and_dual_bound():
+    from helpers import day_inputs
+
+    model = build_day_model(day_inputs(seed=3, hours=6, deg=True))
+    res = solve_scipy(model, mip_gap=1e-9)
+    assert res.ok
+    assert isinstance(res.nodes, int) and res.nodes >= 0
+    # maximize: the dual bound sits on or above the incumbent, within the gap
+    assert res.dual_bound >= res.objective - 1e-6
+    assert res.dual_bound - res.objective <= \
+        max(res.gap, 1e-9) * abs(res.objective) + 1e-6
+
+
+def test_scipy_keeps_solver_output_off_stdout(monkeypatch, capfd, caplog):
+    import logging
+    import os
+    from types import SimpleNamespace
+
+    def chatty_milp(*args, **kwargs):
+        os.write(1, b"HighsMipSolverData::stray line\n")
+        return SimpleNamespace(status=2, x=None, message="fake",
+                               mip_gap=None, mip_node_count=None,
+                               mip_dual_bound=None)
+
+    monkeypatch.setattr("scipy.optimize.milp", chatty_milp)
+    with caplog.at_level(logging.DEBUG, logger="fcrsched"):
+        res = solve_scipy(tiny_milp())
+    assert res.status == "Infeasible"
+    assert capfd.readouterr().out == ""
+    assert any("HighsMipSolverData::stray line" in r.getMessage()
+               for r in caplog.records)
+    os.write(1, b"after\n")  # descriptor 1 is restored
+    assert capfd.readouterr().out == "after\n"
 
 
 # -- micro backend --------------------------------------------------------------
