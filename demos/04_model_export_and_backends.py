@@ -36,19 +36,19 @@ inputs = DayInputs(
     spec=spec, s0=0.5, case_id="MULTI", degradation_in_objective=False)
 model = build_day_model(inputs)
 
-workdir = Path(tempfile.mkdtemp(prefix="fcrsched_demo_"))
-
 # Export writes the model plus a sidecar mapping solver-safe names back to
-# the registry names (MPS forbids characters like '[' and '=').
-mps_path = workdir / "day.mps"
-sidecar = export_model(model, str(mps_path), "mps")
-print(f"wrote {mps_path} ({model.n_vars} vars, {model.n_rows} rows)")
-print(f"name sidecar: {sidecar}")
+# the registry names (MPS forbids characters like '[' and '='). The files
+# go to a temporary directory that is removed at the end of the block.
+with tempfile.TemporaryDirectory(prefix="fcrsched_demo_") as workdir:
+    mps_path = Path(workdir) / "day.mps"
+    sidecar = export_model(model, str(mps_path), "mps")
+    print(f"wrote {mps_path} ({model.n_vars} vars, {model.n_rows} rows)")
+    print(f"name sidecar: {sidecar}")
 
-# The file parses back into an equivalent model, column order included.
-again = parse_mps(str(mps_path))
-assert again.var_names == model.var_names
-print("round trip reproduces the variable registry")
+    # The file parses back into an equivalent model, column order included.
+    again = parse_mps(str(mps_path))
+    assert again.var_names == model.var_names
+    print("round trip reproduces the variable registry")
 
 # Backend 1: scipy's HiGhS-backed MILP (the default).
 res_scipy = solve_scipy(model, mip_gap=1e-9)

@@ -97,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_exp)
     p_exp.add_argument("--day", type=int, required=True,
                        help="day index to export")
-    p_exp.add_argument("--format", choices=EXPORT_FORMATS, default="mps")
+    p_exp.add_argument("--format", choices=EXPORT_FORMATS, default="mps",
+                       help="mps: free MPS with registry-derived names; "
+                            "mps-fixed: free MPS with generated 8-character "
+                            "names; lp: CPLEX-style LP text")
     p_exp.add_argument("--out", default=None,
                        help="output path (default: <outdir>/day_<D>.<ext>)")
     p_exp.set_defaults(func=cmd_export)
@@ -120,6 +123,18 @@ def _write_meta(cfg: RunConfig, synthetic_seed: int | None) -> None:
         fh.write("\n")
 
 
+def _print_tables(results: dict) -> None:
+    """Print the monetary, market-mix and (when both modes ran) aging-delta
+    tables."""
+    print(format_table(monetary_table(results), MONETARY_COLUMNS))
+    print()
+    print(format_table(market_mix_table(results), MIX_COLUMNS))
+    delta = aging_delta_table(results)
+    if delta:
+        print()
+        print(format_table(delta, DELTA_COLUMNS))
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     bundle = load_bundle(cfg, synthetic_seed=args.synthetic_seed)
@@ -132,13 +147,7 @@ def cmd_run(args) -> int:
         res = run_case(bundle, case_id=args.case,
                        degradation_in_objective=deg, resume=resume)
         results = {(res.case_id, res.degmode): res}
-    print(format_table(monetary_table(results), MONETARY_COLUMNS))
-    print()
-    print(format_table(market_mix_table(results), MIX_COLUMNS))
-    delta = aging_delta_table(results)
-    if delta:
-        print()
-        print(format_table(delta, DELTA_COLUMNS))
+    _print_tables(results)
     return 0
 
 
@@ -159,13 +168,7 @@ def cmd_report(args) -> int:
                 results[(case, mode)] = load_horizon(cfg, case, deg)
     if not results:
         raise DataError(f"no completed runs under {args.from_dir}")
-    print(format_table(monetary_table(results), MONETARY_COLUMNS))
-    print()
-    print(format_table(market_mix_table(results), MIX_COLUMNS))
-    delta = aging_delta_table(results)
-    if delta:
-        print()
-        print(format_table(delta, DELTA_COLUMNS))
+    _print_tables(results)
     manifest = write_report(results, os.path.join(args.from_dir, "report"))
     print(f"\nreport written: {manifest}")
     return 0

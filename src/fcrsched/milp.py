@@ -16,7 +16,7 @@ variables, binaries and rows for a given configuration is the closed form in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,26 +120,20 @@ class MilpModel:
         return float(sum(v * x[col] for col, v in self.objective.items())
                      + self.objective_const)
 
-    def row_value(self, row_index: int, x: np.ndarray) -> float:
-        _, coeffs, _, _ = self.rows[row_index]
-        return float(sum(v * x[col] for col, v in coeffs))
-
-    def drop_constraints(self, prefixes: tuple[str, ...]) -> "MilpModel":
-        """Copy of the model without rows whose family matches a prefix."""
-        out = MilpModel(self.name + "+relaxed")
-        out.var_names = list(self.var_names)
-        out.lb = list(self.lb)
-        out.ub = list(self.ub)
-        out.is_binary = list(self.is_binary)
-        out._registry = dict(self._registry)
-        out.objective = dict(self.objective)
-        out.objective_const = self.objective_const
-        for name, coeffs, sense, rhs in self.rows:
-            family = name.split("[", 1)[0]
-            if any(family.startswith(p) for p in prefixes):
-                continue
-            out.add_constraint(name, coeffs, sense, rhs)
-        return out
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray, np.ndarray]:
+        """The rows as coordinates plus row bounds: `lo <= A @ x <= hi`,
+        where A holds `vals[i]` at (`rows[i]`, `cols[i]`)."""
+        counts = [len(coeffs) for _, coeffs, _, _ in self.rows]
+        pairs = [p for _, coeffs, _, _ in self.rows for p in coeffs]
+        rows = np.repeat(np.arange(self.n_rows), counts)
+        cols = np.array([c for c, _ in pairs], dtype=int)
+        vals = np.array([v for _, v in pairs], dtype=float)
+        sense = np.array([s for _, _, s, _ in self.rows], dtype=object)
+        rhs = np.array([r for _, _, _, r in self.rows], dtype=float)
+        lo = np.where(sense == "<=", -np.inf, rhs)
+        hi = np.where(sense == ">=", np.inf, rhs)
+        return rows, cols, vals, lo, hi
 
 
 @dataclass(frozen=True)
@@ -461,26 +455,23 @@ def validate_solution(model: MilpModel, x: np.ndarray,
     if x.shape != (model.n_vars,):
         raise InvalidParameter(
             f"solution length {x.size} != variable count {model.n_vars}")
+    lb, ub = np.array(model.lb), np.array(model.ub)
+    bound_gap = np.where(np.isfinite(x), np.maximum(lb - x, x - ub), np.inf)
+    frac = np.where(model.is_binary, np.abs(x - np.round(x)), 0.0)
     found: list[Violation] = []
-    for col, name in enumerate(model.var_names):
-        lo, hi = model.lb[col], model.ub[col]
-        gap = max(lo - x[col], x[col] - hi)
-        if gap > tol:
-            found.append(Violation(name, "bounds", float(gap)))
-        if model.is_binary[col]:
-            frac = abs(x[col] - round(x[col]))
-            if frac > tol:
-                found.append(Violation(name, "integrality", float(frac)))
-    for name, coeffs, sense, rhs in model.rows:
-        lhs = float(sum(v * x[col] for col, v in coeffs))
-        if sense == "<=":
-            gap = lhs - rhs
-        elif sense == ">=":
-            gap = rhs - lhs
-        else:
-            gap = abs(lhs - rhs)
-        if gap > tol:
-            found.append(Violation(name, name.split("[", 1)[0], float(gap)))
+    for col in np.flatnonzero((bound_gap > tol) | (frac > tol)):
+        name = model.var_names[col]
+        if bound_gap[col] > tol:
+            found.append(Violation(name, "bounds", float(bound_gap[col])))
+        if frac[col] > tol:
+            found.append(Violation(name, "integrality", float(frac[col])))
+    rows, cols, vals, lo, hi = model.triplets()
+    lhs = np.bincount(rows, weights=vals * x[cols], minlength=model.n_rows)
+    row_gap = np.maximum(lo - lhs, lhs - hi)
+    for r in np.flatnonzero(row_gap > tol):
+        name = model.rows[r][0]
+        found.append(Violation(name, name.split("[", 1)[0],
+                               float(row_gap[r])))
     return ViolationReport(violations=tuple(found), tolerance=tol)
 
 
@@ -557,74 +548,45 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
                          inputs: DayInputs,
                          status: str = "Optimal", gap: float = 0.0,
                          wall_time: float = 0.0, nodes: int = 0) -> DaySolution:
-    """Unpack a solution vector through the registry into market units.
+    """Unpack a solution vector into market units, one variable family
+    (the registry name before `[`) at a time.
 
-    Tiny negative values are clamped to zero. When the model has no per-step
-    exclusivity binaries, realized powers are re-split canonically from the
-    pinned net power so that reported throughput is minimal; the objective
-    decomposition always uses the raw solver values so that its parts sum to
-    the solver objective.
+    Each money part is its families' share of the model's own objective,
+    so the parts sum to the solver objective. Realized powers are split
+    from the pinned net power `p_ch - p_ds`, so that reported throughput
+    is minimal. Tiny negative values are clamped to zero.
     """
     x = np.asarray(x, dtype=float)
-    grid, prices, cont = inputs.grid, inputs.prices, inputs.contents
-    H, T, spH = grid.hours, grid.n_steps, grid.steps_per_hour
+    grid = inputs.grid
+    family_cols: dict[str, list[int]] = {}
+    for col, name in enumerate(model.var_names):
+        family_cols.setdefault(name.split("[", 1)[0], []).append(col)
+    earned = model.objective_vector() * x
 
-    def pull(fmt: str, n: int, tag: str) -> np.ndarray:
-        return np.array([x[model.col(fmt.format(i=i, tag=tag))] for i in range(n)])
+    def values(family: str) -> np.ndarray:
+        return x[family_cols[family]]
 
-    ch_bl = pull("ch_bl[h={i}]", H, "h")
-    ds_bl = pull("ds_bl[h={i}]", H, "h")
-    bid_n = pull("bid_n[h={i}]", H, "h")
-    bid_du = pull("bid_du[h={i}]", H, "h")
-    bid_dd = pull("bid_dd[h={i}]", H, "h")
-    p_ch_raw = pull("p_ch[t={i}]", T, "t")
-    p_ds_raw = pull("p_ds[t={i}]", T, "t")
-    soe = pull("soe[t={i}]", T, "t")
+    def share(*families: str) -> float:
+        return float(sum(earned[family_cols.get(f, [])].sum()
+                         for f in families))
 
-    # objective decomposition from raw values
-    tax_ds = prices.tax if inputs.tax_on_discharge else 0.0
-    r_da = float(np.dot(ds_bl, prices.spot + tax_ds))
-    r_n = float(np.dot(bid_n, prices.fcr_n
-                       + prices.up_reg * cont.eh_ur_n
-                       - prices.down_reg * cont.eh_dr_n))
-    r_du = float(np.dot(bid_du, prices.fcr_du))
-    r_dd = float(np.dot(bid_dd, prices.fcr_dd))
-    c_da = float(np.dot(ch_bl, prices.spot + prices.grid_tariff + prices.tax))
-    c_deg_lin = 0.0
-    if inputs.degradation_in_objective:
-        segs = inputs.cal_lin.segments
-        k_cyc = inputs.cyc_lin.k_cyc
-        c_deg_lin = k_cyc * grid.dt_hours * float(np.sum(p_ch_raw + p_ds_raw))
-        for h in range(H):
-            for k in range(3):
-                c_deg_lin += spH * (segs[k].slope_eur_per_mwh
-                                    * x[model.col(f"s_cal[h={h},k={k}]")]
-                                    + segs[k].intercept_eur
-                                    * x[model.col(f"z_cal[h={h},k={k}]")])
+    def cost(*families: str) -> float:
+        return 0.0 - share(*families)   # +0.0, not -0.0, when nothing is spent
 
     def clean(arr: np.ndarray) -> np.ndarray:
         return np.where(np.abs(arr) < 1e-9, 0.0, np.maximum(arr, 0.0))
 
-    if not inputs.step_binaries:
-        net = p_ch_raw - p_ds_raw
-        p_ch = np.maximum(net, 0.0)
-        p_ds = np.maximum(-net, 0.0)
-    else:
-        p_ch, p_ds = p_ch_raw, p_ds_raw
-        # zero the smaller of numerically overlapping pairs
-        both = (p_ch > 0) & (p_ds > 0)
-        smaller_ch = both & (p_ch <= p_ds)
-        p_ch = np.where(smaller_ch & (p_ch < 1e-6), 0.0, p_ch)
-        p_ds = np.where(both & ~smaller_ch & (p_ds < 1e-6), 0.0, p_ds)
-
+    net = values("p_ch") - values("p_ds")
     return DaySolution(
         day_index=grid.day_index, steps_per_hour=grid.steps_per_hour,
-        hours=H, dt_seconds=float(grid.step_seconds), s0=inputs.s0,
-        ch_bl=clean(ch_bl), ds_bl=clean(ds_bl),
-        bid_n=clean(bid_n), bid_du=clean(bid_du), bid_dd=clean(bid_dd),
-        p_ch=clean(p_ch), p_ds=clean(p_ds),
-        soe=np.clip(soe, inputs.spec.soe_min, inputs.spec.soe_max),
-        r_da=r_da, r_n=r_n, r_du=r_du, r_dd=r_dd, c_da=c_da,
-        c_deg_lin=c_deg_lin,
+        hours=grid.hours, dt_seconds=float(grid.step_seconds), s0=inputs.s0,
+        ch_bl=clean(values("ch_bl")), ds_bl=clean(values("ds_bl")),
+        bid_n=clean(values("bid_n")), bid_du=clean(values("bid_du")),
+        bid_dd=clean(values("bid_dd")),
+        p_ch=clean(np.maximum(net, 0.0)), p_ds=clean(np.maximum(-net, 0.0)),
+        soe=np.clip(values("soe"), inputs.spec.soe_min, inputs.spec.soe_max),
+        r_da=share("ds_bl"), r_n=share("bid_n"), r_du=share("bid_du"),
+        r_dd=share("bid_dd"), c_da=cost("ch_bl"),
+        c_deg_lin=cost("p_ch", "p_ds", "s_cal", "z_cal"),
         objective=model.objective_value(x),
         status=status, gap=gap, nodes=nodes, wall_time=wall_time)

@@ -11,8 +11,10 @@ Three interchangeable ways to optimize a `MilpModel`:
   the placeholders ``{model_file}``, ``{solution_file}``, ``{time_limit}``
   and ``{gap}``.
 
-Model files can be written as free MPS (default), fixed MPS (8-character
-generated names) or CPLEX-style LP text. Every export writes a sidecar
+Model files can be written as free MPS with names derived from the
+registry (``mps``, the default), free MPS with generated 8-character names
+(``mps-fixed``; the fields are space-separated, not in fixed columns) or
+CPLEX-style LP text (``lp``). Every export writes a sidecar
 ``<file>.names.json`` mapping file names back to registry names; the bundled
 MPS/LP parsers restore registry names through it, so export/parse round-trips
 reproduce the model exactly.
@@ -636,14 +638,21 @@ def solve_external(model: MilpModel, command_template: str,
                    time_limit_s: float = 600.0, mip_gap: float = 1e-6,
                    workdir: str | None = None,
                    fmt: str = "mps") -> SolveResult:
-    """Export, run `command_template` as a subprocess, parse its solution."""
+    """Export, run `command_template` as a subprocess, parse its solution.
+
+    The exchange files go to `workdir`, or to a temporary directory that is
+    removed once the solution has been read.
+    """
     if not command_template.strip():
         raise InvalidParameter("empty external command template")
-    tmpdir = workdir or tempfile.mkdtemp(prefix="fcrsched_")
-    os.makedirs(tmpdir, exist_ok=True)
+    if not workdir:
+        with tempfile.TemporaryDirectory(prefix="fcrsched_") as tmpdir:
+            return solve_external(model, command_template, time_limit_s,
+                                  mip_gap, tmpdir, fmt)
+    os.makedirs(workdir, exist_ok=True)
     suffix = "lp" if fmt == "lp" else "mps"
-    model_file = os.path.join(tmpdir, f"{model.name}.{suffix}")
-    solution_file = os.path.join(tmpdir, f"{model.name}.sol")
+    model_file = os.path.join(workdir, f"{model.name}.{suffix}")
+    solution_file = os.path.join(workdir, f"{model.name}.sol")
     export_model(model, model_file, fmt)
     subst = {"{model_file}": model_file, "{solution_file}": solution_file,
              "{time_limit}": _num(time_limit_s), "{gap}": _num(mip_gap)}
@@ -699,28 +708,6 @@ def solve_external(model: MilpModel, command_template: str,
 
 # -- scipy backend ----------------------------------------------------------
 
-def _model_matrices(model: MilpModel):
-    import scipy.sparse as sp
-
-    rows_i, cols_i, vals = [], [], []
-    lo_row = np.empty(model.n_rows)
-    hi_row = np.empty(model.n_rows)
-    for r, (name, coeffs, sense, rhs) in enumerate(model.rows):
-        for col, v in coeffs:
-            rows_i.append(r)
-            cols_i.append(col)
-            vals.append(v)
-        if sense == "<=":
-            lo_row[r], hi_row[r] = -np.inf, rhs
-        elif sense == ">=":
-            lo_row[r], hi_row[r] = rhs, np.inf
-        else:
-            lo_row[r], hi_row[r] = rhs, rhs
-    a = sp.csc_array((vals, (rows_i, cols_i)),
-                     shape=(model.n_rows, model.n_vars))
-    return a, lo_row, hi_row
-
-
 def _flush_c_stdio() -> None:
     """Flush C-level stdio buffers, so that solver output written through
     them lands in whatever file descriptor 1 points at right now."""
@@ -758,9 +745,11 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
                 mip_gap: float = 1e-6) -> SolveResult:
     """In-process solve through `scipy.optimize.milp` (maximization handled
     by negating the objective)."""
+    import scipy.sparse as sp
     from scipy.optimize import Bounds, LinearConstraint
 
-    a, lo_row, hi_row = _model_matrices(model)
+    rows, cols, vals, lo_row, hi_row = model.triplets()
+    a = sp.csc_array((vals, (rows, cols)), shape=(model.n_rows, model.n_vars))
     c = -model.objective_vector()
     integrality = np.array(model.is_binary, dtype=np.uint8)
     bounds = Bounds(np.array(model.lb), np.array(model.ub))
@@ -816,14 +805,13 @@ def solve_micro(model: MilpModel, time_limit_s: float = 600.0,
                        f"of {MICRO_MAX_CONTINUOUS}")
 
     c_min = -model.objective_vector()
+    rows, cols, vals, lo_row, hi_row = model.triplets()
     a = np.zeros((model.n_rows, model.n_vars))
-    senses = []
-    b = np.zeros(model.n_rows)
-    for r, (name, coeffs, sense, rhs) in enumerate(model.rows):
-        for col, v in coeffs:
-            a[r, col] = v
-        senses.append(sense)
-        b[r] = rhs
+    np.add.at(a, (rows, cols), vals)
+    upper = np.isfinite(hi_row)
+    senses = np.where(lo_row == hi_row, "==",
+                      np.where(upper, "<=", ">=")).tolist()
+    b = np.where(upper, hi_row, lo_row)
     bin_cols = np.array([c for c in range(model.n_vars) if model.is_binary[c]],
                         dtype=int)
     lo0 = np.array(model.lb)

@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from fcrsched import (
     BatterySpec,
-    DataBundle,
     DayInputs,
     PriceSeries,
     RunConfig,
-    TimeGrid,
-    battery_npv,
-    energy_content,
-    linearize_calendar,
-    linearize_cycle,
-    synth_frequency,
-    synth_prices,
+    load_bundle,
 )
+from fcrsched import orchestrate
 
 
 def toy_config(outdir, **overrides) -> RunConfig:
@@ -36,45 +32,22 @@ def toy_config(outdir, **overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def toy_bundle(config: RunConfig, seed: int = 7) -> DataBundle:
-    """Synthetic bundle sized for `config` (frequency seed, prices seed+1)."""
-    grid = config.grid_for(0)
-    n_days = max(config.days) + 1
-    freq = synth_frequency(seed, grid, days=n_days)
-    prices = synth_prices(seed + 1, n_days * config.hours_per_day,
-                          grid_tariff=config.grid_tariff, tax=config.tax)
-    return DataBundle(frequency=freq, prices=prices, config=config)
-
-
 def day_inputs(seed: int = 7, case: str = "MULTI", hours: int = 4,
                steps_per_hour: int = 4, deg: bool = False,
                s0: float | None = None,
                spec: BatterySpec | None = None, age_days: float = 30.0,
-               prices: PriceSeries | None = None, **extra) -> DayInputs:
-    """One-day model inputs on synthetic data, compact by default."""
-    spec = spec or BatterySpec()
-    grid = TimeGrid(0, steps_per_hour, hours)
-    trace = synth_frequency(seed, grid)
-    if prices is None:
-        prices = synth_prices(seed + 1, hours)
-    cal = cyc = None
-    if deg:
-        npv = battery_npv(spec)
-        cal = linearize_calendar(spec, spec.temperature, age_days,
-                                 grid.step_seconds, npv)
-        cyc = linearize_cycle(spec, spec.temperature, npv)
-    return DayInputs(
-        grid=grid,
-        prices=prices,
-        contents=energy_content(trace, grid),
-        spec=spec,
-        s0=0.5 * spec.capacity if s0 is None else s0,
-        case_id=case,
-        degradation_in_objective=deg,
-        cal_lin=cal,
-        cyc_lin=cyc,
-        **extra,
-    )
+               prices: PriceSeries | None = None, **config) -> DayInputs:
+    """Day 0's model inputs on synthetic data (frequency seed `seed`, prices
+    seed+1), compact by default, built the way `run_case` builds them.
+    `config` takes further `RunConfig` fields, e.g. `force_zero_baseline`."""
+    cfg = RunConfig(case_id=case, steps_per_hour=steps_per_hour,
+                    hours_per_day=hours, battery=spec or BatterySpec(),
+                    **config)
+    bundle = load_bundle(cfg, synthetic_seed=seed)
+    if prices is not None:
+        bundle = dataclasses.replace(bundle, prices=prices)
+    s0 = cfg.initial_soe if s0 is None else s0
+    return orchestrate.day_inputs(bundle, 0, s0, age_days, case, deg)
 
 
 def flat_prices(hours: int, spot: float = 40.0, fcr_n: float = 20.0,

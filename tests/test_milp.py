@@ -62,19 +62,25 @@ def test_constraints_and_objective():
     m.objective_const = 3.0
     pt = np.array([2.0, 1.0])
     assert m.objective_value(pt) == pytest.approx(1.5 * 2 + 2.0 + 3.0)
-    assert m.row_value(0, pt) == pytest.approx(4.0)
     np.testing.assert_array_equal(m.objective_vector(), [1.5, 2.0])
 
 
-def test_drop_constraints_copies():
+def test_triplets_give_coordinates_and_row_bounds():
     m = MilpModel("t")
-    x = m.add_variable("x", 0.0, 1.0)
-    m.add_constraint("keep[t=0]", [(x, 1.0)], "<=", 1.0)
-    m.add_constraint("drop_me[t=0]", [(x, 1.0)], ">=", 0.5)
-    out = m.drop_constraints(("drop_me",))
-    assert out.n_rows == 1 and m.n_rows == 2
-    assert out.rows[0][0] == "keep[t=0]"
-    assert out.n_vars == m.n_vars
+    x = m.add_variable("x", 0.0, 4.0)
+    y = m.add_variable("y", 0.0, 4.0)
+    m.add_constraint("le", [(x, 1.0), (y, 2.0)], "<=", 6.0)
+    m.add_constraint("ge", [(y, -0.0)], ">=", 1.0)
+    m.add_constraint("eq", [(y, 3.0), (x, -1.0)], "==", 2.0)
+    rows, cols, vals, lo, hi = m.triplets()
+    np.testing.assert_array_equal(rows, [0, 0, 1, 2, 2])
+    np.testing.assert_array_equal(cols, [x, y, y, y, x])
+    np.testing.assert_array_equal(vals, [1.0, 2.0, -0.0, 3.0, -1.0])
+    assert math.copysign(1.0, vals[2]) == -1.0      # sign kept for export
+    np.testing.assert_array_equal(lo, [-np.inf, 1.0, 2.0])
+    np.testing.assert_array_equal(hi, [6.0, np.inf, 2.0])
+    empty = MilpModel("e").triplets()
+    assert [a.size for a in empty] == [0, 0, 0, 0, 0]
 
 
 # -- DayInputs validation -----------------------------------------------------
@@ -163,6 +169,9 @@ def test_validator_flags_injected_violation():
     assert not report.ok
     assert "soe_rec" in report.worst_by_family()
     assert report.max_violation >= 0.25
+    x = res.x.copy()
+    x[model.col("p_ch[t=0]")] = np.nan      # a non-finite value never passes
+    assert validate_solution(model, x).worst_by_family()["bounds"] == math.inf
 
 
 def test_relaxed_split_never_overlaps():

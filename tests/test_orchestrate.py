@@ -33,9 +33,11 @@ from fcrsched.errors import (
     MissingFile,
     SolverFailure,
 )
+from fcrsched import orchestrate
+from fcrsched.orchestrate import calendar_age
 from fcrsched.solvers import SolveResult
 
-from helpers import audit_solution, day_inputs, toy_bundle, toy_config
+from helpers import audit_solution, toy_config
 
 
 def counting_backend(calls: list):
@@ -57,7 +59,7 @@ def patch_backend(monkeypatch, backend):
 
 def test_run_case_profit_and_totals(tmp_path):
     cfg = toy_config(tmp_path, days=(0, 1))
-    res = run_case(toy_bundle(cfg), resume=False)
+    res = run_case(load_bundle(cfg, synthetic_seed=7), resume=False)
 
     assert res.case_id == "MULTI"
     assert res.degmode == "nodeg"
@@ -83,7 +85,7 @@ def test_run_case_profit_and_totals(tmp_path):
 
 def test_run_case_carries_final_soe_forward(tmp_path):
     cfg = toy_config(tmp_path, days=(0, 1, 2))
-    res = run_case(toy_bundle(cfg), resume=False)
+    res = run_case(load_bundle(cfg, synthetic_seed=7), resume=False)
     assert res.days[0].s0 == pytest.approx(cfg.initial_soe, abs=1e-12)
     for prev, nxt in zip(res.days, res.days[1:]):
         assert nxt.s0 == float(prev.soe[-1])
@@ -91,21 +93,13 @@ def test_run_case_carries_final_soe_forward(tmp_path):
 
 def test_run_case_solutions_pass_physical_audit(tmp_path):
     cfg = toy_config(tmp_path, days=(0, 1))
-    bundle = toy_bundle(cfg)
+    bundle = load_bundle(cfg, synthetic_seed=7)
     res = run_case(bundle, resume=False)
     s0 = cfg.initial_soe
     for k, sol in enumerate(res.days):
-        grid = cfg.grid_for(k)
-        from fcrsched import FrequencyTrace, energy_content
-
-        trace = FrequencyTrace(bundle.frequency.day_values(k), grid.n_steps)
-        inputs = day_inputs(
-            case=cfg.case_id, hours=cfg.hours_per_day,
-            steps_per_hour=cfg.steps_per_hour, s0=s0,
-            prices=bundle.prices.day_slice(k, cfg.hours_per_day))
-        inputs = type(inputs)(**{**inputs.__dict__,
-                                 "grid": grid,
-                                 "contents": energy_content(trace, grid)})
+        inputs = orchestrate.day_inputs(
+            bundle, k, s0, calendar_age(cfg, k), cfg.case_id,
+            cfg.degradation_in_objective)
         worst = audit_solution(inputs, sol)
         assert max(worst.values()) <= 1e-6, worst
         s0 = float(sol.soe[-1])
@@ -114,7 +108,7 @@ def test_run_case_solutions_pass_physical_audit(tmp_path):
 def test_run_case_degradation_mode(tmp_path):
     cfg = toy_config(tmp_path, degradation_in_objective=True, days=(0, 1),
                      relinearize_daily=True, start_age_days=10.0)
-    res = run_case(toy_bundle(cfg), resume=False)
+    res = run_case(load_bundle(cfg, synthetic_seed=7), resume=False)
     assert res.degmode == "deg"
     for sol in res.days:
         assert sol.c_deg_lin >= 0.0
@@ -124,12 +118,12 @@ def test_run_case_degradation_mode(tmp_path):
 def test_run_case_rejects_unknown_case(tmp_path):
     cfg = toy_config(tmp_path)
     with pytest.raises(InvalidParameter):
-        run_case(toy_bundle(cfg), case_id="BOGUS")
+        run_case(load_bundle(cfg, synthetic_seed=7), case_id="BOGUS")
 
 
 def test_run_case_writes_horizon_summary(tmp_path):
     cfg = toy_config(tmp_path)
-    res = run_case(toy_bundle(cfg), resume=False)
+    res = run_case(load_bundle(cfg, synthetic_seed=7), resume=False)
     path = os.path.join(str(tmp_path), "MULTI_nodeg", "horizon.json")
     with open(path) as fh:
         payload = json.load(fh)
@@ -145,7 +139,7 @@ def test_run_case_writes_horizon_summary(tmp_path):
 
 def test_resume_reuses_checkpoints(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path, days=(0, 1))
-    bundle = toy_bundle(cfg)
+    bundle = load_bundle(cfg, synthetic_seed=7)
     calls: list = []
     patch_backend(monkeypatch, counting_backend(calls))
 
@@ -170,7 +164,7 @@ def test_day_solution_keeps_highs_node_count(tmp_path, monkeypatch):
         return results[-1]
 
     patch_backend(monkeypatch, recording_backend)
-    sol = run_case(toy_bundle(cfg)).days[0]
+    sol = run_case(load_bundle(cfg, synthetic_seed=7)).days[0]
     assert sol.nodes == results[0].nodes
     ckpt = tmp_path / "MULTI_deg" / "day_0000.json"
     payload = json.loads(ckpt.read_text())
@@ -182,7 +176,7 @@ def test_day_solution_keeps_highs_node_count(tmp_path, monkeypatch):
 
 def test_resume_solves_only_missing_days(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path, days=(0, 1, 2))
-    bundle = toy_bundle(cfg)
+    bundle = load_bundle(cfg, synthetic_seed=7)
     calls: list = []
     patch_backend(monkeypatch, counting_backend(calls))
 
@@ -195,7 +189,7 @@ def test_resume_solves_only_missing_days(tmp_path, monkeypatch):
 
 def test_resume_disabled_recomputes_everything(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path, days=(0, 1))
-    bundle = toy_bundle(cfg)
+    bundle = load_bundle(cfg, synthetic_seed=7)
     calls: list = []
     patch_backend(monkeypatch, counting_backend(calls))
     run_case(bundle)
@@ -207,26 +201,26 @@ def test_checkpoint_stale_when_data_changes(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path)
     calls: list = []
     patch_backend(monkeypatch, counting_backend(calls))
-    run_case(toy_bundle(cfg, seed=7))
+    run_case(load_bundle(cfg, synthetic_seed=7))
     assert len(calls) == 1
     # same config, different synthetic data: the checkpoint must not be trusted
-    run_case(toy_bundle(cfg, seed=11))
+    run_case(load_bundle(cfg, synthetic_seed=11))
     assert len(calls) == 2
 
 
 def test_checkpoint_stale_when_config_changes(tmp_path, monkeypatch):
     calls: list = []
     patch_backend(monkeypatch, counting_backend(calls))
-    run_case(toy_bundle(toy_config(tmp_path)))
+    run_case(load_bundle(toy_config(tmp_path), synthetic_seed=7))
     assert len(calls) == 1
     # tax enters both the config hash and the price data
-    run_case(toy_bundle(toy_config(tmp_path, tax=1.5)))
+    run_case(load_bundle(toy_config(tmp_path, tax=1.5), synthetic_seed=7))
     assert len(calls) == 2
 
 
 def test_checkpoint_stale_when_carry_over_drifts(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path, days=(0, 1))
-    bundle = toy_bundle(cfg)
+    bundle = load_bundle(cfg, synthetic_seed=7)
     calls: list = []
     patch_backend(monkeypatch, counting_backend(calls))
     run_case(bundle)
@@ -247,7 +241,7 @@ def test_checkpoint_stale_when_carry_over_drifts(tmp_path, monkeypatch):
 
 def test_corrupt_checkpoint_is_recomputed(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path)
-    bundle = toy_bundle(cfg)
+    bundle = load_bundle(cfg, synthetic_seed=7)
     calls: list = []
     patch_backend(monkeypatch, counting_backend(calls))
     run_case(bundle)
@@ -260,7 +254,7 @@ def test_corrupt_checkpoint_is_recomputed(tmp_path, monkeypatch):
 
 def test_solver_failure_keeps_completed_days(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path, days=(0, 1))
-    bundle = toy_bundle(cfg)
+    bundle = load_bundle(cfg, synthetic_seed=7)
     solved = 0
 
     def flaky(model, time_limit_s=600.0, mip_gap=1e-6):
@@ -293,7 +287,7 @@ def test_solver_failure_keeps_completed_days(tmp_path, monkeypatch):
 
 def test_load_horizon_roundtrip(tmp_path):
     cfg = toy_config(tmp_path, days=(0, 1))
-    res = run_case(toy_bundle(cfg), resume=False)
+    res = run_case(load_bundle(cfg, synthetic_seed=7), resume=False)
     loaded = load_horizon(cfg, "MULTI", False)
     assert loaded.n_days == res.n_days
     assert loaded.totals() == pytest.approx(res.totals())
@@ -305,7 +299,7 @@ def test_load_horizon_roundtrip(tmp_path):
 
 def test_load_horizon_missing_day(tmp_path):
     cfg = toy_config(tmp_path, days=(0, 1))
-    run_case(toy_bundle(cfg), resume=False)
+    run_case(load_bundle(cfg, synthetic_seed=7), resume=False)
     os.remove(os.path.join(str(tmp_path), "MULTI_nodeg", "day_0001.json"))
     with pytest.raises(MissingFile, match="never solved"):
         load_horizon(cfg, "MULTI", False)
@@ -313,7 +307,7 @@ def test_load_horizon_missing_day(tmp_path):
 
 def test_load_horizon_rejects_foreign_config(tmp_path):
     cfg = toy_config(tmp_path)
-    run_case(toy_bundle(cfg), resume=False)
+    run_case(load_bundle(cfg, synthetic_seed=7), resume=False)
     other = toy_config(tmp_path, mip_gap=1e-4)
     with pytest.raises(ConfigError, match="different configuration"):
         load_horizon(other, "MULTI", False)
@@ -329,7 +323,7 @@ def test_load_horizon_never_run(tmp_path):
 
 def test_run_matrix_keys_and_reuse(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path, hours_per_day=2, steps_per_hour=2)
-    bundle = toy_bundle(cfg)
+    bundle = load_bundle(cfg, synthetic_seed=7)
     calls: list = []
     patch_backend(monkeypatch, counting_backend(calls))
     out = run_matrix(bundle, cases=("WO_FCR", "FCR_N"), modes=(False,))
@@ -491,9 +485,9 @@ def test_data_bundle_alignment_checks(tmp_path):
 
 def test_data_hash_tracks_content(tmp_path):
     cfg = toy_config(tmp_path)
-    a = toy_bundle(cfg, seed=7)
-    b = toy_bundle(cfg, seed=7)
-    c = toy_bundle(cfg, seed=8)
+    a = load_bundle(cfg, synthetic_seed=7)
+    b = load_bundle(cfg, synthetic_seed=7)
+    c = load_bundle(cfg, synthetic_seed=8)
     assert a.data_hash() == b.data_hash()
     assert a.data_hash() != c.data_hash()
 

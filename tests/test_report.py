@@ -16,6 +16,7 @@ from fcrsched import (
     HorizonResult,
     bid_histogram,
     histogram,
+    load_bundle,
     quartiles,
     run_matrix,
     write_report,
@@ -34,7 +35,7 @@ from fcrsched.report import (
     write_csv,
 )
 
-from helpers import toy_bundle, toy_config
+from helpers import toy_config
 
 
 # -- quartiles -------------------------------------------------------------------
@@ -259,7 +260,7 @@ def test_write_csv_deterministic(tmp_path):
 def run_small_matrix(tmp_path):
     cfg = toy_config(tmp_path / "runs", case_id="FCR_N",
                      hours_per_day=2, steps_per_hour=2)
-    bundle = toy_bundle(cfg)
+    bundle = load_bundle(cfg, synthetic_seed=7)
     results = run_matrix(bundle, cases=("FCR_N",), modes=(True, False))
     return bundle, results
 
@@ -307,9 +308,9 @@ def test_write_report_empty_raises(tmp_path):
 
 def test_data_hashes_sensitivity(tmp_path):
     cfg = toy_config(tmp_path)
-    a = data_hashes(toy_bundle(cfg, seed=7))
-    b = data_hashes(toy_bundle(cfg, seed=7))
-    c = data_hashes(toy_bundle(cfg, seed=9))
+    a = data_hashes(load_bundle(cfg, synthetic_seed=7))
+    b = data_hashes(load_bundle(cfg, synthetic_seed=7))
+    c = data_hashes(load_bundle(cfg, synthetic_seed=9))
     assert a == b
     assert a["frequency"] != c["frequency"]
     assert a["prices"] != c["prices"]

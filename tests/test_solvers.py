@@ -211,7 +211,7 @@ def test_external_stub_matches_scipy(tmp_path, monkeypatch):
     assert m.objective_value(ext.x) == pytest.approx(ext.objective, rel=1e-12)
 
 
-def test_external_stub_lp_format(tmp_path, monkeypatch):
+def test_external_stub_mps_fixed_format(tmp_path, monkeypatch):
     monkeypatch.setenv("STUB_MODE", "ok")
     m = tiny_milp()
     ext = solve_external(m, STUB_CMD, workdir=str(tmp_path), fmt="mps-fixed")
@@ -395,3 +395,14 @@ def test_get_backend_runs_external(tmp_path, monkeypatch):
     backend = get_backend("external:" + STUB_CMD)
     res = backend(tiny_milp())
     assert res.ok and res.objective == pytest.approx(22.5, rel=1e-9)
+
+
+def test_external_backend_removes_its_exchange_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("STUB_MODE", "ok")
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    backend = get_backend("external:" + STUB_CMD)
+    for _ in range(2):
+        assert backend(tiny_milp()).ok
+    monkeypatch.setenv("STUB_MODE", "crash")
+    assert backend(tiny_milp()).status == "BackendError"
+    assert list(tmp_path.iterdir()) == []
