@@ -334,6 +334,7 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
 
     s0 = cfg.initial_soe
     solutions: list[DaySolution] = []
+    solved: list[DaySolution] = []      # days not taken from a checkpoint
     for k, day in enumerate(cfg.days):
         age_k = cfg.start_age_days + float(k)
         ckpt = _checkpoint_path(run_dir, day)
@@ -361,6 +362,7 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
             log.info("day %d case %s (%s): objective %.2f EUR, gap %.2e, "
                      "%d nodes in %.2fs", day, case, "deg" if deg else "nodeg",
                      sol.objective, sol.gap, sol.nodes, result.wall_time)
+            solved.append(sol)
         else:
             log.info("day %d case %s: checkpoint reused", day, case)
 
@@ -377,7 +379,7 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
 
     result = HorizonResult(case_id=case, degradation_in_objective=deg,
                            config=cfg, days=tuple(solutions))
-    _write_horizon_summary(run_dir, result, chash)
+    _write_horizon_summary(run_dir, result, chash, solved)
     return result
 
 
@@ -390,7 +392,10 @@ def _write_failure(run_dir: str, day: int, status: str, message: str) -> None:
 
 
 def _write_horizon_summary(run_dir: str, result: HorizonResult,
-                           config_hash: str) -> None:
+                           config_hash: str,
+                           solved: list[DaySolution]) -> None:
+    """`horizon.json`: the run's aggregates, plus the solver seconds and
+    nodes spent in this call and how many days came from checkpoints."""
     payload = {
         "config_hash": config_hash,
         "case_id": result.case_id,
@@ -401,6 +406,9 @@ def _write_horizon_summary(run_dir: str, result: HorizonResult,
         "aging_pct_per_year": result.aging_pct_per_year,
         "lifetime_years": result.lifetime_years,
         "market_mix": result.market_mix(),
+        "solver_s": sum(sol.wall_time for sol in solved),
+        "nodes": sum(sol.nodes for sol in solved),
+        "reused_days": result.n_days - len(solved),
     }
     with open(os.path.join(run_dir, "horizon.json"), "w", encoding="ascii") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=True)

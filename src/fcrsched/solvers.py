@@ -744,7 +744,13 @@ def _milp_quiet(*args, **kwargs):
 def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
                 mip_gap: float = 1e-6) -> SolveResult:
     """In-process solve through `scipy.optimize.milp` (maximization handled
-    by negating the objective)."""
+    by negating the objective).
+
+    HiGHS runs without presolve. On the day model, presolve left a weaker
+    root bound and HiGHS restarted its search, redoing presolve and the
+    root; the model as built mostly solves at the root in one pass
+    (measurements in ROADMAP.md, item 6).
+    """
     import scipy.sparse as sp
     from scipy.optimize import Bounds, LinearConstraint
 
@@ -758,7 +764,8 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
                       integrality=integrality, bounds=bounds,
                       options={"time_limit": float(time_limit_s),
                                "mip_rel_gap": float(mip_gap),
-                               "disp": False})
+                               "disp": False,
+                               "presolve": False})
     wall = time.perf_counter() - t0
     gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
     nodes = int(getattr(res, "mip_node_count", 0) or 0)

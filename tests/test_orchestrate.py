@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -185,6 +186,32 @@ def test_resume_solves_only_missing_days(tmp_path, monkeypatch):
     os.remove(os.path.join(str(tmp_path), "MULTI_nodeg", "day_0001.json"))
     run_case(bundle)
     assert len(calls) == 4  # only the deleted day was recomputed
+
+
+def test_horizon_summary_counts_solver_work_of_this_call(tmp_path,
+                                                       monkeypatch):
+    cfg = toy_config(tmp_path, days=(0, 1, 2))
+    bundle = load_bundle(cfg, synthetic_seed=7)
+
+    def fixed_cost_backend(model, time_limit_s=600.0, mip_gap=1e-6):
+        res = solve_scipy(model, time_limit_s=time_limit_s, mip_gap=mip_gap)
+        return dataclasses.replace(res, wall_time=1.25, nodes=3)
+
+    patch_backend(monkeypatch, fixed_cost_backend)
+    path = os.path.join(str(tmp_path), "MULTI_nodeg", "horizon.json")
+
+    def summary():
+        with open(path) as fh:
+            payload = json.load(fh)
+        return payload["solver_s"], payload["nodes"], payload["reused_days"]
+
+    run_case(bundle)                                    # fresh
+    assert summary() == (3.75, 9, 0)
+    os.remove(os.path.join(str(tmp_path), "MULTI_nodeg", "day_0001.json"))
+    run_case(bundle)                                    # resumed
+    assert summary() == (1.25, 3, 2)
+    run_case(bundle)                                    # nothing to solve
+    assert summary() == (0, 0, 3)
 
 
 def test_resume_disabled_recomputes_everything(tmp_path, monkeypatch):

@@ -317,6 +317,25 @@ def test_scipy_keeps_solver_output_off_stdout(monkeypatch, capfd, caplog):
     assert capfd.readouterr().out == "after\n"
 
 
+def test_scipy_runs_highs_without_presolve(monkeypatch):
+    from types import SimpleNamespace
+
+    seen = {}
+
+    def recording_milp(*args, options=None, **kwargs):
+        seen.update(options)
+        return SimpleNamespace(status=2, x=None, message="fake",
+                               mip_gap=None, mip_node_count=None,
+                               mip_dual_bound=None)
+
+    monkeypatch.setattr("scipy.optimize.milp", recording_milp)
+    solve_scipy(tiny_milp(), time_limit_s=12, mip_gap=1e-3)
+    assert seen["presolve"] is False
+    assert seen["time_limit"] == 12.0
+    assert seen["mip_rel_gap"] == 1e-3
+    assert seen["disp"] is False
+
+
 # -- micro backend --------------------------------------------------------------
 
 def test_micro_matches_scipy_on_knapsack():
