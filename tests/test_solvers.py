@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import shlex
 import sys
 from pathlib import Path
@@ -63,6 +64,114 @@ def assert_models_equal(a: MilpModel, b: MilpModel) -> None:
 
 
 # -- name handling and export ---------------------------------------------------
+
+# The writers' exact output for `tiny_milp()`; the model files are a public
+# format, so a change here is a change of the format.
+TINY_FILES = {
+    "mps": """\
+NAME          tiny
+OBJSENSE
+    MAX
+ROWS
+ N  OBJ
+ L  cap_t0
+ G  floor_t0
+ E  link_t0
+COLUMNS
+    x_t0  OBJ  3.0
+    x_t0  cap_t0  1.0
+    x_t0  floor_t0  1.0
+    y_t0_k1  OBJ  2.0
+    y_t0_k1  cap_t0  1.0
+    y_t0_k1  floor_t0  -1.0
+    y_t0_k1  link_t0  1.0
+    MARKER0000  'MARKER'  'INTORG'
+    flag  OBJ  10.0
+    flag  link_t0  2.0
+    MARKER0001  'MARKER'  'INTEND'
+RHS
+    RHS1  OBJ  -1.5
+    RHS1  cap_t0  4.0
+    RHS1  floor_t0  -1.0
+    RHS1  link_t0  3.0
+BOUNDS
+ LO BND  x_t0  0.0
+ UP BND  x_t0  3.0
+ LO BND  y_t0_k1  -1.0
+ UP BND  y_t0_k1  5.0
+ BV BND  flag
+ENDATA
+""",
+    "mps-fixed": """\
+NAME          tiny
+OBJSENSE
+    MAX
+ROWS
+ N  OBJ
+ L  R0000000
+ G  R0000001
+ E  R0000002
+COLUMNS
+    C0000000  OBJ  3.0
+    C0000000  R0000000  1.0
+    C0000000  R0000001  1.0
+    C0000001  OBJ  2.0
+    C0000001  R0000000  1.0
+    C0000001  R0000001  -1.0
+    C0000001  R0000002  1.0
+    MARKER0000  'MARKER'  'INTORG'
+    C0000002  OBJ  10.0
+    C0000002  R0000002  2.0
+    MARKER0001  'MARKER'  'INTEND'
+RHS
+    RHS1  OBJ  -1.5
+    RHS1  R0000000  4.0
+    RHS1  R0000001  -1.0
+    RHS1  R0000002  3.0
+BOUNDS
+ LO BND  C0000000  0.0
+ UP BND  C0000000  3.0
+ LO BND  C0000001  -1.0
+ UP BND  C0000001  5.0
+ BV BND  C0000002
+ENDATA
+""",
+    "lp": """\
+\\ tiny
+Maximize
+ obj: 3.0 x_t0 + 2.0 y_t0_k1 + 10.0 flag + 1.5
+Subject To
+ cap_t0: 1.0 x_t0 + 1.0 y_t0_k1 <= 4.0
+ floor_t0: 1.0 x_t0 - 1.0 y_t0_k1 >= -1.0
+ link_t0: 1.0 y_t0_k1 + 2.0 flag = 3.0
+Bounds
+ 0.0 <= x_t0 <= 3.0
+ -1.0 <= y_t0_k1 <= 5.0
+ 0.0 <= flag <= 1.0
+Binaries
+ flag
+End
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", ["mps", "mps-fixed", "lp"])
+def test_writers_bytes_of_tiny_model(tmp_path, fmt):
+    path = tmp_path / "tiny.txt"
+    sidecar = export_model(tiny_milp(), str(path), fmt=fmt)
+    assert path.read_bytes() == TINY_FILES[fmt].encode("ascii")
+    vnames, rnames = (["C0000000", "C0000001", "C0000002"],
+                      ["R0000000", "R0000001", "R0000002"]) \
+        if fmt == "mps-fixed" else (["x_t0", "y_t0_k1", "flag"],
+                                    ["cap_t0", "floor_t0", "link_t0"])
+    expected = {
+        "format": fmt,
+        "model_name": "tiny",
+        "variables": dict(zip(vnames, ["x[t=0]", "y[t=0,k=1]", "flag"])),
+        "rows": dict(zip(rnames, ["cap[t=0]", "floor[t=0]", "link[t=0]"])),
+    }
+    assert Path(sidecar).read_text(encoding="ascii") == \
+        json.dumps(expected, indent=2) + "\n"
 
 def test_sanitize_name():
     assert sanitize_name("p_ch[t=37]") == "p_ch_t37"
