@@ -80,14 +80,24 @@ class SolveResult:
 
 # -- name handling -----------------------------------------------------------
 
+# LP section keywords, matched case-insensitively against the first word of a
+# line, with what the parser reads after them (section, maximize).
+_LP_SECTIONS = {"maximize": ("obj", True), "minimize": ("obj", False),
+                "subject": ("rows", None), "st": ("rows", None),
+                "bounds": ("bounds", None), "binaries": ("bins", None),
+                "binary": ("bins", None), "bin": ("bins", None),
+                "general": (None, None), "generals": (None, None),
+                "end": ("done", None)}
+
+
 def sanitize_name(name: str) -> str:
     """Registry name to file-safe name: `p_ch[t=37]` -> `p_ch_t37`."""
     return (name.replace("[", "_").replace("]", "")
             .replace("=", "").replace(",", "_"))
 
 
-def _file_names(model: MilpModel, fixed: bool) -> tuple[list[str], list[str]]:
-    if fixed:
+def _file_names(model: MilpModel, fmt: str) -> tuple[list[str], list[str]]:
+    if fmt == "mps-fixed":
         vnames = [f"C{c:07d}" for c in range(model.n_vars)]
         rnames = [f"R{r:07d}" for r in range(model.n_rows)]
         return vnames, rnames
@@ -96,6 +106,12 @@ def _file_names(model: MilpModel, fixed: bool) -> tuple[list[str], list[str]]:
     for group in (vnames, rnames):
         if len(set(group)) != len(group):
             raise InvalidParameter("sanitized names collide; registry not bijective")
+    if fmt == "lp":
+        # a line starting with a keyword would be read as a section header
+        for name in (*vnames, *rnames):
+            if name.lower() in _LP_SECTIONS:
+                raise InvalidParameter(
+                    f"name {name!r} is an LP section keyword")
     return vnames, rnames
 
 
@@ -122,96 +138,103 @@ def _num(v: float) -> str:
 
 # -- writers ---------------------------------------------------------------
 
-def _write_mps(model: MilpModel, path: str, fixed: bool) -> None:
-    vnames, rnames = _file_names(model, fixed)
-    sense_tag = {"<=": "L", ">=": "G", "==": "E"}
-    by_col: dict[int, list[tuple[str, float]]] = {c: [] for c in range(model.n_vars)}
-    for r, (name, coeffs, sense, rhs) in enumerate(model.rows):
+_MPS_SENSE = {"<=": "L", ">=": "G", "==": "E"}
+_LP_SENSE = {"<=": "<=", ">=": ">=", "==": "="}
+
+
+def _write_text(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+def _write_mps(model: MilpModel, path: str, vnames: list[str],
+               rnames: list[str]) -> None:
+    # " <row>  <value>" per entry, gathered by column
+    by_col: list[list[str]] = [[] for _ in range(model.n_vars)]
+    for rname, (_, coeffs, _, _) in zip(rnames, model.rows):
         for col, v in coeffs:
-            by_col[col].append((rnames[r], v))
+            by_col[col].append(f"  {rname}  {float(v)!r}")
     lines = [f"NAME          {model.name}", "OBJSENSE", "    MAX", "ROWS",
              " N  OBJ"]
-    for r, (name, coeffs, sense, rhs) in enumerate(model.rows):
-        lines.append(f" {sense_tag[sense]}  {rnames[r]}")
+    lines += [f" {_MPS_SENSE[sense]}  {rname}"
+              for rname, (_, _, sense, _) in zip(rnames, model.rows)]
     lines.append("COLUMNS")
     in_int = False
     marker = 0
-    for c in range(model.n_vars):
+    for c, (vname, entries) in enumerate(zip(vnames, by_col)):
         if model.is_binary[c] != in_int:
             tag = "INTORG" if model.is_binary[c] else "INTEND"
             lines.append(f"    MARKER{marker:04d}  'MARKER'  '{tag}'")
             marker += 1
             in_int = model.is_binary[c]
-        entries = list(by_col[c])
-        if c in model.objective and model.objective[c] != 0.0:
-            entries.insert(0, ("OBJ", model.objective[c]))
-        if not entries:
-            entries = [("OBJ", 0.0)]
-        for rname, v in entries:
-            lines.append(f"    {vnames[c]}  {rname}  {_num(v)}")
+        head = "    " + vname
+        if c in model.objective:
+            lines.append(f"{head}  OBJ  {_num(model.objective[c])}")
+        elif not entries:
+            # a bare 0 declares a column that has no entries
+            lines.append(f"{head}  OBJ  0")
+        lines += [head + entry for entry in entries]
     if in_int:
         lines.append(f"    MARKER{marker:04d}  'MARKER'  'INTEND'")
     lines.append("RHS")
     if model.objective_const != 0.0:
         lines.append(f"    RHS1  OBJ  {_num(-model.objective_const)}")
-    for r, (name, coeffs, sense, rhs) in enumerate(model.rows):
-        if rhs != 0.0:
-            lines.append(f"    RHS1  {rnames[r]}  {_num(rhs)}")
+    lines += [f"    RHS1  {rname}  {_num(rhs)}"
+              for rname, (_, _, _, rhs) in zip(rnames, model.rows)
+              if rhs != 0.0]
     lines.append("BOUNDS")
-    for c in range(model.n_vars):
+    for c, vname in enumerate(vnames):
         lo, hi = model.lb[c], model.ub[c]
         if model.is_binary[c] and lo == 0.0 and hi == 1.0:
-            lines.append(f" BV BND  {vnames[c]}")
+            lines.append(f" BV BND  {vname}")
         elif lo == hi:
-            lines.append(f" FX BND  {vnames[c]}  {_num(lo)}")
+            lines.append(f" FX BND  {vname}  {_num(lo)}")
         else:
-            lines.append(f" LO BND  {vnames[c]}  {_num(lo)}")
-            lines.append(f" UP BND  {vnames[c]}  {_num(hi)}")
+            lines.append(f" LO BND  {vname}  {_num(lo)}")
+            lines.append(f" UP BND  {vname}  {_num(hi)}")
     lines.append("ENDATA")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_text(path, lines)
 
 
 def _lp_terms(coeffs: list[tuple[int, float]], vnames: list[str]) -> str:
     parts = []
     for col, v in coeffs:
-        sign = "-" if v < 0 else "+"
-        parts.append(f"{sign} {_num(abs(v))} {vnames[col]}")
+        v = float(v)
+        parts.append(f"{'-' if v < 0 else '+'} {abs(v)!r} {vnames[col]}")
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 
 
-def _write_lp(model: MilpModel, path: str) -> None:
-    vnames, rnames = _file_names(model, fixed=False)
+def _write_lp(model: MilpModel, path: str, vnames: list[str],
+              rnames: list[str]) -> None:
     lines = [f"\\ {model.name}", "Maximize"]
-    obj = [(c, v) for c, v in sorted(model.objective.items()) if v != 0.0]
-    body = _lp_terms(obj, vnames) if obj else f"0 {vnames[0]}"
+    # an empty objective is spelled `0 <first column>`; the bare 0 tells
+    # parse_lp that the term only stands in for an empty objective
+    body = _lp_terms(sorted(model.objective.items()), vnames) \
+        if model.objective else f"0 {vnames[0]}"
     if model.objective_const != 0.0:
         body += f" + {_num(model.objective_const)}" \
             if model.objective_const > 0 else f" - {_num(-model.objective_const)}"
     lines.append(f" obj: {body}")
     lines.append("Subject To")
-    sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
-    for r, (name, coeffs, sense, rhs) in enumerate(model.rows):
-        lines.append(f" {rnames[r]}: {_lp_terms(coeffs, vnames)} "
-                     f"{sense_txt[sense]} {_num(rhs)}")
+    lines += [f" {rname}: {_lp_terms(coeffs, vnames)} "
+              f"{_LP_SENSE[sense]} {_num(rhs)}"
+              for rname, (_, coeffs, sense, rhs) in zip(rnames, model.rows)]
     lines.append("Bounds")
-    for c in range(model.n_vars):
+    for c, vname in enumerate(vnames):
         lo, hi = model.lb[c], model.ub[c]
         if lo == hi:
-            lines.append(f" {vnames[c]} = {_num(lo)}")
+            lines.append(f" {vname} = {_num(lo)}")
         else:
-            lines.append(f" {_num(lo)} <= {vnames[c]} <= {_num(hi)}")
-    bins = [vnames[c] for c in range(model.n_vars) if model.is_binary[c]]
+            lines.append(f" {_num(lo)} <= {vname} <= {_num(hi)}")
+    bins = [vname for vname, b in zip(vnames, model.is_binary) if b]
     if bins:
         lines.append("Binaries")
         for i in range(0, len(bins), 8):
             lines.append(" " + " ".join(bins[i:i + 8]))
     lines.append("End")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_text(path, lines)
 
 
 def export_model(model: MilpModel, path: str, fmt: str = "mps") -> str:
@@ -220,11 +243,11 @@ def export_model(model: MilpModel, path: str, fmt: str = "mps") -> str:
         raise UnsupportedFormat(f"format {fmt!r}; choose one of {EXPORT_FORMATS}")
     if model.n_vars == 0:
         raise InvalidParameter("refusing to export an empty model")
+    vnames, rnames = _file_names(model, fmt)
     if fmt == "lp":
-        _write_lp(model, path)
+        _write_lp(model, path, vnames, rnames)
     else:
-        _write_mps(model, path, fixed=(fmt == "mps-fixed"))
-    vnames, rnames = _file_names(model, fixed=(fmt == "mps-fixed"))
+        _write_mps(model, path, vnames, rnames)
     return _write_sidecar(path, model, vnames, rnames, fmt)
 
 
@@ -239,46 +262,53 @@ def _load_sidecar(path: str) -> tuple[dict[str, str], dict[str, str]]:
     return payload.get("variables", {}), payload.get("rows", {})
 
 
-class _VarTable:
-    """Accumulates columns/bounds/objective while a file is parsed."""
+class _VarTable(dict):
+    """File name -> column index, plus bounds and objective, while a file
+    is parsed.
 
-    def __init__(self):
-        self.order: list[str] = []
-        self.binary: dict[str, bool] = {}
-        self.lo: dict[str, float] = {}
-        self.hi: dict[str, float] = {}
-        self.obj: dict[str, float] = {}
+    A name gets the next column index the first time it is looked up, and
+    the parsed model's columns come in that order; sidecar names are looked
+    up first, which restores the original column order.
+    """
 
-    def touch(self, name: str, binary: bool | None = None) -> None:
-        if name not in self.binary:
-            self.order.append(name)
-            self.binary[name] = False
-        if binary:
-            self.binary[name] = True
+    def __init__(self, names):
+        super().__init__()
+        self.binary: list[bool] = []
+        self.lo: dict[int, float] = {}
+        self.hi: dict[int, float] = {}
+        self.obj: dict[int, float] = {}
+        for name in names:
+            self[name]  # the lookup registers the column
+
+    def __missing__(self, name: str) -> int:
+        c = self[name] = len(self)
+        self.binary.append(False)
+        return c
 
     def finish(self, model_name: str, rows, obj_sign: float,
                obj_const: float, vmap: dict[str, str],
                rmap: dict[str, str]) -> MilpModel:
+        """`rows` holds `(file name, [(column, coeff)], sense, rhs)`."""
         model = MilpModel(model_name)
-        for name in self.order:
-            if self.binary[name]:
-                lo = self.lo.get(name, 0.0)
-                hi = self.hi.get(name, 1.0)
-            else:
-                lo = self.lo.get(name, 0.0)
-                hi = self.hi.get(name, math.inf)
+        for c, name in enumerate(self):
+            binary = self.binary[c]
+            lo = self.lo.get(c, 0.0)
+            hi = self.hi.get(c, 1.0 if binary else math.inf)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise UnsupportedFormat(
                     f"variable {name!r} lacks finite bounds")
-            model.add_variable(vmap.get(name, name), lo, hi,
-                               binary=self.binary[name])
-        for rname, coeffs, sense, rhs in rows:
-            pairs = [(model.col(vmap.get(v, v)), c) for v, c in coeffs]
+            model.add_variable(vmap.get(name, name), lo, hi, binary=binary)
+        for rname, pairs, sense, rhs in rows:
             model.add_constraint(rmap.get(rname, rname), pairs, sense, rhs)
-        for v, c in self.obj.items():
-            model.set_objective_coeff(model.col(vmap.get(v, v)), obj_sign * c)
+        for c, v in self.obj.items():
+            model.set_objective_coeff(c, obj_sign * v)
         model.objective_const = obj_sign * obj_const
         return model
+
+
+_MPS_SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS",
+                 "ENDATA")
+_MPS_ROW_SENSE = {"L": "<=", "G": ">=", "E": "=="}
 
 
 def parse_mps(path: str) -> MilpModel:
@@ -286,116 +316,123 @@ def parse_mps(path: str) -> MilpModel:
     if not os.path.exists(path):
         raise ParseError(f"model file {path!r} does not exist")
     vmap, rmap = _load_sidecar(path)
-    table = _VarTable()
-    for fname in vmap:
-        table.touch(fname)  # sidecar order restores the original column order
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    row_coeffs: dict[str, list[tuple[str, float]]] = {}
-    rhs: dict[str, float] = {}
+    table = _VarTable(vmap)
+    row_at: dict[str, int] = {}
+    row_names: list[str] = []
+    row_sense: list[str] = []
+    row_coeffs: list[list[tuple[int, float]]] = []
+    rhs: list[float] = []
     obj_row = None
     obj_const = 0.0
     maximize = False
     model_name = "parsed"
     section = None
     in_int = False
+    col_name = None     # column of the previous COLUMNS line
     with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("*"):
+        for lineno, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens or tokens[0][0] == "*":
                 continue
             if not line[0].isspace():
-                head = line.split()
-                section = head[0].upper()
+                section = tokens[0].upper()
                 if section in ("RANGES", "SOS"):
                     raise UnsupportedFormat(
                         f"{section} sections are not supported")
-                if section not in ("NAME", "OBJSENSE", "ROWS", "COLUMNS",
-                                   "RHS", "BOUNDS", "ENDATA"):
+                if section not in _MPS_SECTIONS:
                     raise ParseError(
                         f"{path}:{lineno}: {section!r} is not an MPS section")
-                if section == "NAME" and len(head) > 1:
-                    model_name = head[1]
-                if section == "OBJSENSE" and len(head) > 1:
-                    maximize = head[1].upper().startswith("MAX")
+                if section == "NAME" and len(tokens) > 1:
+                    model_name = tokens[1]
+                if section == "OBJSENSE" and len(tokens) > 1:
+                    maximize = tokens[1].upper().startswith("MAX")
                 if section == "ENDATA":
                     break
                 continue
-            tokens = line.split()
-            if section == "OBJSENSE":
+            if section == "COLUMNS":
+                if len(tokens) >= 3 and tokens[1].strip("'") == "MARKER":
+                    in_int = tokens[2].strip("'") == "INTORG"
+                    col_name = None
+                    continue
+                if tokens[0] != col_name:
+                    col_name = tokens[0]
+                    col = table[col_name]
+                    if in_int:
+                        table.binary[col] = True
+                for i in range(1, len(tokens) - 1, 2):
+                    rname, val = tokens[i], float(tokens[i + 1])
+                    if rname == obj_row:
+                        if tokens[i + 1] != "0":  # a bare 0 only declares the column
+                            table.obj[col] = table.obj.get(col, 0.0) + val
+                    elif rname in row_at:
+                        row_coeffs[row_at[rname]].append((col, val))
+                    else:
+                        raise ParseError(f"{path}:{lineno}: unknown row {rname!r}")
+            elif section == "OBJSENSE":
                 maximize = tokens[0].upper().startswith("MAX")
             elif section == "ROWS":
                 tag, name = tokens[0].upper(), tokens[1]
                 if tag == "N":
                     obj_row = name
                 else:
-                    row_sense[name] = {"L": "<=", "G": ">=", "E": "=="}[tag]
-                    row_order.append(name)
-                    row_coeffs[name] = []
-            elif section == "COLUMNS":
-                if len(tokens) >= 3 and tokens[1].strip("'") == "MARKER":
-                    in_int = tokens[2].strip("'") == "INTORG"
-                    continue
-                col = tokens[0]
-                table.touch(col, binary=in_int)
-                for i in range(1, len(tokens) - 1, 2):
-                    rname, val = tokens[i], float(tokens[i + 1])
-                    if rname == obj_row:
-                        table.obj[col] = table.obj.get(col, 0.0) + val
-                    elif rname in row_coeffs:
-                        row_coeffs[rname].append((col, val))
-                    else:
-                        raise ParseError(f"{path}:{lineno}: unknown row {rname!r}")
+                    row_at[name] = len(row_names)
+                    row_names.append(name)
+                    row_sense.append(_MPS_ROW_SENSE[tag])
+                    row_coeffs.append([])
+                    rhs.append(0.0)
             elif section == "RHS":
                 for i in range(1, len(tokens) - 1, 2):
                     rname, val = tokens[i], float(tokens[i + 1])
                     if rname == obj_row:
                         obj_const = -val
-                    elif rname in row_coeffs:
-                        rhs[rname] = val
+                    elif rname in row_at:
+                        rhs[row_at[rname]] = val
                     else:
                         raise ParseError(f"{path}:{lineno}: unknown row {rname!r}")
             elif section == "BOUNDS":
                 tag = tokens[0].upper()
-                name = tokens[2]
-                table.touch(name)
+                c = table[tokens[2]]
                 if tag == "BV":
-                    table.binary[name] = True
-                    table.lo[name], table.hi[name] = 0.0, 1.0
+                    table.binary[c] = True
+                    table.lo[c], table.hi[c] = 0.0, 1.0
                 elif tag == "FX":
-                    table.lo[name] = table.hi[name] = float(tokens[3])
+                    table.lo[c] = table.hi[c] = float(tokens[3])
                 elif tag == "LO":
-                    table.lo[name] = float(tokens[3])
+                    table.lo[c] = float(tokens[3])
                 elif tag == "UP":
-                    table.hi[name] = float(tokens[3])
+                    table.hi[c] = float(tokens[3])
                 elif tag == "MI":
-                    table.lo[name] = -math.inf
+                    table.lo[c] = -math.inf
                 else:
                     raise UnsupportedFormat(f"bound type {tag!r}")
             elif section in (None, "NAME"):
                 raise ParseError(f"{path}:{lineno}: data before any section")
-    rows = [(name, row_coeffs[name], row_sense[name], rhs.get(name, 0.0))
-            for name in row_order]
+    rows = zip(row_names, row_coeffs, row_sense, rhs)
     sign = 1.0 if maximize else -1.0
     return table.finish(model_name, rows, sign, obj_const, vmap, rmap)
 
 
-_LP_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 _LP_TOKEN = re.compile(
-    r"(?P<num>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_.]*)"
-    r"|(?P<op><=|>=|=|\+|-|:)")
+    r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"   # number
+    r"|[A-Za-z_][A-Za-z0-9_.]*"              # name
+    r"|<=|>=|=|\+|-|:")
+_LP_NAME_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_LP_STATEMENT_END = re.compile(r"(<=|>=|=)\s*[+-]?[\d.]")
+_LP_ROW_SENSE = {"<=": "<=", ">=": ">=", "=": "=="}
 
 
 def _lp_tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    for match in _LP_TOKEN.finditer(text):
-        if text[pos:match.start()].strip():
-            raise ParseError(f"cannot tokenize {text[pos:match.start()]!r}")
-        tokens.append(match.group(0))
-        pos = match.end()
-    if text[pos:].strip():
+    tokens = _LP_TOKEN.findall(text)
+    # tokens hold no whitespace, so they cover the text exactly when they
+    # join to the text without its whitespace
+    if "".join(tokens) != "".join(text.split()):
+        pos = 0
+        for match in _LP_TOKEN.finditer(text):
+            if text[pos:match.start()].strip():
+                raise ParseError(
+                    f"cannot tokenize {text[pos:match.start()]!r}")
+            pos = match.end()
         raise ParseError(f"cannot tokenize {text[pos:]!r}")
     return tokens
 
@@ -412,7 +449,7 @@ def _signed_value(tokens: list[str]) -> float:
 
 def _lp_expr(tokens: list[str], table: _VarTable):
     """Parse `[sign] [coeff] name ...` streams; returns (pairs, const)."""
-    pairs: list[tuple[str, float]] = []
+    pairs: list[tuple[int, float]] = []
     const = 0.0
     sign = 1.0
     pending: float | None = None
@@ -427,10 +464,9 @@ def _lp_expr(tokens: list[str], table: _VarTable):
                 const += sign * pending
                 pending = None
             sign = -1.0
-        elif _LP_NAME.match(tok):
+        elif tok[0] in _LP_NAME_START:
             coeff = sign * (1.0 if pending is None else pending)
-            table.touch(tok)
-            pairs.append((tok, coeff))
+            pairs.append((table[tok], coeff))
             pending = None
             sign = 1.0
         else:
@@ -452,23 +488,17 @@ def parse_lp(path: str) -> MilpModel:
     maximize = True
     chunks: dict[str, list[str]] = {"obj": [], "rows": [], "bounds": [],
                                     "bins": []}
-    keywords = {"maximize": ("obj", True), "minimize": ("obj", False),
-                "subject": ("rows", None), "st": ("rows", None),
-                "bounds": ("bounds", None), "binaries": ("bins", None),
-                "binary": ("bins", None), "bin": ("bins", None),
-                "general": (None, None), "generals": (None, None),
-                "end": ("done", None)}
     for raw in raw_lines:
         if raw.startswith("\\"):
             if model_name == "parsed":
                 model_name = raw[1:].strip() or "parsed"
             continue
-        line = raw.split("\\")[0].rstrip()
-        if not line.strip():
+        line = raw.partition("\\")[0].strip()
+        if not line:
             continue
-        first = line.strip().split()[0].lower().rstrip(":")
-        if first in keywords:
-            section, mx = keywords[first]
+        first = line.split(None, 1)[0].lower().rstrip(":")
+        if first in _LP_SECTIONS:
+            section, mx = _LP_SECTIONS[first]
             if mx is not None:
                 maximize = mx
             if section == "done":
@@ -477,14 +507,16 @@ def parse_lp(path: str) -> MilpModel:
                 raise UnsupportedFormat("general integers are not supported")
             continue
         if section in chunks:
-            chunks[section].append(line.strip())
+            chunks[section].append(line)
 
-    table = _VarTable()
-    for fname in vmap:
-        table.touch(fname)  # sidecar order restores the original column order
+    table = _VarTable(vmap)
     obj_tokens = _lp_tokenize(" ".join(chunks["obj"]))
-    if obj_tokens and obj_tokens[0] and _LP_NAME.match(obj_tokens[0]) \
-            and len(obj_tokens) > 1 and obj_tokens[1] == ":":
+    if len(obj_tokens) > 1 and obj_tokens[1] == ":" \
+            and obj_tokens[0][0] in _LP_NAME_START:
+        obj_tokens = obj_tokens[2:]
+    if obj_tokens[:1] == ["0"] and len(obj_tokens) > 1 \
+            and obj_tokens[1][0] in _LP_NAME_START:
+        table[obj_tokens[1]]  # the writer's empty objective
         obj_tokens = obj_tokens[2:]
     obj_pairs, obj_const = _lp_expr(obj_tokens, table)
 
@@ -494,44 +526,42 @@ def parse_lp(path: str) -> MilpModel:
         rname = None
         if len(tokens) > 1 and tokens[1] == ":":
             rname, tokens = tokens[0], tokens[2:]
-        sense_at = next((i for i, t in enumerate(tokens)
-                         if t in ("<=", ">=", "=")), None)
-        if sense_at is None:
+        for sense_at, tok in enumerate(tokens):
+            if tok in _LP_ROW_SENSE:
+                break
+        else:
             raise ParseError(f"constraint without sense: {stmt!r}")
-        sense = {"<=": "<=", ">=": ">=", "=": "=="}[tokens[sense_at]]
         pairs, lconst = _lp_expr(tokens[:sense_at], table)
         rpairs, rconst = _lp_expr(tokens[sense_at + 1:], table)
         if rpairs:
             raise UnsupportedFormat("variables on constraint right-hand side")
-        rows.append((rname or f"row{len(rows)}", pairs, sense, rconst - lconst))
+        rows.append((rname or f"row{len(rows)}", pairs,
+                     _LP_ROW_SENSE[tokens[sense_at]], rconst - lconst))
 
     for stmt in chunks["bounds"]:
         tokens = _lp_tokenize(stmt)
-        names = [t for t in tokens if _LP_NAME.match(t)]
+        names = [t for t in tokens if t[0] in _LP_NAME_START]
         if len(names) != 1:
             raise ParseError(f"unsupported bound line: {stmt!r}")
-        name = names[0]
-        table.touch(name)
-        at = tokens.index(name)
+        c = table[names[0]]
+        at = tokens.index(names[0])
         if at + 1 < len(tokens) and tokens[at + 1] == "=":
-            table.lo[name] = table.hi[name] = _signed_value(tokens[at + 2:])
+            table.lo[c] = table.hi[c] = _signed_value(tokens[at + 2:])
         else:
             if at >= 2 and tokens[at - 1] == "<=":
-                table.lo[name] = _signed_value(tokens[:at - 1])
+                table.lo[c] = _signed_value(tokens[:at - 1])
             if at + 1 < len(tokens) and tokens[at + 1] in ("<=", ">="):
                 value = _signed_value(tokens[at + 2:])
                 if tokens[at + 1] == "<=":
-                    table.hi[name] = value
+                    table.hi[c] = value
                 else:
-                    table.lo[name] = value
+                    table.lo[c] = value
     for stmt in chunks["bins"]:
         for name in stmt.split():
-            table.touch(name, binary=True)
-            table.lo.setdefault(name, 0.0)
-            table.hi.setdefault(name, 1.0)
+            table.binary[table[name]] = True
 
-    for v, c in obj_pairs:
-        table.obj[v] = table.obj.get(v, 0.0) + c
+    for c, v in obj_pairs:
+        table.obj[c] = table.obj.get(c, 0.0) + v
     sign = 1.0 if maximize else -1.0
     return table.finish(model_name, rows, sign, obj_const, vmap, rmap)
 
@@ -542,7 +572,7 @@ def _split_lp_statements(lines: list[str]) -> list[str]:
     buf = ""
     for line in lines:
         buf = (buf + " " + line).strip()
-        if re.search(r"(<=|>=|=)\s*[+-]?[\d.]", buf):
+        if _LP_STATEMENT_END.search(buf):
             out.append(buf)
             buf = ""
     if buf:
@@ -685,7 +715,7 @@ def solve_external(model: MilpModel, command_template: str,
     if status in ("Infeasible", "BackendError"):
         return SolveResult(status, None, None, math.inf, wall, "external",
                            f"solver reported {word!r}")
-    vnames, _ = _file_names(model, fixed=(fmt == "mps-fixed"))
+    vnames, _ = _file_names(model, fmt)
     # solvers that print only nonzero columns leave the rest at zero
     x = np.zeros(model.n_vars)
     n_missing = 0

@@ -214,6 +214,64 @@ def test_roundtrip_day_model(tmp_path, fmt):
     assert b.objective == pytest.approx(a.objective, rel=1e-9)
 
 
+def roundtrip(model: MilpModel, path: Path, fmt: str) -> MilpModel:
+    export_model(model, str(path), fmt=fmt)
+    return parse_lp(str(path)) if fmt == "lp" else parse_mps(str(path))
+
+
+@pytest.mark.parametrize("fmt", ["mps", "mps-fixed", "lp"])
+def test_roundtrip_minute_resolution_day(tmp_path, fmt):
+    """A whole MULTI deg day at one-minute steps, as `m1_export` exports it."""
+    m = build_day_model(day_inputs(seed=1, hours=24, steps_per_hour=60,
+                                   deg=True))
+    back = roundtrip(m, tmp_path / "day.txt", fmt)
+    assert back.name == m.name
+    assert [name for name, *_ in back.rows] == [name for name, *_ in m.rows]
+    assert_models_equal(m, back)
+
+
+def zero_objective_models() -> dict[str, MilpModel]:
+    explicit = MilpModel("explicit_zero")
+    x = explicit.add_variable("x", 0.0, 2.0)
+    y = explicit.add_variable("y", 0.0, 1.0, binary=True)
+    explicit.add_constraint("cap", [(x, 1.0), (y, 1.0)], "<=", 2.0)
+    explicit.set_objective_coeff(x, 0.0)  # a zero price
+    explicit.set_objective_coeff(y, 2.0)
+
+    unused = MilpModel("unused_column")
+    x = unused.add_variable("x", 0.0, 2.0)
+    unused.add_variable("idle", 1.0, 3.0)  # in no row, not in the objective
+    unused.add_constraint("cap", [(x, 1.0)], "<=", 1.0)
+    unused.set_objective_coeff(x, 1.0)
+
+    empty = MilpModel("empty_objective")
+    x = empty.add_variable("x", 0.0, 2.0)
+    empty.add_constraint("cap", [(x, 1.0)], ">=", 1.0)
+    empty.objective_const = 4.0
+    return {m.name: m for m in (explicit, unused, empty)}
+
+
+@pytest.mark.parametrize("fmt", ["mps", "mps-fixed", "lp"])
+@pytest.mark.parametrize("case", ["explicit_zero", "unused_column",
+                                  "empty_objective"])
+def test_roundtrip_keeps_zero_objective_entries(tmp_path, fmt, case):
+    m = zero_objective_models()[case]
+    assert_models_equal(m, roundtrip(m, tmp_path / "m.txt", fmt))
+
+
+def test_lp_export_refuses_keyword_names(tmp_path):
+    """`st`, `bin` and `end` would read back as section headers."""
+    m = MilpModel("keywords")
+    b = m.add_variable("bin", 0.0, 1.0, binary=True)
+    e = m.add_variable("end", 0.0, 0.0)
+    m.add_constraint("st", [(b, 1.0), (e, 1.0)], "<=", 1.0)
+    m.set_objective_coeff(b, 1.0)
+    with pytest.raises(InvalidParameter, match="LP section keyword"):
+        export_model(m, str(tmp_path / "m.lp"), fmt="lp")
+    for fmt in ("mps", "mps-fixed"):
+        assert_models_equal(m, roundtrip(m, tmp_path / f"m.{fmt}", fmt))
+
+
 def test_roundtrip_without_sidecar_keeps_file_names(tmp_path):
     m = tiny_milp()
     path = str(tmp_path / "tiny.mps")
