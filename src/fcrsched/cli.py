@@ -35,6 +35,7 @@ from .errors import (
 from .ingest import CASES, RunConfig
 from .milp import build_day_model
 from .orchestrate import (
+    _run_dir,
     calendar_age,
     carried_soe,
     day_inputs,
@@ -162,10 +163,10 @@ def cmd_report(args) -> int:
     results = {}
     for case in CASES:
         for deg in (True, False):
-            mode = "deg" if deg else "nodeg"
-            run_dir = os.path.join(args.from_dir, f"{case}_{mode}")
+            run_dir = _run_dir(cfg, case, deg)
             if os.path.exists(os.path.join(run_dir, "horizon.json")):
-                results[(case, mode)] = load_horizon(cfg, case, deg)
+                res = load_horizon(cfg, case, deg)
+                results[(case, res.degmode)] = res
     if not results:
         raise DataError(f"no completed runs under {args.from_dir}")
     _print_tables(results)

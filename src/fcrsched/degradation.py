@@ -161,18 +161,13 @@ def eur_per_pct(npv: BatteryNpv | float, eol_retained: float) -> float:
     return value / (100.0 * (1.0 - eol_retained))
 
 
-def _arrhenius(coeffs: AgingCoefficients, temp_K: float,
-               positive: bool = False) -> float:
-    # The source model uses exp(-Ea/(R K)); `positive` preserves the
-    # printed-with-positive-sign variant for audit runs only.
-    sign = 1.0 if positive else -1.0
-    return math.exp(sign * coeffs.Ea / (coeffs.R_gas * temp_K))
+def _arrhenius(coeffs: AgingCoefficients, temp_K: float) -> float:
+    return math.exp(-coeffs.Ea / (coeffs.R_gas * temp_K))
 
 
 def calendar_aging_step(soe: float, temp_K: float, age_days: float,
                         dt_seconds: float, coeffs: AgingCoefficients,
-                        capacity: float,
-                        arrhenius_positive: bool = False) -> float:
+                        capacity: float) -> float:
     """Percent capacity lost to calendar aging over one step.
 
     Uses the incremental square-root-of-time form
@@ -186,7 +181,7 @@ def calendar_aging_step(soe: float, temp_K: float, age_days: float,
     if dt_seconds < 0:
         raise InvalidParameter("dt_seconds must be >= 0")
     g = coeffs.g_of_soc(100.0 * soe / capacity)
-    arr = _arrhenius(coeffs, temp_K, arrhenius_positive)
+    arr = _arrhenius(coeffs, temp_K)
     dt_days = dt_seconds / 86400.0
     return g * arr * (math.sqrt(age_days + dt_days) - math.sqrt(age_days))
 
@@ -209,8 +204,8 @@ def cycle_aging_step(p_ch: float, p_ds: float, dt_seconds: float,
 
 
 def linearize_calendar(spec: "BatterySpec", temp_K: float, age_days: float,
-                       dt_seconds: float, npv: BatteryNpv | float,
-                       arrhenius_positive: bool = False) -> CalendarLinearization:
+                       dt_seconds: float,
+                       npv: BatteryNpv | float) -> CalendarLinearization:
     """Secant linearization of per-step calendar cost over SoE.
 
     Breakpoints sit at 0, 0.5, 0.7 and 1.0 of capacity; the nonlinear cost
@@ -225,12 +220,11 @@ def linearize_calendar(spec: "BatterySpec", temp_K: float, age_days: float,
 
     def cost(soe: float) -> float:
         return scale * calendar_aging_step(
-            soe, temp_K, age_days, dt_seconds, spec.aging, q,
-            arrhenius_positive=arrhenius_positive)
+            soe, temp_K, age_days, dt_seconds, spec.aging, q)
 
     breaks = [0.0, 0.5 * q, 0.7 * q, 1.0 * q]
     values = [cost(s) for s in breaks]
-    arr = _arrhenius(spec.aging, temp_K, arrhenius_positive)
+    arr = _arrhenius(spec.aging, temp_K)
     dtf = math.sqrt(age_days + dt_seconds / 86400.0) - math.sqrt(age_days)
     curvatures = (spec.aging.a1, spec.aging.b1, spec.aging.c1)
 
@@ -288,9 +282,7 @@ def linearize_cycle(spec: "BatterySpec", temp_K: float,
 
 
 def post_calculate_aging(solution, spec: "BatterySpec", temp_K: float,
-                         age_days: float,
-                         arrhenius_positive: bool = False
-                         ) -> tuple[float, float, float, float]:
+                         age_days: float) -> tuple[float, float, float, float]:
     """Exact nonlinear aging of a solved day: (cal EUR, cyc EUR, cal %, cyc %).
 
     `solution` must expose per-step arrays `soe`, `p_ch`, `p_ds` and the
@@ -309,7 +301,7 @@ def post_calculate_aging(solution, spec: "BatterySpec", temp_K: float,
     for t in range(soe.size):
         cal_pct += calendar_aging_step(
             float(soe[t]), temp_K, age_days + t * dt_days, dt, spec.aging,
-            spec.capacity, arrhenius_positive=arrhenius_positive)
+            spec.capacity)
         cyc_pct += cycle_aging_step(float(p_ch[t]), float(p_ds[t]), dt,
                                     spec.aging, spec.capacity)
     scale = eur_per_pct(battery_npv(spec), spec.eol_retained)

@@ -134,20 +134,6 @@ class EnergyContentSeries:
     def hour_slice(self, h: int) -> slice:
         return slice(h * self.steps_per_hour, (h + 1) * self.steps_per_hour)
 
-    def day_slice(self, day: int, hours_per_day: int) -> "EnergyContentSeries":
-        spd = hours_per_day * self.steps_per_hour
-        lo, hi = day * spd, (day + 1) * spd
-        if hi > self.n_steps:
-            raise AlignmentError(f"day {day} outside series of {self.n_steps} steps")
-        hl, hh = day * hours_per_day, (day + 1) * hours_per_day
-        return EnergyContentSeries(
-            e_ur_n=self.e_ur_n[lo:hi], e_dr_n=self.e_dr_n[lo:hi],
-            e_ur_du=self.e_ur_du[lo:hi], e_dr_dd=self.e_dr_dd[lo:hi],
-            frac_nd=self.frac_nd[lo:hi], frac_nu=self.frac_nu[lo:hi],
-            frac_du=self.frac_du[lo:hi], frac_dd=self.frac_dd[lo:hi],
-            eh_ur_n=self.eh_ur_n[hl:hh], eh_dr_n=self.eh_dr_n[hl:hh],
-            steps_per_hour=self.steps_per_hour)
-
 
 def energy_content(trace: FrequencyTrace, grid: TimeGrid,
                    params: DroopParams | None = None) -> EnergyContentSeries:

@@ -87,11 +87,6 @@ class TimeGrid:
             raise AlignmentError(f"step {t} outside grid of {self.n_steps} steps")
         return t // self.steps_per_hour
 
-    def steps_of_hour(self, h: int) -> range:
-        if not 0 <= h < self.hours:
-            raise AlignmentError(f"hour {h} outside grid of {self.hours} hours")
-        return range(h * self.steps_per_hour, (h + 1) * self.steps_per_hour)
-
 
 @dataclass(frozen=True)
 class FrequencyTrace:
@@ -282,9 +277,6 @@ class RunConfig:
     start_age_days: float = 0.0
     grid_tariff: float = 0.0           # EUR/MWh on charged energy
     tax: float = 0.0                   # EUR/MWh
-    tax_on_discharge: bool = True
-    efficiency_on_activation: bool = False
-    arrhenius_positive: bool = False
     relinearize_daily: bool = False
     force_zero_baseline: bool = False
     max_gap_seconds: int = 300

@@ -149,8 +149,6 @@ class DayInputs:
     degradation_in_objective: bool = True
     cal_lin: CalendarLinearization | None = None
     cyc_lin: CycleLinearization | None = None
-    tax_on_discharge: bool = True
-    efficiency_on_activation: bool = False
     force_zero_baseline: bool = False
 
     def __post_init__(self):
@@ -287,18 +285,16 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
             m.add_constraint(f"st_excl[t={t}]",
                              [(b_ch[t], 1.0), (b_ds[t], 1.0)], "<=", 1.0)
 
-    # state-of-energy recursion; efficiencies act on the baseline flows
-    eff_ch_act = spec.eta_ch if inputs.efficiency_on_activation else 1.0
-    eff_ds_act = spec.eta_ds if inputs.efficiency_on_activation else 1.0
+    # state-of-energy recursion; efficiencies act on the baseline flows only,
+    # activation energy enters unscaled
     for t in range(T):
         h = grid.hour_of_step(t)
         coeffs = [(soe[t], 1.0),
                   (ch_bl[h], -spec.eta_ch * dt_h),
                   (ds_bl[h], dt_h / spec.eta_ds),
-                  (bid["N"][h], -(cont.e_dr_n[t] * eff_ch_act
-                                  - cont.e_ur_n[t] / eff_ds_act)),
-                  (bid["DD"][h], -cont.e_dr_dd[t] * eff_ch_act),
-                  (bid["DU"][h], cont.e_ur_du[t] / eff_ds_act)]
+                  (bid["N"][h], -(cont.e_dr_n[t] - cont.e_ur_n[t])),
+                  (bid["DD"][h], -cont.e_dr_dd[t]),
+                  (bid["DU"][h], cont.e_ur_du[t])]
         rhs = 0.0
         if t == 0:
             rhs = inputs.s0
@@ -389,9 +385,8 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
                              "==", 0.0)
 
     # objective: spot revenue + reserve revenue - charging cost - degradation
-    tax_ds = prices.tax if inputs.tax_on_discharge else 0.0
     for h in range(H):
-        m.set_objective_coeff(ds_bl[h], prices.spot[h] + tax_ds)
+        m.set_objective_coeff(ds_bl[h], prices.spot[h] + prices.tax)
         m.set_objective_coeff(ch_bl[h], -(prices.spot[h] + prices.grid_tariff
                                           + prices.tax))
         m.set_objective_coeff(bid["N"][h],

@@ -230,6 +230,15 @@ def _write_checkpoint(path: str, config_hash: str, data_hash: str,
     os.replace(tmp, path)
 
 
+def _load_checkpoint(path: str) -> dict:
+    """A checkpoint's payload; empty when absent or unreadable."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return {}
+
+
 def _read_checkpoint(path: str, config_hash: str, data_hash: str,
                      case_id: str, deg: bool, day: int,
                      s0: float | None) -> DaySolution | None:
@@ -237,13 +246,7 @@ def _read_checkpoint(path: str, config_hash: str, data_hash: str,
 
     With `s0` given, a checkpoint that started from another SoE is stale.
     """
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, encoding="ascii") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
+    payload = _load_checkpoint(path)
     if (payload.get("config_hash") != config_hash
             or payload.get("data_hash") != data_hash
             or payload.get("case_id") != case_id
@@ -278,8 +281,7 @@ def day_inputs(bundle: DataBundle, day: int, s0: float, age: float,
     if deg:
         npv = battery_npv(spec)
         cal_lin = linearize_calendar(
-            spec, spec.temperature, age, grid.step_seconds, npv,
-            arrhenius_positive=cfg.arrhenius_positive)
+            spec, spec.temperature, age, grid.step_seconds, npv)
         cyc_lin = linearize_cycle(spec, spec.temperature, npv)
     day_trace = FrequencyTrace(bundle.frequency.day_values(day), grid.n_steps)
     return DayInputs(
@@ -289,8 +291,6 @@ def day_inputs(bundle: DataBundle, day: int, s0: float, age: float,
         spec=spec, s0=s0, case_id=case_id,
         degradation_in_objective=deg,
         cal_lin=cal_lin, cyc_lin=cyc_lin,
-        tax_on_discharge=cfg.tax_on_discharge,
-        efficiency_on_activation=cfg.efficiency_on_activation,
         force_zero_baseline=cfg.force_zero_baseline)
 
 
@@ -367,8 +367,7 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
             log.info("day %d case %s: checkpoint reused", day, case)
 
         cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
-            sol, spec, spec.temperature, age_k,
-            arrhenius_positive=cfg.arrhenius_positive)
+            sol, spec, spec.temperature, age_k)
         profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur
         sol = dataclasses.replace(sol, cal_cost=cal_eur, cyc_cost=cyc_eur,
                                   cal_pct=cal_pct, cyc_pct=cyc_pct,
@@ -417,20 +416,31 @@ def _write_horizon_summary(run_dir: str, result: HorizonResult,
 
 def load_horizon(config: RunConfig, case_id: str,
                  degradation_in_objective: bool) -> HorizonResult:
-    """Rebuild a HorizonResult from its checkpoints (for reporting)."""
+    """Rebuild a HorizonResult from its checkpoints (for reporting).
+
+    Every day must be one `run_case` would reuse: same configuration, the
+    data of the first day's checkpoint, and the previous day's final SoE.
+    """
     run_dir = _run_dir(config, case_id, degradation_in_objective)
     chash = config.config_hash()
+    dhash = None
+    s0 = config.initial_soe
     solutions = []
     for day in config.days:
         path = _checkpoint_path(run_dir, day)
         if not os.path.exists(path):
             raise MissingFile(f"{path} (day {day} was never solved)")
-        with open(path, encoding="ascii") as fh:
-            payload = json.load(fh)
-        if payload.get("config_hash") != chash:
+        if dhash is None:
+            dhash = _load_checkpoint(path).get("data_hash")
+        sol = _read_checkpoint(path, chash, dhash, case_id,
+                               degradation_in_objective, day, s0)
+        if sol is None:
             raise ConfigError(
-                f"{path} was produced under a different configuration")
-        solutions.append(DaySolution.from_dict(payload["solution"]))
+                f"{path}: day {day} was produced under a different "
+                f"configuration, data set or starting SoE than day "
+                f"{config.days[0]}")
+        solutions.append(sol)
+        s0 = float(sol.soe[-1])
     return HorizonResult(case_id=case_id,
                          degradation_in_objective=degradation_in_objective,
                          config=config, days=tuple(solutions))

@@ -23,6 +23,7 @@ reproduce the model exactly.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import json
 import logging
 import math
@@ -88,6 +89,11 @@ _LP_SECTIONS = {"maximize": ("obj", True), "minimize": ("obj", False),
                 "binary": ("bins", None), "bin": ("bins", None),
                 "general": (None, None), "generals": (None, None),
                 "end": ("done", None)}
+# a name the LP parser reads back as one name token
+_LP_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+# row names the MPS writer uses itself: the objective row, and the column
+# entries it reads as integrality markers
+_MPS_RESERVED = re.compile(r"OBJ|'*MARKER'*")
 
 
 def sanitize_name(name: str) -> str:
@@ -106,12 +112,22 @@ def _file_names(model: MilpModel, fmt: str) -> tuple[list[str], list[str]]:
     for group in (vnames, rnames):
         if len(set(group)) != len(group):
             raise InvalidParameter("sanitized names collide; registry not bijective")
+    # the regex checks loop in C (filter): a minute-resolution day has
+    # about 8k names
     if fmt == "lp":
+        names = vnames + rnames
+        bad = next(itertools.filterfalse(_LP_NAME.fullmatch, names), None)
+        if bad is not None:
+            raise InvalidParameter(f"name {bad!r} is not an LP name")
         # a line starting with a keyword would be read as a section header
-        for name in (*vnames, *rnames):
+        for name in names:
             if name.lower() in _LP_SECTIONS:
                 raise InvalidParameter(
                     f"name {name!r} is an LP section keyword")
+    else:
+        bad = next(filter(_MPS_RESERVED.fullmatch, rnames), None)
+        if bad is not None:
+            raise InvalidParameter(f"row name {bad!r} is reserved in MPS")
     return vnames, rnames
 
 
@@ -414,7 +430,7 @@ def parse_mps(path: str) -> MilpModel:
 
 _LP_TOKEN = re.compile(
     r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"   # number
-    r"|[A-Za-z_][A-Za-z0-9_.]*"              # name
+    r"|" + _LP_NAME.pattern +                # name
     r"|<=|>=|=|\+|-|:")
 _LP_NAME_START = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")

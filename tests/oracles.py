@@ -91,8 +91,7 @@ def _hour_tables(inputs, h: int) -> _Hour:
     hi = smax - off_max
     c_end = path[:, -1]
 
-    tax_ds = pr.tax if inputs.tax_on_discharge else 0.0
-    profit = (ds * (pr.spot[h] + tax_ds)
+    profit = (ds * (pr.spot[h] + pr.tax)
               - ch * (pr.spot[h] + pr.grid_tariff + pr.tax)
               + n * (pr.fcr_n[h] + pr.up_reg[h] * cont.eh_ur_n[h]
                      - pr.down_reg[h] * cont.eh_dr_n[h])
@@ -106,8 +105,6 @@ def brute_force_day(inputs) -> float:
     """Exact maximum total profit over the grid; raises on search blowup."""
     if inputs.degradation_in_objective:
         raise ValueError("oracle handles the no-degradation objective only")
-    if inputs.efficiency_on_activation:
-        raise ValueError("oracle assumes efficiencies on the baseline only")
     hours = [_hour_tables(inputs, h) for h in range(inputs.grid.hours)]
     if any(hr.n == 0 for hr in hours):
         raise ValueError("an hour has no feasible grid tuple")

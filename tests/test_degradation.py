@@ -199,12 +199,3 @@ def test_post_calculated_aging_matches_manual_loop():
     assert cyc_pct == pytest.approx(want_cyc, rel=1e-12)
     assert cal_eur == pytest.approx(want_cal * scale, rel=1e-12)
     assert cyc_eur == pytest.approx(want_cyc * scale, rel=1e-12)
-
-
-def test_arrhenius_positive_variant_is_larger():
-    a = calendar_aging_step(0.5, T_REF, 0.0, 900, CO, 1.0)
-    b = calendar_aging_step(0.5, T_REF, 0.0, 900, CO, 1.0,
-                            arrhenius_positive=True)
-    assert b > a
-    assert b / a == pytest.approx(
-        math.exp(2 * CO.Ea / (CO.R_gas * T_REF)), rel=1e-9)

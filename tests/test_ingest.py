@@ -163,10 +163,14 @@ def test_run_config_unknown_key_and_missing_file(tmp_path):
         RunConfig.from_file(bad)
 
 
-def test_run_config_rejects_removed_relax_step_binaries():
-    # the step binaries now follow from p_min; an old config says so loudly
-    with pytest.raises(InvalidParameter, match="relax_step_binaries"):
-        RunConfig.from_dict({"relax_step_binaries": True})
+@pytest.mark.parametrize("key", ["relax_step_binaries",
+                                 "efficiency_on_activation",
+                                 "tax_on_discharge", "arrhenius_positive"])
+def test_run_config_rejects_removed_keys(key):
+    # the step binaries follow from p_min, and the day model has one
+    # formulation; an old config naming a removed switch fails loudly
+    with pytest.raises(InvalidParameter, match=f"unknown config keys.*{key}"):
+        RunConfig.from_dict({key: True})
 
 
 def test_config_hash_ignores_file_locations():

@@ -340,6 +340,26 @@ def test_load_horizon_rejects_foreign_config(tmp_path):
         load_horizon(other, "MULTI", False)
 
 
+def test_load_horizon_rejects_days_from_another_data_set(tmp_path, monkeypatch):
+    """A rerun on other data that stops after day 0 leaves days 1-2 of the
+    first data set behind; they must not be reported with the new day 0."""
+    cfg = toy_config(tmp_path, days=(0, 1, 2))
+    run_case(load_bundle(cfg, synthetic_seed=7))
+    calls: list = []
+
+    def interrupted(model, time_limit_s=600.0, mip_gap=1e-6):
+        calls.append(model)
+        if len(calls) > 1:
+            raise RuntimeError("interrupted")
+        return solve_scipy(model, time_limit_s=time_limit_s, mip_gap=mip_gap)
+
+    patch_backend(monkeypatch, interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_case(load_bundle(cfg, synthetic_seed=9))
+    with pytest.raises(ConfigError, match="day 1"):
+        load_horizon(cfg, "MULTI", False)
+
+
 def test_load_horizon_never_run(tmp_path):
     with pytest.raises(MissingFile):
         load_horizon(toy_config(tmp_path), "MULTI", False)

@@ -272,6 +272,28 @@ def test_lp_export_refuses_keyword_names(tmp_path):
         assert_models_equal(m, roundtrip(m, tmp_path / f"m.{fmt}", fmt))
 
 
+@pytest.mark.parametrize("fmt,var,row", [
+    pytest.param("mps", "x", "OBJ", id="mps_row_OBJ"),
+    pytest.param("mps", "x", "MARKER", id="mps_row_MARKER"),
+    pytest.param("mps", "x", "'MARKER'", id="mps_row_quoted_MARKER"),
+    pytest.param("lp", "p-1", "r", id="lp_var_p-1"),
+    pytest.param("lp", "2x", "r", id="lp_var_2x"),
+    pytest.param("lp", "x", "r-1", id="lp_row_r-1"),
+])
+def test_export_refuses_names_it_would_read_back_differently(
+        tmp_path, fmt, var, row):
+    """An `OBJ` row would fold into the objective, a `MARKER` row would read
+    as an integrality marker, and `p-1` or `2x` are not one LP name token."""
+    m = MilpModel("names")
+    x = m.add_variable(var, 0.0, 1.0)
+    m.add_constraint(row, [(x, 3.0)], "<=", 1.0)
+    m.set_objective_coeff(x, 1.0)
+    why = "reserved in MPS" if fmt == "mps" else "not an LP name"
+    with pytest.raises(InvalidParameter, match=why):
+        export_model(m, str(tmp_path / f"m.{fmt}"), fmt=fmt)
+    assert_models_equal(m, roundtrip(m, tmp_path / "m.fixed", "mps-fixed"))
+
+
 def test_roundtrip_without_sidecar_keeps_file_names(tmp_path):
     m = tiny_milp()
     path = str(tmp_path / "tiny.mps")
