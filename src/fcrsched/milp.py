@@ -33,11 +33,26 @@ REQ_FACTOR_OWN = 1.34   # reserve power required in the bid's own direction
 REQ_FACTOR_OPP = 0.2    # availability required in the opposite direction
 
 
+_SENSES = ("<=", ">=", "==")
+
+
+def _each(value, n: int, dtype) -> np.ndarray:
+    """`value` as `n` entries: a scalar repeats, a sequence must hold `n`."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.shape not in ((), (n,)):
+        raise InvalidParameter(
+            f"expected a scalar or {n} values, got shape {arr.shape}")
+    return np.broadcast_to(arr, (n,))
+
+
 class MilpModel:
     """Canonical named MILP: bounds, integrality, linear rows, linear objective.
 
     The objective sense is always maximize. Integer variables are binaries
-    (bounds inside [0, 1]).
+    (bounds inside [0, 1]). Columns and rows are added one family at a
+    time; a refused family adds nothing. Row names, senses and right-hand
+    sides are lists; the matrix entries are kept as coordinate arrays, one
+    block per family, that `triplets` joins once.
     """
 
     def __init__(self, name: str = "model"):
@@ -46,43 +61,113 @@ class MilpModel:
         self.lb: list[float] = []
         self.ub: list[float] = []
         self.is_binary: list[bool] = []
-        self.rows: list[tuple[str, list[tuple[int, float]], str, float]] = []
+        self.row_names: list[str] = []
+        self.row_senses: list[str] = []
+        self.rhs: list[float] = []
         self.objective: dict[int, float] = {}
         self.objective_const: float = 0.0
         self._registry: dict[str, int] = {}
         self._row_names: set[str] = set()
+        # (rows, cols, vals) per family, each sorted by row
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
+            (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+        self._triplets: tuple[np.ndarray, ...] | None = None
 
     # -- construction ----------------------------------------------------
 
+    def add_variables(self, names: list[str], lo, hi,
+                      binary=False) -> np.ndarray:
+        """Add a family of columns; returns their indices.
+
+        `lo`, `hi` and `binary` are scalars or one value per name.
+        """
+        names = list(names)
+        n = len(names)
+        start = len(self.var_names)
+        new = dict(zip(names, range(start, start + n)))
+        if len(new) != n or not self._registry.keys().isdisjoint(new):
+            dup = next(name for i, name in enumerate(names)
+                       if name in self._registry or new[name] != start + i)
+            raise InvalidParameter(f"duplicate variable name {dup!r}")
+        lo, hi = _each(lo, n, float), _each(hi, n, float)
+        bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
+        if bad.any():
+            i = int(bad.argmax())
+            raise InfeasibleBounds(
+                f"{names[i]}: bad bounds [{lo[i]}, {hi[i]}]")
+        binary = _each(binary, n, bool)
+        bad = binary & ((lo < 0.0) | (hi > 1.0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise InvalidParameter(
+                f"{names[i]}: binary bounds must sit in [0, 1]")
+        self.var_names += names
+        self.lb += lo.tolist()
+        self.ub += hi.tolist()
+        self.is_binary += binary.tolist()
+        self._registry.update(new)
+        return np.arange(start, start + n)
+
     def add_variable(self, name: str, lo: float, hi: float,
                      binary: bool = False) -> int:
-        if name in self._registry:
-            raise InvalidParameter(f"duplicate variable name {name!r}")
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-            raise InfeasibleBounds(f"{name}: bad bounds [{lo}, {hi}]")
-        if binary and not (lo >= 0.0 and hi <= 1.0):
-            raise InvalidParameter(f"{name}: binary bounds must sit in [0, 1]")
-        col = len(self.var_names)
-        self.var_names.append(name)
-        self.lb.append(lo)
-        self.ub.append(hi)
-        self.is_binary.append(binary)
-        self._registry[name] = col
-        return col
+        return int(self.add_variables([name], lo, hi, binary)[0])
+
+    def add_constraints(self, names: list[str], rows, cols, vals, sense,
+                        rhs) -> int:
+        """Add a family of rows; returns the index of its first row.
+
+        Row `i` of the family is `names[i]`. It holds `vals[j]` at column
+        `cols[j]` for every `j` with `rows[j] == i`, in the order given,
+        and reads `<sense> rhs`; `sense` and `rhs` are scalars or one value
+        per row.
+        """
+        names = list(names)
+        n = len(names)
+        if len(set(names)) != n or not self._row_names.isdisjoint(names):
+            seen = set(self._row_names)
+            dup = next(name for name in names
+                       if name in seen or seen.add(name))
+            raise InvalidParameter(f"duplicate constraint name {dup!r}")
+        senses = [sense] * n if isinstance(sense, str) else list(sense)
+        if len(senses) != n:
+            raise InvalidParameter(f"{len(senses)} senses for {n} rows")
+        bad = next((s for s in senses if s not in _SENSES), None)
+        if bad is not None:
+            raise InvalidParameter(f"bad sense {bad!r}")
+        rhs = _each(rhs, n, float)
+        rows = np.array(rows, dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        vals = np.array(vals, dtype=float)
+        if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
+            raise InvalidParameter("rows, cols and vals must be 1-D, one "
+                                   "entry each")
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= n:
+                raise InvalidParameter(
+                    f"entries name rows outside the family of {n}")
+            bad = (cols < 0) | (cols >= len(self.var_names))
+            if bad.any():
+                j = int(bad.argmax())
+                raise InvalidParameter(
+                    f"{names[rows[j]]}: unknown column {cols[j]}")
+            if (rows[1:] < rows[:-1]).any():
+                order = np.argsort(rows, kind="stable")
+                rows, cols, vals = rows[order], cols[order], vals[order]
+        start = len(self.row_names)
+        self.row_names += names
+        self.row_senses += senses
+        self.rhs += rhs.tolist()
+        self._row_names.update(names)
+        rows += start
+        self._blocks.append((rows, cols, vals))
+        self._triplets = None
+        return start
 
     def add_constraint(self, name: str, coeffs: list[tuple[int, float]],
                        sense: str, rhs: float) -> int:
-        if name in self._row_names:
-            raise InvalidParameter(f"duplicate constraint name {name!r}")
-        if sense not in ("<=", ">=", "=="):
-            raise InvalidParameter(f"bad sense {sense!r}")
-        n = len(self.var_names)
-        for col, _ in coeffs:
-            if not 0 <= col < n:
-                raise InvalidParameter(f"{name}: unknown column {col}")
-        self._row_names.add(name)
-        self.rows.append((name, list(coeffs), sense, float(rhs)))
-        return len(self.rows) - 1
+        cols = [col for col, _ in coeffs]
+        return self.add_constraints([name], [0] * len(cols), cols,
+                                    [v for _, v in coeffs], sense, rhs)
 
     def set_objective_coeff(self, col: int, coeff: float) -> None:
         self.objective[col] = self.objective.get(col, 0.0) + coeff
@@ -95,7 +180,7 @@ class MilpModel:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
 
     @property
     def n_binaries(self) -> int:
@@ -112,8 +197,7 @@ class MilpModel:
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_vars)
-        for col, v in self.objective.items():
-            c[col] = v
+        c[list(self.objective)] = list(self.objective.values())
         return c
 
     def objective_value(self, x: np.ndarray) -> float:
@@ -123,17 +207,40 @@ class MilpModel:
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray, np.ndarray]:
         """The rows as coordinates plus row bounds: `lo <= A @ x <= hi`,
-        where A holds `vals[i]` at (`rows[i]`, `cols[i]`)."""
-        counts = [len(coeffs) for _, coeffs, _, _ in self.rows]
-        pairs = [p for _, coeffs, _, _ in self.rows for p in coeffs]
-        rows = np.repeat(np.arange(self.n_rows), counts)
-        cols = np.array([c for c, _ in pairs], dtype=int)
-        vals = np.array([v for _, v in pairs], dtype=float)
-        sense = np.array([s for _, _, s, _ in self.rows], dtype=object)
-        rhs = np.array([r for _, _, _, r in self.rows], dtype=float)
-        lo = np.where(sense == "<=", -np.inf, rhs)
-        hi = np.where(sense == ">=", np.inf, rhs)
-        return rows, cols, vals, lo, hi
+        where A holds `vals[i]` at (`rows[i]`, `cols[i]`).
+
+        Entries come row by row, each row's in the order they were added.
+        The arrays are computed once per change of the rows and are
+        read-only.
+        """
+        if self._triplets is None:
+            if len(self._blocks) > 1:
+                self._blocks = [tuple(map(np.concatenate,
+                                          zip(*self._blocks)))]
+            sense = np.array(self.row_senses, dtype=object)
+            rhs = np.array(self.rhs, dtype=float)
+            lo = np.where(sense == "<=", -np.inf, rhs)
+            hi = np.where(sense == ">=", np.inf, rhs)
+            out = (*self._blocks[0], lo, hi)
+            for arr in out:
+                arr.flags.writeable = False
+            self._triplets = out
+        return self._triplets
+
+    @property
+    def rows(self) -> tuple[tuple[str, list[tuple[int, float]], str, float],
+                            ...]:
+        """`(name, [(column, coeff)], sense, rhs)` per row, built from the
+        arrays on each access; changing it does not change the model."""
+        rows, cols, vals, _, _ = self.triplets()
+        ends = np.cumsum(np.bincount(rows, minlength=self.n_rows)).tolist()
+        # one int object per column, not per entry
+        cols = list(map(list(range(self.n_vars)).__getitem__, cols.tolist()))
+        vals = vals.tolist()
+        return tuple((name, list(zip(cols[a:b], vals[a:b])), sense, rhs)
+                     for name, a, b, sense, rhs in zip(
+                         self.row_names, [0] + ends, ends, self.row_senses,
+                         self.rhs))
 
 
 @dataclass(frozen=True)
@@ -207,205 +314,225 @@ def model_size(inputs: DayInputs) -> dict[str, int]:
     return {"n_vars": n_vars, "n_binaries": n_bins, "n_rows": n_rows}
 
 
+def _add_row_group(m: MilpModel, n: int, families: list[tuple]) -> None:
+    """Add row families of `n` rows each, interleaved: row 0 of every
+    family in the given order, then row 1, and so on.
+
+    A family is `(name, terms, sense, rhs)`. `name` is a format string
+    taking the row index; `terms` is a list of `(columns, coeffs)`, each a
+    scalar or one entry per row; a negative column leaves the term out of
+    that row. `rhs` is a scalar or one value per row.
+    """
+    n_terms = [len(terms) for _, terms, _, _ in families]
+    cols = np.empty((n, sum(n_terms)), dtype=np.intp)
+    vals = np.empty((n, sum(n_terms)))
+    for j, (c, v) in enumerate(term for _, terms, _, _ in families
+                               for term in terms):
+        cols[:, j] = c
+        vals[:, j] = v
+    rows = np.arange(n)[:, None] * len(families) \
+        + np.repeat(np.arange(len(families)), n_terms)
+    names: list[str] = [""] * (n * len(families))
+    rhs = np.empty((n, len(families)))
+    for j, (name, _, _, family_rhs) in enumerate(families):
+        names[j::len(families)] = map(name.format, range(n))
+        rhs[:, j] = family_rhs
+    keep = cols >= 0
+    m.add_constraints(names, rows[keep], cols[keep], vals[keep],
+                      [sense for _, _, sense, _ in families] * n, rhs.ravel())
+
+
 def build_day_model(inputs: DayInputs) -> MilpModel:
     """Assemble the day MILP (sense: maximize daily profit).
 
     Bids of markets outside the case stay in the model with bounds fixed to
     zero so the registry is identical across cases. Minimum-bid binaries are
-    created only for allowed markets with a positive minimum bid.
+    created only for allowed markets with a positive minimum bid. Each
+    family of columns and rows is added as one block of arrays.
     """
     grid, spec, prices, cont = inputs.grid, inputs.spec, inputs.prices, inputs.contents
     H, T, spH = grid.hours, grid.n_steps, grid.steps_per_hour
     dt_h = grid.dt_hours
     allowed = CASE_MARKETS[inputs.case_id]
     m = MilpModel(f"day{grid.day_index}_{inputs.case_id}")
+    hour = np.arange(T) // spH      # hour of each step
+
+    def hourly(family: str, lo, hi, binary: bool = False) -> np.ndarray:
+        return m.add_variables([f"{family}[h={h}]" for h in range(H)],
+                               lo, hi, binary)
+
+    def per_step(family: str, lo, hi, binary: bool = False) -> np.ndarray:
+        return m.add_variables([f"{family}[t={t}]" for t in range(T)],
+                               lo, hi, binary)
 
     bl_hi = 0.0 if inputs.force_zero_baseline else spec.p_max
-    ch_bl = [m.add_variable(f"ch_bl[h={h}]", 0.0, bl_hi) for h in range(H)]
-    ds_bl = [m.add_variable(f"ds_bl[h={h}]", 0.0, bl_hi) for h in range(H)]
+    ch_bl = hourly("ch_bl", 0.0, bl_hi)
+    ds_bl = hourly("ds_bl", 0.0, bl_hi)
 
     bid_caps = {"N": spec.p_max, "DU": 2.0 * spec.p_max, "DD": 2.0 * spec.p_max}
     bid = {}
     for mk, var in (("N", "bid_n"), ("DU", "bid_du"), ("DD", "bid_dd")):
-        hi = bid_caps[mk] if mk in allowed else 0.0
-        bid[mk] = [m.add_variable(f"{var}[h={h}]", 0.0, hi) for h in range(H)]
+        bid[mk] = hourly(var, 0.0, bid_caps[mk] if mk in allowed else 0.0)
 
-    b_ch_bl = [m.add_variable(f"b_ch_bl[h={h}]", 0.0, 1.0, binary=True)
-               for h in range(H)]
-    b_ds_bl = [m.add_variable(f"b_ds_bl[h={h}]", 0.0, 1.0, binary=True)
-               for h in range(H)]
+    b_ch_bl = hourly("b_ch_bl", 0.0, 1.0, binary=True)
+    b_ds_bl = hourly("b_ds_bl", 0.0, 1.0, binary=True)
     b_bid = {}
     for mk, var in (("N", "b_n"), ("DU", "b_du"), ("DD", "b_dd")):
         if mk in allowed and spec.min_bid(mk) > 0.0:
-            b_bid[mk] = [m.add_variable(f"{var}[h={h}]", 0.0, 1.0, binary=True)
-                         for h in range(H)]
+            b_bid[mk] = hourly(var, 0.0, 1.0, binary=True)
 
-    p_ch = [m.add_variable(f"p_ch[t={t}]", 0.0, spec.p_max) for t in range(T)]
-    p_ds = [m.add_variable(f"p_ds[t={t}]", 0.0, spec.p_max) for t in range(T)]
+    p_ch = per_step("p_ch", 0.0, spec.p_max)
+    p_ds = per_step("p_ds", 0.0, spec.p_max)
     if inputs.step_binaries:
-        b_ch = [m.add_variable(f"b_ch[t={t}]", 0.0, 1.0, binary=True)
-                for t in range(T)]
-        b_ds = [m.add_variable(f"b_ds[t={t}]", 0.0, 1.0, binary=True)
-                for t in range(T)]
-    soe = [m.add_variable(f"soe[t={t}]", spec.soe_min, spec.soe_max)
-           for t in range(T)]
+        b_ch = per_step("b_ch", 0.0, 1.0, binary=True)
+        b_ds = per_step("b_ds", 0.0, 1.0, binary=True)
+    soe = per_step("soe", spec.soe_min, spec.soe_max)
 
     if inputs.degradation_in_objective:
         segs = inputs.cal_lin.segments
-        z_cal = [[m.add_variable(f"z_cal[h={h},k={k}]", 0.0, 1.0, binary=True)
-                  for k in range(3)] for h in range(H)]
-        s_cal = [[m.add_variable(f"s_cal[h={h},k={k}]", 0.0, segs[k].hi_mwh)
-                  for k in range(3)] for h in range(H)]
+        cal_names = [f"[h={h},k={k}]" for h in range(H) for k in range(3)]
+        z_cal = m.add_variables(["z_cal" + s for s in cal_names], 0.0, 1.0,
+                                binary=True).reshape(H, 3)
+        s_cal = m.add_variables(["s_cal" + s for s in cal_names], 0.0,
+                                np.tile([seg.hi_mwh for seg in segs], H)
+                                ).reshape(H, 3)
 
     # baseline bounds and hourly exclusivity
-    for h in range(H):
-        m.add_constraint(f"bl_up_ch[h={h}]",
-                         [(ch_bl[h], 1.0), (b_ch_bl[h], -spec.p_max)], "<=", 0.0)
-        m.add_constraint(f"bl_up_ds[h={h}]",
-                         [(ds_bl[h], 1.0), (b_ds_bl[h], -spec.p_max)], "<=", 0.0)
-        if spec.p_min > 0.0:
-            m.add_constraint(f"bl_lo_ch[h={h}]",
-                             [(ch_bl[h], 1.0), (b_ch_bl[h], -spec.p_min)], ">=", 0.0)
-            m.add_constraint(f"bl_lo_ds[h={h}]",
-                             [(ds_bl[h], 1.0), (b_ds_bl[h], -spec.p_min)], ">=", 0.0)
-        m.add_constraint(f"bl_excl[h={h}]",
-                         [(b_ch_bl[h], 1.0), (b_ds_bl[h], 1.0)], "<=", 1.0)
+    rows = [("bl_up_ch[h={}]", [(ch_bl, 1.0), (b_ch_bl, -spec.p_max)],
+             "<=", 0.0),
+            ("bl_up_ds[h={}]", [(ds_bl, 1.0), (b_ds_bl, -spec.p_max)],
+             "<=", 0.0)]
+    if spec.p_min > 0.0:
+        rows += [("bl_lo_ch[h={}]", [(ch_bl, 1.0), (b_ch_bl, -spec.p_min)],
+                  ">=", 0.0),
+                 ("bl_lo_ds[h={}]", [(ds_bl, 1.0), (b_ds_bl, -spec.p_min)],
+                  ">=", 0.0)]
+    rows.append(("bl_excl[h={}]", [(b_ch_bl, 1.0), (b_ds_bl, 1.0)], "<=", 1.0))
+    _add_row_group(m, H, rows)
 
     # realized power bounds and per-step exclusivity
     if inputs.step_binaries:
-        for t in range(T):
-            m.add_constraint(f"st_up_ch[t={t}]",
-                             [(p_ch[t], 1.0), (b_ch[t], -spec.p_max)], "<=", 0.0)
-            m.add_constraint(f"st_up_ds[t={t}]",
-                             [(p_ds[t], 1.0), (b_ds[t], -spec.p_max)], "<=", 0.0)
-            m.add_constraint(f"st_lo_ch[t={t}]",
-                             [(p_ch[t], 1.0), (b_ch[t], -spec.p_min)], ">=", 0.0)
-            m.add_constraint(f"st_lo_ds[t={t}]",
-                             [(p_ds[t], 1.0), (b_ds[t], -spec.p_min)], ">=", 0.0)
-            m.add_constraint(f"st_excl[t={t}]",
-                             [(b_ch[t], 1.0), (b_ds[t], 1.0)], "<=", 1.0)
+        _add_row_group(m, T, [
+            ("st_up_ch[t={}]", [(p_ch, 1.0), (b_ch, -spec.p_max)], "<=", 0.0),
+            ("st_up_ds[t={}]", [(p_ds, 1.0), (b_ds, -spec.p_max)], "<=", 0.0),
+            ("st_lo_ch[t={}]", [(p_ch, 1.0), (b_ch, -spec.p_min)], ">=", 0.0),
+            ("st_lo_ds[t={}]", [(p_ds, 1.0), (b_ds, -spec.p_min)], ">=", 0.0),
+            ("st_excl[t={}]", [(b_ch, 1.0), (b_ds, 1.0)], "<=", 1.0)])
 
     # state-of-energy recursion; efficiencies act on the baseline flows only,
-    # activation energy enters unscaled
-    for t in range(T):
-        h = grid.hour_of_step(t)
-        coeffs = [(soe[t], 1.0),
-                  (ch_bl[h], -spec.eta_ch * dt_h),
-                  (ds_bl[h], dt_h / spec.eta_ds),
-                  (bid["N"][h], -(cont.e_dr_n[t] - cont.e_ur_n[t])),
-                  (bid["DD"][h], -cont.e_dr_dd[t]),
-                  (bid["DU"][h], cont.e_ur_du[t])]
-        rhs = 0.0
-        if t == 0:
-            rhs = inputs.s0
-        else:
-            coeffs.append((soe[t - 1], -1.0))
-        m.add_constraint(f"soe_rec[t={t}]", coeffs, "==", rhs)
+    # activation energy enters unscaled. Step 0 starts from s0, not from a
+    # previous soe column.
+    prev_soe = np.concatenate(([-1], soe[:-1]))
+    rhs = np.zeros(T)
+    rhs[0] = inputs.s0
+    _add_row_group(m, T, [(
+        "soe_rec[t={}]",
+        [(soe, 1.0),
+         (ch_bl[hour], -spec.eta_ch * dt_h),
+         (ds_bl[hour], dt_h / spec.eta_ds),
+         (bid["N"][hour], -(cont.e_dr_n - cont.e_ur_n)),
+         (bid["DD"][hour], -cont.e_dr_dd),
+         (bid["DU"][hour], cont.e_ur_du),
+         (prev_soe, -1.0)],
+        "==", rhs)])
 
     # realized power pinned to baseline plus droop activation
-    for t in range(T):
-        h = grid.hour_of_step(t)
-        m.add_constraint(
-            f"pin[t={t}]",
-            [(p_ch[t], 1.0), (p_ds[t], -1.0),
-             (ch_bl[h], -1.0), (ds_bl[h], 1.0),
-             (bid["N"][h], -(cont.frac_nd[t] - cont.frac_nu[t])),
-             (bid["DD"][h], -cont.frac_dd[t]),
-             (bid["DU"][h], cont.frac_du[t])],
-            "==", 0.0)
+    _add_row_group(m, T, [(
+        "pin[t={}]",
+        [(p_ch, 1.0), (p_ds, -1.0),
+         (ch_bl[hour], -1.0), (ds_bl[hour], 1.0),
+         (bid["N"][hour], -(cont.frac_nd - cont.frac_nu)),
+         (bid["DD"][hour], -cont.frac_dd),
+         (bid["DU"][hour], cont.frac_du)],
+        "==", 0.0)])
 
     # minimum-bid linking
     for mk, var in (("N", "bid_n"), ("DU", "bid_du"), ("DD", "bid_dd")):
-        if mk not in b_bid:
-            continue
-        for h in range(H):
-            m.add_constraint(f"{var}_lo[h={h}]",
-                             [(bid[mk][h], 1.0), (b_bid[mk][h], -spec.min_bid(mk))],
-                             ">=", 0.0)
-            m.add_constraint(f"{var}_up[h={h}]",
-                             [(bid[mk][h], 1.0), (b_bid[mk][h], -bid_caps[mk])],
-                             "<=", 0.0)
+        if mk in b_bid:
+            _add_row_group(m, H, [
+                (var + "_lo[h={}]",
+                 [(bid[mk], 1.0), (b_bid[mk], -spec.min_bid(mk))], ">=", 0.0),
+                (var + "_up[h={}]",
+                 [(bid[mk], 1.0), (b_bid[mk], -bid_caps[mk])], "<=", 0.0)])
 
     # reserve power requirements around the baseline (load convention)
-    for h in range(H):
-        m.add_constraint(
-            f"req_up[h={h}]",
-            [(bid["N"][h], REQ_FACTOR_OWN), (bid["DU"][h], 1.0),
-             (bid["DD"][h], REQ_FACTOR_OPP),
-             (ch_bl[h], -1.0), (ds_bl[h], 1.0)],
-            "<=", spec.p_max)
-        m.add_constraint(
-            f"req_dn[h={h}]",
-            [(bid["N"][h], REQ_FACTOR_OWN), (bid["DD"][h], 1.0),
-             (bid["DU"][h], REQ_FACTOR_OPP),
-             (ch_bl[h], 1.0), (ds_bl[h], -1.0)],
-            "<=", spec.p_max)
+    _add_row_group(m, H, [
+        ("req_up[h={}]",
+         [(bid["N"], REQ_FACTOR_OWN), (bid["DU"], 1.0),
+          (bid["DD"], REQ_FACTOR_OPP), (ch_bl, -1.0), (ds_bl, 1.0)],
+         "<=", spec.p_max),
+        ("req_dn[h={}]",
+         [(bid["N"], REQ_FACTOR_OWN), (bid["DD"], 1.0),
+          (bid["DU"], REQ_FACTOR_OPP), (ch_bl, 1.0), (ds_bl, -1.0)],
+         "<=", spec.p_max)])
 
-    # endurance: worst-case hour-start SoE scenarios, both bound sides
+    # endurance: worst-case hour-start SoE scenarios, both bound sides; hour
+    # 0 starts from s0, later hours from the last soe column of the hour
+    # before
     third = 1.0 / 3.0
-    for h in range(H):
-        prev: list[tuple[int, float]]
-        if h == 0:
-            prev, prev_const = [], inputs.s0
-        else:
-            prev, prev_const = [(soe[h * spH - 1], 1.0)], 0.0
-        scenarios = {
-            "endur_bl": [(ch_bl[h], 1.0), (ds_bl[h], -1.0)],
-            "endur_act20_dn": [(ch_bl[h], third), (ds_bl[h], -third),
-                               (bid["N"][h], third), (bid["DD"][h], third)],
-            "endur_act20_up": [(ch_bl[h], third), (ds_bl[h], -third),
-                               (bid["N"][h], -third), (bid["DU"][h], -third)],
-            "endur_act60_dn": [(ch_bl[h], 1.0), (ds_bl[h], -1.0),
-                               (bid["N"][h], 1.0), (bid["DD"][h], third)],
-            "endur_act60_up": [(ch_bl[h], 1.0), (ds_bl[h], -1.0),
-                               (bid["N"][h], -1.0), (bid["DU"][h], -third)],
-        }
-        for label, terms in scenarios.items():
-            m.add_constraint(f"{label}_max[h={h}]", prev + terms, "<=",
-                             spec.soe_max - prev_const)
-            m.add_constraint(f"{label}_min[h={h}]", prev + terms, ">=",
-                             spec.soe_min - prev_const)
+    prev = [(np.concatenate(([-1], soe[spH - 1:T - 1:spH])), 1.0)]
+    prev_const = np.zeros(H)
+    prev_const[0] = inputs.s0
+    scenarios = {
+        "endur_bl": [(ch_bl, 1.0), (ds_bl, -1.0)],
+        "endur_act20_dn": [(ch_bl, third), (ds_bl, -third),
+                           (bid["N"], third), (bid["DD"], third)],
+        "endur_act20_up": [(ch_bl, third), (ds_bl, -third),
+                           (bid["N"], -third), (bid["DU"], -third)],
+        "endur_act60_dn": [(ch_bl, 1.0), (ds_bl, -1.0),
+                           (bid["N"], 1.0), (bid["DD"], third)],
+        "endur_act60_up": [(ch_bl, 1.0), (ds_bl, -1.0),
+                           (bid["N"], -1.0), (bid["DU"], -third)],
+    }
+    rows = []
+    for label, terms in scenarios.items():
+        rows += [(label + "_max[h={}]", prev + terms, "<=",
+                  spec.soe_max - prev_const),
+                 (label + "_min[h={}]", prev + terms, ">=",
+                  spec.soe_min - prev_const)]
+    _add_row_group(m, H, rows)
 
     # calendar piecewise selection, linked to each hour's mean SoE
     if inputs.degradation_in_objective:
-        for h in range(H):
-            m.add_constraint(f"cal_pick[h={h}]",
-                             [(z_cal[h][k], 1.0) for k in range(3)], "==", 1.0)
-            for k in range(3):
-                m.add_constraint(
-                    f"cal_lo[h={h},k={k}]",
-                    [(s_cal[h][k], 1.0), (z_cal[h][k], -segs[k].lo_mwh)], ">=", 0.0)
-                m.add_constraint(
-                    f"cal_up[h={h},k={k}]",
-                    [(s_cal[h][k], 1.0), (z_cal[h][k], -segs[k].hi_mwh)], "<=", 0.0)
-            m.add_constraint(f"cal_link[h={h}]",
-                             [(s_cal[h][k], 1.0) for k in range(3)]
-                             + [(soe[t], -1.0 / spH)
-                                for t in range(h * spH, (h + 1) * spH)],
-                             "==", 0.0)
+        rows = [("cal_pick[h={}]", [(z_cal[:, k], 1.0) for k in range(3)],
+                 "==", 1.0)]
+        for k in range(3):
+            rows += [(f"cal_lo[h={{}},k={k}]",
+                      [(s_cal[:, k], 1.0), (z_cal[:, k], -segs[k].lo_mwh)],
+                      ">=", 0.0),
+                     (f"cal_up[h={{}},k={k}]",
+                      [(s_cal[:, k], 1.0), (z_cal[:, k], -segs[k].hi_mwh)],
+                      "<=", 0.0)]
+        hour_steps = soe.reshape(H, spH)
+        rows.append(("cal_link[h={}]",
+                     [(s_cal[:, k], 1.0) for k in range(3)]
+                     + [(hour_steps[:, j], -1.0 / spH) for j in range(spH)],
+                     "==", 0.0))
+        _add_row_group(m, H, rows)
 
     # objective: spot revenue + reserve revenue - charging cost - degradation
-    for h in range(H):
-        m.set_objective_coeff(ds_bl[h], prices.spot[h] + prices.tax)
-        m.set_objective_coeff(ch_bl[h], -(prices.spot[h] + prices.grid_tariff
-                                          + prices.tax))
-        m.set_objective_coeff(bid["N"][h],
-                              prices.fcr_n[h]
-                              + prices.up_reg[h] * cont.eh_ur_n[h]
-                              - prices.down_reg[h] * cont.eh_dr_n[h])
-        m.set_objective_coeff(bid["DU"][h], prices.fcr_du[h])
-        m.set_objective_coeff(bid["DD"][h], prices.fcr_dd[h])
+    def price(*terms) -> None:
+        """Objective coefficients of `(columns, coeffs)` terms, set entry 0
+        of every term first, then entry 1, and so on."""
+        cols = np.column_stack([c.ravel() for c, _ in terms]).ravel()
+        vals = np.column_stack([np.broadcast_to(v, c.shape).ravel()
+                                for c, v in terms]).ravel()
+        objective = m.objective
+        for col, v in zip(cols.tolist(), vals.tolist()):
+            objective[col] = objective.get(col, 0.0) + v
+
+    price((ds_bl, prices.spot + prices.tax),
+          (ch_bl, -(prices.spot + prices.grid_tariff + prices.tax)),
+          (bid["N"], prices.fcr_n + prices.up_reg * cont.eh_ur_n
+           - prices.down_reg * cont.eh_dr_n),
+          (bid["DU"], prices.fcr_du),
+          (bid["DD"], prices.fcr_dd))
     if inputs.degradation_in_objective:
         k_cyc = inputs.cyc_lin.k_cyc
-        for t in range(T):
-            m.set_objective_coeff(p_ch[t], -k_cyc * dt_h)
-            m.set_objective_coeff(p_ds[t], -k_cyc * dt_h)
+        price((p_ch, -k_cyc * dt_h), (p_ds, -k_cyc * dt_h))
         # the per-step secant cost, charged spH times at the hour's mean SoE
-        for h in range(H):
-            for k in range(3):
-                m.set_objective_coeff(s_cal[h][k],
-                                      -spH * segs[k].slope_eur_per_mwh)
-                m.set_objective_coeff(z_cal[h][k], -spH * segs[k].intercept_eur)
+        price((s_cal, [-spH * seg.slope_eur_per_mwh for seg in segs]),
+              (z_cal, [-spH * seg.intercept_eur for seg in segs]))
 
     built = model_size(inputs)
     assert (m.n_vars, m.n_binaries, m.n_rows) == (
@@ -464,7 +591,7 @@ def validate_solution(model: MilpModel, x: np.ndarray,
     lhs = np.bincount(rows, weights=vals * x[cols], minlength=model.n_rows)
     row_gap = np.maximum(lo - lhs, lhs - hi)
     for r in np.flatnonzero(row_gap > tol):
-        name = model.rows[r][0]
+        name = model.row_names[r]
         found.append(Violation(name, name.split("[", 1)[0],
                                float(row_gap[r])))
     return ViolationReport(violations=tuple(found), tolerance=tol)

@@ -91,9 +91,14 @@ _LP_SECTIONS = {"maximize": ("obj", True), "minimize": ("obj", False),
                 "end": ("done", None)}
 # a name the LP parser reads back as one name token
 _LP_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+# a name the MPS parser reads back as one field: not empty, no whitespace,
+# and no leading `*`, which starts a comment line
+_MPS_NAME = r"[^\s*]\S*"
+_MPS_COLUMN_NAME = re.compile(_MPS_NAME)
 # row names the MPS writer uses itself: the objective row, and the column
 # entries it reads as integrality markers
 _MPS_RESERVED = re.compile(r"OBJ|'*MARKER'*")
+_MPS_ROW_NAME = re.compile(rf"(?!(?:{_MPS_RESERVED.pattern})\Z){_MPS_NAME}")
 
 
 def sanitize_name(name: str) -> str:
@@ -108,12 +113,12 @@ def _file_names(model: MilpModel, fmt: str) -> tuple[list[str], list[str]]:
         rnames = [f"R{r:07d}" for r in range(model.n_rows)]
         return vnames, rnames
     vnames = [sanitize_name(n) for n in model.var_names]
-    rnames = [sanitize_name(name) for name, *_ in model.rows]
+    rnames = [sanitize_name(name) for name in model.row_names]
     for group in (vnames, rnames):
         if len(set(group)) != len(group):
             raise InvalidParameter("sanitized names collide; registry not bijective")
-    # the regex checks loop in C (filter): a minute-resolution day has
-    # about 8k names
+    # the regex checks loop in C (filter), one match per name: a
+    # minute-resolution day has about 8k names
     if fmt == "lp":
         names = vnames + rnames
         bad = next(itertools.filterfalse(_LP_NAME.fullmatch, names), None)
@@ -125,9 +130,13 @@ def _file_names(model: MilpModel, fmt: str) -> tuple[list[str], list[str]]:
                 raise InvalidParameter(
                     f"name {name!r} is an LP section keyword")
     else:
-        bad = next(filter(_MPS_RESERVED.fullmatch, rnames), None)
-        if bad is not None:
+        bad = next(itertools.chain(
+            itertools.filterfalse(_MPS_COLUMN_NAME.fullmatch, vnames),
+            itertools.filterfalse(_MPS_ROW_NAME.fullmatch, rnames)), None)
+        if bad is not None and _MPS_RESERVED.fullmatch(bad):
             raise InvalidParameter(f"row name {bad!r} is reserved in MPS")
+        if bad is not None:
+            raise InvalidParameter(f"name {bad!r} is not an MPS name")
     return vnames, rnames
 
 
@@ -140,7 +149,7 @@ def _write_sidecar(path: str, model: MilpModel, vnames: list[str],
         # insertion order records the original column/row order, letting the
         # parsers rebuild a model whose registry order matches the exported one
         "variables": dict(zip(vnames, model.var_names)),
-        "rows": dict(zip(rnames, [name for name, *_ in model.rows])),
+        "rows": dict(zip(rnames, model.row_names)),
     }
     with open(sidecar, "w", encoding="ascii") as fh:
         fh.write(json.dumps(payload, indent=2))
@@ -164,41 +173,48 @@ def _write_text(path: str, lines: list[str]) -> None:
         fh.write("\n")
 
 
+def _starts(index: np.ndarray, n: int) -> list[int]:
+    """Where each of the indices 0..n-1 begins among entries sorted by
+    `index`, plus the end."""
+    return [0] + np.cumsum(np.bincount(index, minlength=n)).tolist()
+
+
 def _write_mps(model: MilpModel, path: str, vnames: list[str],
                rnames: list[str]) -> None:
-    # " <row>  <value>" per entry, gathered by column
-    by_col: list[list[str]] = [[] for _ in range(model.n_vars)]
-    for rname, (_, coeffs, _, _) in zip(rnames, model.rows):
-        for col, v in coeffs:
-            by_col[col].append(f"  {rname}  {float(v)!r}")
+    rows, cols, vals, _, _ = model.triplets()
+    # entry lines gathered by column, each column's in row order
+    order = np.argsort(cols, kind="stable")
+    entries = [f"    {vnames[c]}  {rnames[r]}  {v!r}" for c, r, v in
+               zip(cols[order].tolist(), rows[order].tolist(),
+                   vals[order].tolist())]
+    starts = _starts(cols, model.n_vars)
     lines = [f"NAME          {model.name}", "OBJSENSE", "    MAX", "ROWS",
              " N  OBJ"]
     lines += [f" {_MPS_SENSE[sense]}  {rname}"
-              for rname, (_, _, sense, _) in zip(rnames, model.rows)]
+              for rname, sense in zip(rnames, model.row_senses)]
     lines.append("COLUMNS")
     in_int = False
     marker = 0
-    for c, (vname, entries) in enumerate(zip(vnames, by_col)):
+    for c, vname in enumerate(vnames):
         if model.is_binary[c] != in_int:
             tag = "INTORG" if model.is_binary[c] else "INTEND"
             lines.append(f"    MARKER{marker:04d}  'MARKER'  '{tag}'")
             marker += 1
             in_int = model.is_binary[c]
-        head = "    " + vname
+        a, b = starts[c], starts[c + 1]
         if c in model.objective:
-            lines.append(f"{head}  OBJ  {_num(model.objective[c])}")
-        elif not entries:
+            lines.append(f"    {vname}  OBJ  {_num(model.objective[c])}")
+        elif a == b:
             # a bare 0 declares a column that has no entries
-            lines.append(f"{head}  OBJ  0")
-        lines += [head + entry for entry in entries]
+            lines.append(f"    {vname}  OBJ  0")
+        lines += entries[a:b]
     if in_int:
         lines.append(f"    MARKER{marker:04d}  'MARKER'  'INTEND'")
     lines.append("RHS")
     if model.objective_const != 0.0:
         lines.append(f"    RHS1  OBJ  {_num(-model.objective_const)}")
     lines += [f"    RHS1  {rname}  {_num(rhs)}"
-              for rname, (_, _, _, rhs) in zip(rnames, model.rows)
-              if rhs != 0.0]
+              for rname, rhs in zip(rnames, model.rhs) if rhs != 0.0]
     lines.append("BOUNDS")
     for c, vname in enumerate(vnames):
         lo, hi = model.lb[c], model.ub[c]
@@ -213,12 +229,15 @@ def _write_mps(model: MilpModel, path: str, vnames: list[str],
     _write_text(path, lines)
 
 
-def _lp_terms(coeffs: list[tuple[int, float]], vnames: list[str]) -> str:
-    parts = []
-    for col, v in coeffs:
-        v = float(v)
-        parts.append(f"{'-' if v < 0 else '+'} {abs(v)!r} {vnames[col]}")
-    text = " ".join(parts)
+def _lp_terms(cols: list[int], vals: list[float],
+              vnames: list[str]) -> list[str]:
+    """`+ 2.0 x` or `- 2.0 x` per entry."""
+    return [f"- {-v!r} {vnames[c]}" if v < 0 else f"+ {abs(v)!r} {vnames[c]}"
+            for c, v in zip(cols, vals)]
+
+
+def _lp_sum(terms: list[str]) -> str:
+    text = " ".join(terms)
     return text[2:] if text.startswith("+ ") else text
 
 
@@ -227,16 +246,21 @@ def _write_lp(model: MilpModel, path: str, vnames: list[str],
     lines = [f"\\ {model.name}", "Maximize"]
     # an empty objective is spelled `0 <first column>`; the bare 0 tells
     # parse_lp that the term only stands in for an empty objective
-    body = _lp_terms(sorted(model.objective.items()), vnames) \
+    objective = sorted(model.objective.items())
+    body = _lp_sum(_lp_terms([c for c, _ in objective],
+                             [float(v) for _, v in objective], vnames)) \
         if model.objective else f"0 {vnames[0]}"
     if model.objective_const != 0.0:
         body += f" + {_num(model.objective_const)}" \
             if model.objective_const > 0 else f" - {_num(-model.objective_const)}"
     lines.append(f" obj: {body}")
     lines.append("Subject To")
-    lines += [f" {rname}: {_lp_terms(coeffs, vnames)} "
-              f"{_LP_SENSE[sense]} {_num(rhs)}"
-              for rname, (_, coeffs, sense, rhs) in zip(rnames, model.rows)]
+    rows, cols, vals, _, _ = model.triplets()
+    terms = _lp_terms(cols.tolist(), vals.tolist(), vnames)
+    starts = _starts(rows, model.n_rows)
+    lines += [f" {rname}: {_lp_sum(terms[a:b])} {_LP_SENSE[sense]} {_num(rhs)}"
+              for rname, a, b, sense, rhs in zip(rnames, starts, starts[1:],
+                                                 model.row_senses, model.rhs)]
     lines.append("Bounds")
     for c, vname in enumerate(vnames):
         lo, hi = model.lb[c], model.ub[c]
@@ -301,21 +325,25 @@ class _VarTable(dict):
         self.binary.append(False)
         return c
 
-    def finish(self, model_name: str, rows, obj_sign: float,
-               obj_const: float, vmap: dict[str, str],
+    def finish(self, model_name: str, row_names: list[str],
+               senses: list[str], rhs: list[float], entries: tuple[list, ...],
+               obj_sign: float, obj_const: float, vmap: dict[str, str],
                rmap: dict[str, str]) -> MilpModel:
-        """`rows` holds `(file name, [(column, coeff)], sense, rhs)`."""
+        """The parsed model; `entries` holds the matrix as flat
+        `(rows, cols, vals)` lists."""
+        names = list(self)
+        lo = [self.lo.get(c, 0.0) for c in range(len(names))]
+        hi = [self.hi.get(c, 1.0 if binary else math.inf)
+              for c, binary in enumerate(self.binary)]
+        unbounded = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
+        if unbounded.size:
+            raise UnsupportedFormat(
+                f"variable {names[unbounded[0]]!r} lacks finite bounds")
         model = MilpModel(model_name)
-        for c, name in enumerate(self):
-            binary = self.binary[c]
-            lo = self.lo.get(c, 0.0)
-            hi = self.hi.get(c, 1.0 if binary else math.inf)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise UnsupportedFormat(
-                    f"variable {name!r} lacks finite bounds")
-            model.add_variable(vmap.get(name, name), lo, hi, binary=binary)
-        for rname, pairs, sense, rhs in rows:
-            model.add_constraint(rmap.get(rname, rname), pairs, sense, rhs)
+        model.add_variables([vmap.get(name, name) for name in names], lo, hi,
+                            self.binary)
+        model.add_constraints([rmap.get(name, name) for name in row_names],
+                              *entries, senses, rhs)
         for c, v in self.obj.items():
             model.set_objective_coeff(c, obj_sign * v)
         model.objective_const = obj_sign * obj_const
@@ -325,6 +353,10 @@ class _VarTable(dict):
 _MPS_SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS",
                  "ENDATA")
 _MPS_ROW_SENSE = {"L": "<=", "G": ">=", "E": "=="}
+# bound types, and how many fields their lines hold (a BV or MI value is
+# optional and ignored)
+_MPS_BOUND_FIELDS = {"BV": (3, 4), "MI": (3, 4), "FX": (4,), "LO": (4,),
+                     "UP": (4,)}
 
 
 def parse_mps(path: str) -> MilpModel:
@@ -336,8 +368,10 @@ def parse_mps(path: str) -> MilpModel:
     row_at: dict[str, int] = {}
     row_names: list[str] = []
     row_sense: list[str] = []
-    row_coeffs: list[list[tuple[int, float]]] = []
     rhs: list[float] = []
+    ent_rows: list[int] = []
+    ent_cols: list[int] = []
+    ent_vals: list[float] = []
     obj_row = None
     obj_const = 0.0
     maximize = False
@@ -365,77 +399,112 @@ def parse_mps(path: str) -> MilpModel:
                 if section == "ENDATA":
                     break
                 continue
-            if section == "COLUMNS":
-                if len(tokens) >= 3 and tokens[1].strip("'") == "MARKER":
-                    in_int = tokens[2].strip("'") == "INTORG"
-                    col_name = None
-                    continue
-                if tokens[0] != col_name:
-                    col_name = tokens[0]
-                    col = table[col_name]
-                    if in_int:
-                        table.binary[col] = True
-                for i in range(1, len(tokens) - 1, 2):
-                    rname, val = tokens[i], float(tokens[i + 1])
-                    if rname == obj_row:
-                        if tokens[i + 1] != "0":  # a bare 0 only declares the column
-                            table.obj[col] = table.obj.get(col, 0.0) + val
-                    elif rname in row_at:
-                        row_coeffs[row_at[rname]].append((col, val))
+            try:
+                if section == "COLUMNS":
+                    if len(tokens) >= 3 and "MARKER" in tokens[1] \
+                            and tokens[1].strip("'") == "MARKER":
+                        in_int = tokens[2].strip("'") == "INTORG"
+                        col_name = None
+                        continue
+                    if len(tokens) not in (3, 5):
+                        raise ParseError("expected a column name and one or "
+                                         "two row/value pairs")
+                    if tokens[0] != col_name:
+                        col_name = tokens[0]
+                        col = table[col_name]
+                        if in_int:
+                            table.binary[col] = True
+                    for i in range(1, len(tokens), 2):
+                        rname, text = tokens[i], tokens[i + 1]
+                        val = float(text)
+                        if rname == obj_row:
+                            # a bare 0 only declares the column
+                            if text != "0":
+                                table.obj[col] = table.obj.get(col, 0.0) + val
+                        elif rname in row_at:
+                            ent_rows.append(row_at[rname])
+                            ent_cols.append(col)
+                            ent_vals.append(val)
+                        else:
+                            raise ParseError(f"unknown row {rname!r}")
+                elif section == "OBJSENSE":
+                    maximize = tokens[0].upper().startswith("MAX")
+                elif section == "ROWS":
+                    tag = tokens[0].upper()
+                    if len(tokens) != 2 or tag not in ("N", *_MPS_ROW_SENSE):
+                        raise ParseError("expected a row type (N, L, G or E) "
+                                         "and a row name")
+                    if tag == "N":
+                        obj_row = tokens[1]
                     else:
-                        raise ParseError(f"{path}:{lineno}: unknown row {rname!r}")
-            elif section == "OBJSENSE":
-                maximize = tokens[0].upper().startswith("MAX")
-            elif section == "ROWS":
-                tag, name = tokens[0].upper(), tokens[1]
-                if tag == "N":
-                    obj_row = name
-                else:
-                    row_at[name] = len(row_names)
-                    row_names.append(name)
-                    row_sense.append(_MPS_ROW_SENSE[tag])
-                    row_coeffs.append([])
-                    rhs.append(0.0)
-            elif section == "RHS":
-                for i in range(1, len(tokens) - 1, 2):
-                    rname, val = tokens[i], float(tokens[i + 1])
-                    if rname == obj_row:
-                        obj_const = -val
-                    elif rname in row_at:
-                        rhs[row_at[rname]] = val
+                        row_at[tokens[1]] = len(row_names)
+                        row_names.append(tokens[1])
+                        row_sense.append(_MPS_ROW_SENSE[tag])
+                        rhs.append(0.0)
+                elif section == "RHS":
+                    if len(tokens) not in (3, 5):
+                        raise ParseError("expected a set name and one or two "
+                                         "row/value pairs")
+                    for i in range(1, len(tokens), 2):
+                        rname, val = tokens[i], float(tokens[i + 1])
+                        if rname == obj_row:
+                            obj_const = -val
+                        elif rname in row_at:
+                            rhs[row_at[rname]] = val
+                        else:
+                            raise ParseError(f"unknown row {rname!r}")
+                elif section == "BOUNDS":
+                    tag = tokens[0].upper()
+                    if tag not in _MPS_BOUND_FIELDS:
+                        raise UnsupportedFormat(f"bound type {tag!r}")
+                    if len(tokens) not in _MPS_BOUND_FIELDS[tag]:
+                        raise ParseError(f"expected {tag} BOUND-SET COLUMN"
+                                         + ("" if tag in ("BV", "MI")
+                                            else " VALUE"))
+                    c = table[tokens[2]]
+                    if tag == "BV":
+                        table.binary[c] = True
+                        table.lo[c], table.hi[c] = 0.0, 1.0
+                    elif tag == "FX":
+                        table.lo[c] = table.hi[c] = float(tokens[3])
+                    elif tag == "LO":
+                        table.lo[c] = float(tokens[3])
+                    elif tag == "UP":
+                        table.hi[c] = float(tokens[3])
                     else:
-                        raise ParseError(f"{path}:{lineno}: unknown row {rname!r}")
-            elif section == "BOUNDS":
-                tag = tokens[0].upper()
-                c = table[tokens[2]]
-                if tag == "BV":
-                    table.binary[c] = True
-                    table.lo[c], table.hi[c] = 0.0, 1.0
-                elif tag == "FX":
-                    table.lo[c] = table.hi[c] = float(tokens[3])
-                elif tag == "LO":
-                    table.lo[c] = float(tokens[3])
-                elif tag == "UP":
-                    table.hi[c] = float(tokens[3])
-                elif tag == "MI":
-                    table.lo[c] = -math.inf
+                        table.lo[c] = -math.inf
                 else:
-                    raise UnsupportedFormat(f"bound type {tag!r}")
-            elif section in (None, "NAME"):
-                raise ParseError(f"{path}:{lineno}: data before any section")
-    rows = zip(row_names, row_coeffs, row_sense, rhs)
+                    raise ParseError("data before any section")
+            except (ParseError, ValueError) as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
     sign = 1.0 if maximize else -1.0
-    return table.finish(model_name, rows, sign, obj_const, vmap, rmap)
+    return table.finish(model_name, row_names, row_sense, rhs,
+                        (ent_rows, ent_cols, ent_vals), sign, obj_const, vmap,
+                        rmap)
 
 
-_LP_TOKEN = re.compile(
-    r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"   # number
-    r"|" + _LP_NAME.pattern +                # name
-    r"|<=|>=|=|\+|-|:")
-_LP_NAME_START = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_LP_NUMBER = r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"
+_LP_TOKEN = re.compile(_LP_NUMBER + "|" + _LP_NAME.pattern
+                       + r"|<=|>=|=|\+|-|:")
 _LP_STATEMENT_END = re.compile(r"(<=|>=|=)\s*[+-]?[\d.]")
 _LP_ROW_SENSE = {"<=": "<=", ">=": ">=", "=": "=="}
+# `[sign] [coefficient] name`. In a whole side, a name ends where name
+# characters do, so that a failed match never retries a split of one name
+# into two.
+_LP_TERMS = re.compile(
+    rf"(?:([+-])\s*)?(?:({_LP_NUMBER})\s*)?({_LP_NAME.pattern})")
+_LP_LHS = (rf"((?:(?:[+-]\s*)?(?:{_LP_NUMBER}\s*)?{_LP_NAME.pattern}"
+           rf"(?![A-Za-z0-9_.])\s*)*)")
+_LP_SIGNED = rf"([+-]?)\s*({_LP_NUMBER})"
+_LP_LABEL = rf"(?:({_LP_NAME.pattern})\s*:\s*)?"
+# objective: [label:] terms [+|- constant]
+_LP_OBJECTIVE = re.compile(
+    rf"{_LP_LABEL}{_LP_LHS}(?:([+-])\s*({_LP_NUMBER}))?")
+# constraint: [label:] terms sense [sign] number
+_LP_ROW = re.compile(rf"{_LP_LABEL}{_LP_LHS}(<=|>=|=)\s*{_LP_SIGNED}")
+# bound: [[sign] number <=] name [<=|>=|= [sign] number]
+_LP_BOUND = re.compile(rf"(?:{_LP_SIGNED}\s*<=\s*)?({_LP_NAME.pattern})"
+                       rf"\s*(?:(<=|>=|=)\s*{_LP_SIGNED})?")
 
 
 def _lp_tokenize(text: str) -> list[str]:
@@ -453,47 +522,29 @@ def _lp_tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _signed_value(tokens: list[str]) -> float:
-    sign = 1.0
-    for tok in tokens:
-        if tok == "-":
-            sign = -sign
-        elif tok != "+":
-            return sign * float(tok)
-    raise ParseError(f"expected a number in {tokens!r}")
+def _lp_refusal(stmt: str, what: str) -> Exception:
+    """The error for a statement the LP grammar does not match."""
+    tokens = _lp_tokenize(stmt)
+    if what == "constraint":
+        senses = [i for i, tok in enumerate(tokens) if tok in _LP_ROW_SENSE]
+        if not senses:
+            return ParseError(f"constraint without sense: {stmt!r}")
+        if any(_LP_NAME.fullmatch(tok) for tok in tokens[senses[0] + 1:]):
+            return UnsupportedFormat("variables on constraint right-hand side")
+    return ParseError(f"unsupported {what}: {stmt!r}")
 
 
-def _lp_expr(tokens: list[str], table: _VarTable):
-    """Parse `[sign] [coeff] name ...` streams; returns (pairs, const)."""
-    pairs: list[tuple[int, float]] = []
-    const = 0.0
-    sign = 1.0
-    pending: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            if pending is not None:
-                const += sign * pending
-                pending = None
-            sign = 1.0
-        elif tok == "-":
-            if pending is not None:
-                const += sign * pending
-                pending = None
-            sign = -1.0
-        elif tok[0] in _LP_NAME_START:
-            coeff = sign * (1.0 if pending is None else pending)
-            pairs.append((table[tok], coeff))
-            pending = None
-            sign = 1.0
-        else:
-            pending = float(tok)
-    if pending is not None:
-        const += sign * pending
-    return pairs, const
+def _signed(sign: str, number: str) -> float:
+    return -float(number) if sign == "-" else float(number)
 
 
 def parse_lp(path: str) -> MilpModel:
-    """Read an LP-text file written by `export_model`."""
+    """Read an LP-text file written by `export_model`.
+
+    Each side of a constraint is a sum of `[sign] [coefficient] name` terms
+    on the left and one signed number on the right; the objective may end
+    in a constant, and a bound line is `[lo <=] name [<=|>=|= value]`.
+    """
     if not os.path.exists(path):
         raise ParseError(f"model file {path!r} does not exist")
     vmap, rmap = _load_sidecar(path)
@@ -526,52 +577,54 @@ def parse_lp(path: str) -> MilpModel:
             chunks[section].append(line)
 
     table = _VarTable(vmap)
-    obj_tokens = _lp_tokenize(" ".join(chunks["obj"]))
-    if len(obj_tokens) > 1 and obj_tokens[1] == ":" \
-            and obj_tokens[0][0] in _LP_NAME_START:
-        obj_tokens = obj_tokens[2:]
-    if obj_tokens[:1] == ["0"] and len(obj_tokens) > 1 \
-            and obj_tokens[1][0] in _LP_NAME_START:
-        table[obj_tokens[1]]  # the writer's empty objective
-        obj_tokens = obj_tokens[2:]
-    obj_pairs, obj_const = _lp_expr(obj_tokens, table)
+    objective = " ".join(chunks["obj"])
+    match = _LP_OBJECTIVE.fullmatch(objective)
+    if match is None:
+        raise _lp_refusal(objective, "objective")
+    _, lhs, const_sign, const = match.groups()
+    terms = _LP_TERMS.findall(lhs)
+    if terms[:1] and terms[0][:2] == ("", "0"):
+        table[terms.pop(0)[2]]  # the writer's empty objective
+    obj_pairs = [(table[name], _signed(sign, coeff or "1"))
+                 for sign, coeff, name in terms]
+    # a constant is a sum of terms, so -0.0 reads as 0.0
+    obj_const = 0.0 + _signed(const_sign, const) if const else 0.0
 
-    rows = []
+    row_names: list[str] = []
+    senses: list[str] = []
+    rhs: list[float] = []
+    ent_rows: list[int] = []
+    ent_cols: list[int] = []
+    ent_vals: list[float] = []
     for stmt in _split_lp_statements(chunks["rows"]):
-        tokens = _lp_tokenize(stmt)
-        rname = None
-        if len(tokens) > 1 and tokens[1] == ":":
-            rname, tokens = tokens[0], tokens[2:]
-        for sense_at, tok in enumerate(tokens):
-            if tok in _LP_ROW_SENSE:
-                break
-        else:
-            raise ParseError(f"constraint without sense: {stmt!r}")
-        pairs, lconst = _lp_expr(tokens[:sense_at], table)
-        rpairs, rconst = _lp_expr(tokens[sense_at + 1:], table)
-        if rpairs:
-            raise UnsupportedFormat("variables on constraint right-hand side")
-        rows.append((rname or f"row{len(rows)}", pairs,
-                     _LP_ROW_SENSE[tokens[sense_at]], rconst - lconst))
+        match = _LP_ROW.fullmatch(stmt)
+        if match is None:
+            raise _lp_refusal(stmt, "constraint")
+        rname, lhs, sense, rhs_sign, rhs_value = match.groups()
+        r = len(row_names)
+        for sign, coeff, name in _LP_TERMS.findall(lhs):
+            ent_rows.append(r)
+            ent_cols.append(table[name])
+            ent_vals.append(-float(coeff or "1") if sign == "-"
+                            else float(coeff or "1"))
+        row_names.append(rname or f"row{r}")
+        senses.append(_LP_ROW_SENSE[sense])
+        rhs.append(0.0 + _signed(rhs_sign, rhs_value))
 
     for stmt in chunks["bounds"]:
-        tokens = _lp_tokenize(stmt)
-        names = [t for t in tokens if t[0] in _LP_NAME_START]
-        if len(names) != 1:
-            raise ParseError(f"unsupported bound line: {stmt!r}")
-        c = table[names[0]]
-        at = tokens.index(names[0])
-        if at + 1 < len(tokens) and tokens[at + 1] == "=":
-            table.lo[c] = table.hi[c] = _signed_value(tokens[at + 2:])
-        else:
-            if at >= 2 and tokens[at - 1] == "<=":
-                table.lo[c] = _signed_value(tokens[:at - 1])
-            if at + 1 < len(tokens) and tokens[at + 1] in ("<=", ">="):
-                value = _signed_value(tokens[at + 2:])
-                if tokens[at + 1] == "<=":
-                    table.hi[c] = value
-                else:
-                    table.lo[c] = value
+        match = _LP_BOUND.fullmatch(stmt)
+        if match is None:
+            raise _lp_refusal(stmt, "bound line")
+        lo_sign, lo, name, op, sign, value = match.groups()
+        c = table[name]
+        if lo:
+            table.lo[c] = _signed(lo_sign, lo)
+        if op == "=":
+            table.lo[c] = table.hi[c] = _signed(sign, value)
+        elif op == "<=":
+            table.hi[c] = _signed(sign, value)
+        elif op == ">=":
+            table.lo[c] = _signed(sign, value)
     for stmt in chunks["bins"]:
         for name in stmt.split():
             table.binary[table[name]] = True
@@ -579,7 +632,9 @@ def parse_lp(path: str) -> MilpModel:
     for c, v in obj_pairs:
         table.obj[c] = table.obj.get(c, 0.0) + v
     sign = 1.0 if maximize else -1.0
-    return table.finish(model_name, rows, sign, obj_const, vmap, rmap)
+    return table.finish(model_name, row_names, senses, rhs,
+                        (ent_rows, ent_cols, ent_vals), sign, obj_const, vmap,
+                        rmap)
 
 
 def _split_lp_statements(lines: list[str]) -> list[str]:
@@ -587,7 +642,7 @@ def _split_lp_statements(lines: list[str]) -> list[str]:
     out: list[str] = []
     buf = ""
     for line in lines:
-        buf = (buf + " " + line).strip()
+        buf = f"{buf} {line}" if buf else line
         if _LP_STATEMENT_END.search(buf):
             out.append(buf)
             buf = ""

@@ -22,6 +22,7 @@ from fcrsched import (
 from fcrsched.milp import validate_solution
 
 from helpers import audit_solution, day_inputs, flat_prices, solve_day
+from reference_model import loop_day_model
 
 
 # -- MilpModel mechanics ----------------------------------------------------
@@ -43,6 +44,109 @@ def test_variable_registry_and_bounds():
         m.add_variable("w", 0.0, math.inf)       # non-finite
     with pytest.raises(InvalidParameter):
         m.add_variable("w", 0.0, 2.0, binary=True)
+
+
+def model_state(m: MilpModel):
+    """Everything a family call may change, as plain values."""
+    return (m.n_vars, m.n_rows, list(m.var_names), list(m.lb), list(m.ub),
+            list(m.is_binary), {name: m.col(name) for name in m.var_names},
+            list(m.row_names), list(m.row_senses), list(m.rhs),
+            [a.tolist() for a in m.triplets()])
+
+
+def small_model() -> MilpModel:
+    m = MilpModel("t")
+    m.add_variables(["x", "y"], 0.0, [2.0, 1.0])
+    m.add_constraint("r1", [(0, 1.0), (1, 2.0)], "<=", 6.0)
+    return m
+
+
+# (family call, scalar call with the same fault or None, exception type)
+FAMILY_FAULTS = {
+    "duplicate_in_variable_family": (
+        lambda m: m.add_variables(["a", "b", "a"], 0.0, 1.0),
+        None, InvalidParameter),
+    "duplicate_of_existing_variable": (
+        lambda m: m.add_variables(["a", "x"], 0.0, 1.0),
+        lambda m: m.add_variable("x", 0.0, 1.0), InvalidParameter),
+    "non_finite_bound": (
+        lambda m: m.add_variables(["a", "b"], 0.0, [1.0, math.inf]),
+        lambda m: m.add_variable("b", 0.0, math.inf), InfeasibleBounds),
+    "crossed_bounds": (
+        lambda m: m.add_variables(["a", "b"], [0.0, 2.0], 1.0),
+        lambda m: m.add_variable("b", 2.0, 1.0), InfeasibleBounds),
+    "binary_outside_0_1": (
+        lambda m: m.add_variables(["a", "b"], 0.0, [1.0, 2.0], binary=True),
+        lambda m: m.add_variable("b", 0.0, 2.0, binary=True),
+        InvalidParameter),
+    "duplicate_in_row_family": (
+        lambda m: m.add_constraints(["a", "b", "a"], [0, 1], [0, 1],
+                                    [1.0, 1.0], "<=", 1.0),
+        None, InvalidParameter),
+    "duplicate_of_existing_row": (
+        lambda m: m.add_constraints(["a", "r1"], [0, 1], [0, 1], [1.0, 1.0],
+                                    "<=", 1.0),
+        lambda m: m.add_constraint("r1", [(0, 1.0)], "<=", 1.0),
+        InvalidParameter),
+    "unknown_column": (
+        lambda m: m.add_constraints(["a", "b"], [0, 1], [0, 7], [1.0, 1.0],
+                                    "<=", 1.0),
+        lambda m: m.add_constraint("b", [(7, 1.0)], "<=", 1.0),
+        InvalidParameter),
+    "bad_sense": (
+        lambda m: m.add_constraints(["a", "b"], [0, 1], [0, 1], [1.0, 1.0],
+                                    ["<=", "<"], 1.0),
+        lambda m: m.add_constraint("b", [(0, 1.0)], "<", 1.0),
+        InvalidParameter),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAMILY_FAULTS))
+def test_family_calls_refuse_like_scalar_ones_and_add_nothing(fault):
+    family, scalar, exc = FAMILY_FAULTS[fault]
+    m = small_model()
+    before = model_state(m)
+    with pytest.raises(exc):
+        family(m)
+    assert model_state(m) == before
+    assert not m.has("a") and not m.has("b")
+    if scalar is not None:
+        with pytest.raises(exc):
+            scalar(m)
+        assert model_state(m) == before
+
+
+def test_rows_view_equals_what_scalar_and_family_calls_added():
+    m = MilpModel("t")
+    x = m.add_variable("x", 0.0, 1.0)
+    y, z = m.add_variables(["y", "z"], [0.0, -1.0], [1.0, 2.0],
+                           binary=[True, False]).tolist()
+    assert (m.var_names, m.lb, m.ub, m.is_binary) == (
+        ["x", "y", "z"], [0.0, 0.0, -1.0], [1.0, 1.0, 2.0],
+        [False, True, False])
+    assert m.add_constraint("a", [(x, 1.0), (z, -2.0)], "<=", 3.0) == 0
+    # entries may come in any row order; each row keeps the order it got
+    assert m.add_constraints(["b", "c", "d"], [2, 0, 2, 0], [z, y, x, z],
+                             [4.0, 5.0, -0.0, 6.0], [">=", "==", "<="],
+                             [1.0, 2.0, 0.0]) == 1
+    assert m.add_constraint("e", [], ">=", -1.0) == 4
+    expected = (("a", [(x, 1.0), (z, -2.0)], "<=", 3.0),
+                ("b", [(y, 5.0), (z, 6.0)], ">=", 1.0),
+                ("c", [], "==", 2.0),
+                ("d", [(z, 4.0), (x, -0.0)], "<=", 0.0),
+                ("e", [], ">=", -1.0))
+    assert m.rows == expected
+    assert m.row_names == ["a", "b", "c", "d", "e"]
+    # the view is rebuilt on each access: editing it leaves the model as is
+    m.rows[0][1].append((y, 9.0))
+    assert m.rows == expected
+    rows, cols, vals, _, _ = m.triplets()
+    np.testing.assert_array_equal(rows, [0, 0, 1, 1, 3, 3])
+    assert math.copysign(1.0, vals[-1]) == -1.0
+    with pytest.raises(ValueError):
+        vals[0] = 2.0                        # the cached arrays are read-only
+    m.add_constraint("f", [(y, 1.0)], "==", 1.0)
+    assert m.triplets()[0].tolist() == [0, 0, 1, 1, 3, 3, 5]
 
 
 def test_constraints_and_objective():
@@ -120,6 +224,30 @@ def test_model_size_formula(case, positive_p_min, deg):
     assert m.n_vars == size["n_vars"]
     assert m.n_binaries == size["n_binaries"]
     assert m.n_rows == size["n_rows"]
+
+
+@pytest.mark.parametrize("case", ["MULTI", "FCR_N", "WO_FCR"])
+@pytest.mark.parametrize("positive_p_min", [False, True])
+@pytest.mark.parametrize("deg", [False, True])
+def test_block_builder_matches_the_loop_reference(case, positive_p_min, deg):
+    """Same columns, rows, entries and objective, in the same order and
+    bit for bit, as the model built one row at a time."""
+    spec = BatterySpec(p_min=0.05 if positive_p_min else 0.0)
+    inp = day_inputs(case=case, hours=3, steps_per_hour=4, spec=spec,
+                     deg=deg, s0=0.4, tax=2.0, grid_tariff=5.0)
+    got, ref = build_day_model(inp), loop_day_model(inp)
+    assert (got.name, got.var_names, got.lb, got.ub, got.is_binary) == \
+        (ref.name, ref.var_names, ref.lb, ref.ub, ref.is_binary)
+    assert (got.row_names, got.row_senses, got.rhs) == \
+        (ref.row_names, ref.row_senses, ref.rhs)
+    assert list(got.objective) == list(ref.objective)
+    arrays = [(np.array(list(got.objective.values())),
+               np.array(list(ref.objective.values())))]
+    arrays += zip(got.triplets(), ref.triplets())
+    for a, b in arrays:
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_model_size_with_p_min():

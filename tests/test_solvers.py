@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -272,23 +273,35 @@ def test_lp_export_refuses_keyword_names(tmp_path):
         assert_models_equal(m, roundtrip(m, tmp_path / f"m.{fmt}", fmt))
 
 
-@pytest.mark.parametrize("fmt,var,row", [
-    pytest.param("mps", "x", "OBJ", id="mps_row_OBJ"),
-    pytest.param("mps", "x", "MARKER", id="mps_row_MARKER"),
-    pytest.param("mps", "x", "'MARKER'", id="mps_row_quoted_MARKER"),
-    pytest.param("lp", "p-1", "r", id="lp_var_p-1"),
-    pytest.param("lp", "2x", "r", id="lp_var_2x"),
-    pytest.param("lp", "x", "r-1", id="lp_row_r-1"),
+RESERVED = "reserved in MPS"
+NOT_MPS = "not an MPS name"
+NOT_LP = "not an LP name"
+
+
+@pytest.mark.parametrize("fmt,var,row,why", [
+    pytest.param("mps", "x", "OBJ", RESERVED, id="mps_row_OBJ"),
+    pytest.param("mps", "x", "MARKER", RESERVED, id="mps_row_MARKER"),
+    pytest.param("mps", "x", "'MARKER'", RESERVED,
+                 id="mps_row_quoted_MARKER"),
+    pytest.param("mps", "a b", "r", NOT_MPS, id="mps_var_with_space"),
+    pytest.param("mps", "x", "r 1", NOT_MPS, id="mps_row_with_space"),
+    pytest.param("mps", "", "r", NOT_MPS, id="mps_var_empty"),
+    pytest.param("mps", "x", "", NOT_MPS, id="mps_row_empty"),
+    pytest.param("mps", "*x", "r", NOT_MPS, id="mps_var_star"),
+    pytest.param("lp", "p-1", "r", NOT_LP, id="lp_var_p-1"),
+    pytest.param("lp", "2x", "r", NOT_LP, id="lp_var_2x"),
+    pytest.param("lp", "x", "r-1", NOT_LP, id="lp_row_r-1"),
 ])
 def test_export_refuses_names_it_would_read_back_differently(
-        tmp_path, fmt, var, row):
+        tmp_path, fmt, var, row, why):
     """An `OBJ` row would fold into the objective, a `MARKER` row would read
-    as an integrality marker, and `p-1` or `2x` are not one LP name token."""
+    as an integrality marker, an MPS name with whitespace splits into two
+    fields, an empty one leaves a field out, one starting with `*` makes its
+    line a comment, and `p-1` or `2x` are not one LP name token."""
     m = MilpModel("names")
     x = m.add_variable(var, 0.0, 1.0)
     m.add_constraint(row, [(x, 3.0)], "<=", 1.0)
     m.set_objective_coeff(x, 1.0)
-    why = "reserved in MPS" if fmt == "mps" else "not an LP name"
     with pytest.raises(InvalidParameter, match=why):
         export_model(m, str(tmp_path / f"m.{fmt}"), fmt=fmt)
     assert_models_equal(m, roundtrip(m, tmp_path / "m.fixed", "mps-fixed"))
@@ -319,6 +332,29 @@ def test_mps_missing_file_and_garbage(tmp_path):
     p = tmp_path / "bad.mps"
     p.write_text("THIS IS NOT MPS\n")
     with pytest.raises(ParseError):
+        parse_mps(str(p))
+
+
+MPS_OK = ["NAME m", "ROWS", " N OBJ", " L c1", "COLUMNS", " x c1 1.0",
+          "RHS", " RHS1 c1 4.0", "BOUNDS", " UP BND x 3.0", "ENDATA"]
+
+
+@pytest.mark.parametrize("lineno,line", [
+    pytest.param(10, " UP BND x", id="bound_without_value"),
+    pytest.param(4, " Q c1", id="unknown_row_type"),
+    pytest.param(4, " L", id="row_without_name"),
+    pytest.param(6, " x c1 abc", id="column_value_not_a_number"),
+    pytest.param(6, " x c1", id="column_entry_without_value"),
+    pytest.param(8, " RHS1 c1", id="rhs_without_value"),
+])
+def test_mps_malformed_line_names_file_and_line(tmp_path, lineno, line):
+    p = tmp_path / "m.mps"
+    p.write_text("\n".join(MPS_OK) + "\n")
+    assert parse_mps(str(p)).rows[0][1:] == ([(0, 1.0)], "<=", 4.0)
+    lines = list(MPS_OK)
+    lines[lineno - 1] = line
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:{lineno}: ")):
         parse_mps(str(p))
 
 
