@@ -28,7 +28,6 @@ from .degradation import (
     post_calculate_aging,
 )
 from .droop import (
-    DroopParams,
     EnergyContentSeries,
     energy_content,
     fcrd_down_fraction,
@@ -61,7 +60,6 @@ from .ingest import (
     CASES,
     BatterySpec,
     FrequencyTrace,
-    MeanReversionParams,
     PriceSeries,
     RunConfig,
     TimeGrid,

@@ -156,8 +156,13 @@ def cmd_report(args) -> int:
     meta_path = os.path.join(args.from_dir, "meta.json")
     if not os.path.exists(meta_path):
         raise DataError(f"{meta_path} not found; is this a run directory?")
-    with open(meta_path, encoding="ascii") as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path, encoding="ascii") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:
+        raise DataError(f"{meta_path} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise DataError(f"{meta_path} holds no run configuration")
     cfg = RunConfig.from_dict(meta["config"])
     cfg = dataclasses.replace(cfg, outdir=args.from_dir)
     results = {}

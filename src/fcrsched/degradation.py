@@ -251,15 +251,18 @@ def linearize_calendar(spec: "BatterySpec", temp_K: float, age_days: float,
         npv_eur=npv.value if isinstance(npv, BatteryNpv) else float(npv))
 
 
+CYCLE_FIT_SAMPLES = 50
+CYCLE_FIT_TOL = 0.10        # cap on the fit's full-scale relative error
+
+
 def linearize_cycle(spec: "BatterySpec", temp_K: float,
-                    npv: BatteryNpv | float, n_samples: int = 50,
-                    tol: float = 0.10) -> CycleLinearization:
+                    npv: BatteryNpv | float) -> CycleLinearization:
     """Least-squares EUR/MWh-throughput coefficient over the power range.
 
     Fits k so that k * p approximates c * p * exp(q4 * p / capacity) over 50
     evenly spaced powers in [0.1, 1.0] * p_max, where c is the nonlinear
     per-MWh cost at zero C-rate. Raises FitToleranceExceeded when the
-    full-scale relative error exceeds `tol`.
+    full-scale relative error exceeds the 10 % cap.
     """
     co = spec.aging
     scale = eur_per_pct(npv, spec.eol_retained)
@@ -267,14 +270,14 @@ def linearize_cycle(spec: "BatterySpec", temp_K: float,
     #   scale * q_poly * exp(q4 p / cap) * ah_scale / cap
     c0 = scale * co.q_poly_at_temp * co.ah_scale / spec.capacity
     p_lo, p_hi = 0.1 * spec.p_max, 1.0 * spec.p_max
-    p = np.linspace(p_lo, p_hi, n_samples)
+    p = np.linspace(p_lo, p_hi, CYCLE_FIT_SAMPLES)
     nonlin = c0 * p * np.exp(co.q4 * p / spec.capacity)
     k_cyc = float(np.dot(p, nonlin) / np.dot(p, p))
     full_scale = c0 * p_hi * math.exp(co.q4 * p_hi / spec.capacity)
     max_rel_err = float(np.max(np.abs(k_cyc * p - nonlin)) / full_scale)
-    if max_rel_err > tol:
+    if max_rel_err > CYCLE_FIT_TOL:
         raise FitToleranceExceeded(
-            f"cycle fit error {max_rel_err:.3f} exceeds {tol}")
+            f"cycle fit error {max_rel_err:.3f} exceeds {CYCLE_FIT_TOL}")
     if k_cyc <= 0:
         raise InvalidParameter("k_cyc must be > 0")
     return CycleLinearization(k_cyc=k_cyc, max_rel_err=max_rel_err,

@@ -20,68 +20,61 @@ from .errors import AlignmentError, InvalidParameter
 from .ingest import FrequencyTrace, TimeGrid
 
 
-@dataclass(frozen=True)
-class DroopParams:
-    """Frequency breakpoints of the activation curves (Hz)."""
-
-    f_n: float = 50.0
-    f_min_n: float = 49.9
-    f_max_n: float = 50.1
-    f_min_d: float = 49.5
-    f_max_d: float = 50.5
-
-    def __post_init__(self):
-        if not (self.f_min_d < self.f_min_n < self.f_n
-                < self.f_max_n < self.f_max_d):
-            raise InvalidParameter("droop breakpoints must be strictly ordered")
+# Frequency breakpoints of the activation curves (Hz): fixed market rules.
+F_N = 50.0
+F_MIN_N = 49.9
+F_MAX_N = 50.1
+F_MIN_D = 49.5
+F_MAX_D = 50.5
 
 
-def fcrn_fraction(f: float, params: DroopParams | None = None) -> float:
+def _fractions(f):
+    """FCR-N down, FCR-N up, FCR-D up and FCR-D down fractions of `f`, each
+    in [0, 1]. A boundary frequency takes the zero branch of the FCR-D
+    curves; both branches agree there in value."""
+    frac_nd = np.where(
+        f >= F_MAX_N, 1.0,
+        np.where(f >= F_N, (f - F_N) / (F_MAX_N - F_N), 0.0))
+    frac_nu = np.where(
+        f <= F_MIN_N, 1.0,
+        np.where(f < F_N, (f - F_N) / (F_MIN_N - F_N), 0.0))
+    frac_du = np.where(
+        f >= F_MIN_N, 0.0,
+        np.where(f <= F_MIN_D, 1.0, (f - F_MIN_N) / (F_MIN_D - F_MIN_N)))
+    frac_dd = np.where(
+        f <= F_MAX_N, 0.0,
+        np.where(f >= F_MAX_D, 1.0, (f - F_MAX_N) / (F_MAX_D - F_MAX_N)))
+    return frac_nd, frac_nu, frac_du, frac_dd
+
+
+def _scalar_fractions(f: float) -> list[float]:
+    if not math.isfinite(f):
+        raise InvalidParameter(f"frequency must be finite, got {f}")
+    return [float(v) for v in _fractions(np.float64(f))]
+
+
+def fcrn_fraction(f: float) -> float:
     """Signed FCR-N activation fraction in [-1, 1].
 
     Linear between the normal-band edges, saturated outside; positive above
     nominal frequency (down-regulation / charging), negative below.
     """
-    params = params or DroopParams()
-    if not math.isfinite(f):
-        raise InvalidParameter(f"frequency must be finite, got {f}")
-    if f >= params.f_max_n:
-        return 1.0
-    if f <= params.f_min_n:
-        return -1.0
-    if f >= params.f_n:
-        return (f - params.f_n) / (params.f_max_n - params.f_n)
-    return -((f - params.f_n) / (params.f_min_n - params.f_n))
+    frac_nd, frac_nu, _, _ = _scalar_fractions(f)
+    return frac_nd - frac_nu
 
 
-def fcrd_up_fraction(f: float, params: DroopParams | None = None) -> float:
+def fcrd_up_fraction(f: float) -> float:
     """FCR-D up activation fraction in [0, 1].
 
     Zero at and above the normal-band lower edge, ramping linearly to full
-    activation at the disturbance edge. The boundary frequency itself is
-    assigned to the zero branch for determinism; both branches agree there
-    in value.
+    activation at the disturbance edge.
     """
-    params = params or DroopParams()
-    if not math.isfinite(f):
-        raise InvalidParameter(f"frequency must be finite, got {f}")
-    if f >= params.f_min_n:
-        return 0.0
-    if f <= params.f_min_d:
-        return 1.0
-    return (f - params.f_min_n) / (params.f_min_d - params.f_min_n)
+    return _scalar_fractions(f)[2]
 
 
-def fcrd_down_fraction(f: float, params: DroopParams | None = None) -> float:
+def fcrd_down_fraction(f: float) -> float:
     """FCR-D down activation fraction in [0, 1], mirror of the up curve."""
-    params = params or DroopParams()
-    if not math.isfinite(f):
-        raise InvalidParameter(f"frequency must be finite, got {f}")
-    if f <= params.f_max_n:
-        return 0.0
-    if f >= params.f_max_d:
-        return 1.0
-    return (f - params.f_max_n) / (params.f_max_d - params.f_max_n)
+    return _scalar_fractions(f)[3]
 
 
 @dataclass(frozen=True)
@@ -135,39 +128,19 @@ class EnergyContentSeries:
         return slice(h * self.steps_per_hour, (h + 1) * self.steps_per_hour)
 
 
-def energy_content(trace: FrequencyTrace, grid: TimeGrid,
-                   params: DroopParams | None = None) -> EnergyContentSeries:
+def energy_content(trace: FrequencyTrace, grid: TimeGrid) -> EnergyContentSeries:
     """Evaluate the droop curves over a trace and integrate per step and hour.
 
     Covers every day in the trace (trace length must be a whole multiple of
     the grid's day length). Hourly FCR-N contents are exact fsum aggregates
     of the per-step values, so they always lie in [0, 1] hour.
     """
-    params = params or DroopParams()
     if trace.steps_per_day != grid.n_steps:
         raise AlignmentError(
             f"trace has {trace.steps_per_day} steps/day, grid expects {grid.n_steps}")
     f = trace.values
     dt_h = grid.dt_hours
-
-    # branch-for-branch mirror of the scalar functions so that vector and
-    # scalar results are bit-identical at every sample
-    frac_nd = np.where(
-        f >= params.f_max_n, 1.0,
-        np.where(f >= params.f_n,
-                 (f - params.f_n) / (params.f_max_n - params.f_n), 0.0))
-    frac_nu = np.where(
-        f <= params.f_min_n, 1.0,
-        np.where(f < params.f_n,
-                 (f - params.f_n) / (params.f_min_n - params.f_n), 0.0))
-    frac_du = np.where(
-        f >= params.f_min_n, 0.0,
-        np.where(f <= params.f_min_d, 1.0,
-                 (f - params.f_min_n) / (params.f_min_d - params.f_min_n)))
-    frac_dd = np.where(
-        f <= params.f_max_n, 0.0,
-        np.where(f >= params.f_max_d, 1.0,
-                 (f - params.f_max_n) / (params.f_max_d - params.f_max_n)))
+    frac_nd, frac_nu, frac_du, frac_dd = _fractions(f)
 
     e_ur_n = frac_nu * dt_h
     e_dr_n = frac_nd * dt_h

@@ -507,44 +507,28 @@ def write_prices(prices: PriceSeries, path: str | Path,
 
 # -- synthetic inputs ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeanReversionParams:
-    """Discrete-time Ornstein-Uhlenbeck recipe for synthetic frequency."""
-
-    mean: float = 50.0
-    kappa: float = 0.15        # per-step pull toward the mean
-    sigma: float = 0.008       # Hz, per-step innovation
-    clamp: tuple[float, float] = (49.0, 51.0)
-
-    def __post_init__(self):
-        if not 0.0 < self.kappa <= 1.0:
-            raise InvalidParameter("kappa must lie in (0, 1]")
-        if self.sigma < 0.0:
-            raise InvalidParameter("sigma must be >= 0")
-        lo, hi = self.clamp
-        if not (FREQ_WINDOW_HZ[0] <= lo < hi <= FREQ_WINDOW_HZ[1]):
-            raise InvalidParameter("clamp must be ordered and inside [45, 55] Hz")
-        if not lo <= self.mean <= hi:
-            raise InvalidParameter("mean must lie inside the clamp window")
+# Discrete-time Ornstein-Uhlenbeck recipe of the synthetic frequency.
+SYNTH_MEAN_HZ = 50.0
+SYNTH_KAPPA = 0.15          # per-step pull toward the mean
+SYNTH_SIGMA_HZ = 0.008      # per-step innovation
+SYNTH_CLAMP_HZ = (49.0, 51.0)
 
 
-def synth_frequency(seed: int, grid: TimeGrid,
-                    params: MeanReversionParams | None = None,
-                    days: int = 1) -> FrequencyTrace:
+def synth_frequency(seed: int, grid: TimeGrid, days: int = 1) -> FrequencyTrace:
     """Deterministic mean-reverting synthetic frequency trace."""
-    params = params or MeanReversionParams()
     rng = np.random.default_rng(seed)
     n = grid.n_steps * days
-    noise = rng.standard_normal(n - 1) * params.sigma
+    noise = rng.standard_normal(n - 1) * SYNTH_SIGMA_HZ
+    lo, hi = SYNTH_CLAMP_HZ
     values = np.empty(n)
-    values[0] = params.mean
-    f = params.mean
+    values[0] = SYNTH_MEAN_HZ
+    f = SYNTH_MEAN_HZ
     for k in range(1, n):
-        f = f + params.kappa * (params.mean - f) + noise[k - 1]
-        if f < params.clamp[0]:
-            f = params.clamp[0]
-        elif f > params.clamp[1]:
-            f = params.clamp[1]
+        f = f + SYNTH_KAPPA * (SYNTH_MEAN_HZ - f) + noise[k - 1]
+        if f < lo:
+            f = lo
+        elif f > hi:
+            f = hi
         values[k] = f
     return FrequencyTrace(values=values, steps_per_day=grid.n_steps)
 

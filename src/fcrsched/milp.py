@@ -543,6 +543,9 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
 
 # -- validation ------------------------------------------------------------
 
+VALIDATION_TOL = 1e-6   # absolute slack allowed on a bound, integrality or row
+
+
 @dataclass(frozen=True)
 class Violation:
     name: str
@@ -570,9 +573,8 @@ class ViolationReport:
         return out
 
 
-def validate_solution(model: MilpModel, x: np.ndarray,
-                      tol: float = 1e-6) -> ViolationReport:
-    """Re-evaluate every bound, integrality and row against `tol` (absolute)."""
+def validate_solution(model: MilpModel, x: np.ndarray) -> ViolationReport:
+    """Re-evaluate every bound, integrality and row against VALIDATION_TOL."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n_vars,):
         raise InvalidParameter(
@@ -581,20 +583,21 @@ def validate_solution(model: MilpModel, x: np.ndarray,
     bound_gap = np.where(np.isfinite(x), np.maximum(lb - x, x - ub), np.inf)
     frac = np.where(model.is_binary, np.abs(x - np.round(x)), 0.0)
     found: list[Violation] = []
-    for col in np.flatnonzero((bound_gap > tol) | (frac > tol)):
+    for col in np.flatnonzero((bound_gap > VALIDATION_TOL)
+                              | (frac > VALIDATION_TOL)):
         name = model.var_names[col]
-        if bound_gap[col] > tol:
+        if bound_gap[col] > VALIDATION_TOL:
             found.append(Violation(name, "bounds", float(bound_gap[col])))
-        if frac[col] > tol:
+        if frac[col] > VALIDATION_TOL:
             found.append(Violation(name, "integrality", float(frac[col])))
     rows, cols, vals, lo, hi = model.triplets()
     lhs = np.bincount(rows, weights=vals * x[cols], minlength=model.n_rows)
     row_gap = np.maximum(lo - lhs, lhs - hi)
-    for r in np.flatnonzero(row_gap > tol):
+    for r in np.flatnonzero(row_gap > VALIDATION_TOL):
         name = model.row_names[r]
         found.append(Violation(name, name.split("[", 1)[0],
                                float(row_gap[r])))
-    return ViolationReport(violations=tuple(found), tolerance=tol)
+    return ViolationReport(violations=tuple(found), tolerance=VALIDATION_TOL)
 
 
 # -- extraction --------------------------------------------------------------

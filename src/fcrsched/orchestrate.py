@@ -13,6 +13,7 @@ degradation cost was part of the objective.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -59,6 +60,8 @@ from .solvers import get_backend
 log = logging.getLogger("fcrsched")
 
 MIX_LABELS = ("None", "N", "DU", "DD", "N+DU", "N+DD", "DU+DD", "All")
+# A bid counts as active above this size (MW); smaller ones are solver noise.
+BID_ACTIVE_MW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -176,8 +179,8 @@ class HorizonResult:
         rate = self.aging_pct_per_year
         return math.inf if rate <= 0.0 else headroom / rate
 
-    def market_mix(self, tol: float = 1e-9) -> dict[str, int]:
-        return classify_market_mix(self.days, tol=tol)
+    def market_mix(self) -> dict[str, int]:
+        return classify_market_mix(self.days)
 
     def bid_series(self, market: str) -> np.ndarray:
         field = {"N": "bid_n", "DU": "bid_du", "DD": "bid_dd"}[market]
@@ -186,17 +189,17 @@ class HorizonResult:
         return np.concatenate([getattr(sol, field) for sol in self.days])
 
 
-def classify_market_mix(days, tol: float = 1e-9) -> dict[str, int]:
+def classify_market_mix(days) -> dict[str, int]:
     """Count hours by the set of markets bid into (8 fixed labels)."""
     counts = {label: 0 for label in MIX_LABELS}
     for sol in days:
         for h in range(sol.hours):
             active = []
-            if sol.bid_n[h] > tol:
+            if sol.bid_n[h] > BID_ACTIVE_MW:
                 active.append("N")
-            if sol.bid_du[h] > tol:
+            if sol.bid_du[h] > BID_ACTIVE_MW:
                 active.append("DU")
-            if sol.bid_dd[h] > tol:
+            if sol.bid_dd[h] > BID_ACTIVE_MW:
                 active.append("DD")
             if not active:
                 label = "None"
@@ -350,7 +353,7 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
                 _write_failure(run_dir, day, result.status, result.message)
                 raise SolverFailure(
                     day, f"solver ended with {result.status} ({result.message})")
-            report = validate_solution(model, result.x, tol=1e-6)
+            report = validate_solution(model, result.x)
             if not report.ok:
                 worst = report.worst_by_family()
                 _write_failure(run_dir, day, "InvalidSolution", str(worst))
@@ -362,23 +365,26 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
             log.info("day %d case %s (%s): objective %.2f EUR, gap %.2e, "
                      "%d nodes in %.2fs", day, case, "deg" if deg else "nodeg",
                      sol.objective, sol.gap, sol.nodes, result.wall_time)
+            cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
+                sol, spec, spec.temperature, age_k)
+            profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur
+            sol = dataclasses.replace(sol, cal_cost=cal_eur, cyc_cost=cyc_eur,
+                                      cal_pct=cal_pct, cyc_pct=cyc_pct,
+                                      profit=profit)
+            _write_checkpoint(ckpt, chash, dhash, case, deg, sol)
             solved.append(sol)
         else:
+            # the checkpoint already holds this day's post-calculated aging
             log.info("day %d case %s: checkpoint reused", day, case)
-
-        cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
-            sol, spec, spec.temperature, age_k)
-        profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur
-        sol = dataclasses.replace(sol, cal_cost=cal_eur, cyc_cost=cyc_eur,
-                                  cal_pct=cal_pct, cyc_pct=cyc_pct,
-                                  profit=profit)
-        _write_checkpoint(ckpt, chash, dhash, case, deg, sol)
         solutions.append(sol)
         s0 = float(sol.soe[-1])
 
     result = HorizonResult(case_id=case, degradation_in_objective=deg,
                            config=cfg, days=tuple(solutions))
     _write_horizon_summary(run_dir, result, chash, solved)
+    # every day is done, so an earlier run's failure no longer holds
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(run_dir, "failure.json"))
     return result
 
 

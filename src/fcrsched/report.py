@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .ingest import CASES
-from .orchestrate import MIX_LABELS, DataBundle, HorizonResult
+from .orchestrate import BID_ACTIVE_MW, MIX_LABELS, DataBundle, HorizonResult
 
 MONETARY_COLUMNS = ("case", "mode", "profit_eur_yr", "r_da_eur_yr",
                     "r_n_eur_yr", "r_du_eur_yr", "r_dd_eur_yr", "c_da_eur_yr",
@@ -76,16 +76,14 @@ def histogram(values, spec: HistogramSpec) -> np.ndarray:
     return counts
 
 
-def bid_histogram(result: HorizonResult, market: str,
-                  spec: HistogramSpec | None = None,
-                  tol: float = 1e-9) -> tuple[HistogramSpec, np.ndarray]:
-    """Histogram of nonzero awarded bids of one market over the horizon."""
-    if spec is None:
-        cap = result.config.battery.p_max
-        cap = cap if market == "N" else 2.0 * cap
-        spec = HistogramSpec(0.0, cap, 10)
+def bid_histogram(result: HorizonResult,
+                  market: str) -> tuple[HistogramSpec, np.ndarray]:
+    """Histogram of active awarded bids of one market over the horizon, in
+    ten bins up to the market's bid cap."""
+    cap = result.config.battery.p_max
+    spec = HistogramSpec(0.0, cap if market == "N" else 2.0 * cap, 10)
     bids = result.bid_series(market)
-    return spec, histogram(bids[bids > tol], spec)
+    return spec, histogram(bids[bids > BID_ACTIVE_MW], spec)
 
 
 # -- tables ------------------------------------------------------------------
@@ -128,15 +126,14 @@ def market_mix_table(results: dict[tuple[str, str], HorizonResult]) -> list[dict
     return rows
 
 
-def bid_stats_table(results: dict[tuple[str, str], HorizonResult],
-                    tol: float = 1e-9) -> list[dict]:
+def bid_stats_table(results: dict[tuple[str, str], HorizonResult]) -> list[dict]:
     """Per-market statistics of nonzero bids (size in MW, activity share)."""
     rows = []
     for (case, mode), res in _sorted_results(results):
         total_hours = sum(sol.hours for sol in res.days)
         for market in ("N", "DU", "DD"):
             bids = res.bid_series(market)
-            active = bids[bids > tol]
+            active = bids[bids > BID_ACTIVE_MW]
             if active.size:
                 mn, q1, med, q3, mx = quartiles(active)
                 mean = float(active.mean())

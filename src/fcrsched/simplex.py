@@ -21,6 +21,7 @@ from .errors import InvalidParameter
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _STALL_LIMIT = 120
+_MAX_ITER = 50_000
 
 
 @dataclass(frozen=True)
@@ -39,15 +40,14 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab[row, col] = 1.0
 
 
-def _run_simplex(tab: np.ndarray, basis: list[int], allowed: np.ndarray,
-                 max_iter: int) -> str:
+def _run_simplex(tab: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
     """Pivot until optimal/unbounded; returns status. `tab` has the cost row
     last and the rhs column last. Only columns marked in `allowed` may enter."""
     m = tab.shape[0] - 1
     bland = False
     stall = 0
     last_obj = tab[-1, -1]
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         cost = tab[-1, :-1]
         candidates = np.where(allowed & (cost < -_PIVOT_TOL))[0]
         if candidates.size == 0:
@@ -78,8 +78,7 @@ def _run_simplex(tab: np.ndarray, basis: list[int], allowed: np.ndarray,
 
 
 def solve_lp(c: np.ndarray, a: np.ndarray, senses: list[str], b: np.ndarray,
-             lo: np.ndarray, hi: np.ndarray,
-             max_iter: int = 50_000) -> LpResult:
+             lo: np.ndarray, hi: np.ndarray) -> LpResult:
     """Minimize c@x subject to a@x (sense) b and lo <= x <= hi.
 
     `senses` entries are "<=", ">=" or "==" per row.
@@ -161,7 +160,7 @@ def solve_lp(c: np.ndarray, a: np.ndarray, senses: list[str], b: np.ndarray,
         for r, bcol in enumerate(basis):
             if tab[-1, bcol] != 0.0:
                 tab[-1, :] -= tab[-1, bcol] * tab[r, :]
-        status = _run_simplex(tab, basis, allowed, max_iter)
+        status = _run_simplex(tab, basis, allowed)
         if status == "iteration_limit":
             return LpResult(status, None, None)
         if -tab[-1, -1] > _FEAS_TOL * (1.0 + float(np.abs(b_full).max(initial=0.0))):
@@ -195,7 +194,7 @@ def solve_lp(c: np.ndarray, a: np.ndarray, senses: list[str], b: np.ndarray,
     for r, bcol in enumerate(basis):
         if tab[-1, bcol] != 0.0:
             tab[-1, :] -= tab[-1, bcol] * tab[r, :]
-    status = _run_simplex(tab, basis, allowed, max_iter)
+    status = _run_simplex(tab, basis, allowed)
     if status != "optimal":
         return LpResult(status, None, None)
 

@@ -99,6 +99,10 @@ _MPS_COLUMN_NAME = re.compile(_MPS_NAME)
 # entries it reads as integrality markers
 _MPS_RESERVED = re.compile(r"OBJ|'*MARKER'*")
 _MPS_ROW_NAME = re.compile(rf"(?!(?:{_MPS_RESERVED.pattern})\Z){_MPS_NAME}")
+# a model name the parsers read back unchanged: MPS reads one field of the
+# NAME line, LP the stripped rest of the first comment line
+_MPS_MODEL_NAME = re.compile(r"\S+")
+_LP_MODEL_NAME = re.compile(r"\S(?:[^\r\n]*\S)?")
 
 
 def sanitize_name(name: str) -> str:
@@ -283,6 +287,10 @@ def export_model(model: MilpModel, path: str, fmt: str = "mps") -> str:
         raise UnsupportedFormat(f"format {fmt!r}; choose one of {EXPORT_FORMATS}")
     if model.n_vars == 0:
         raise InvalidParameter("refusing to export an empty model")
+    name_rule = _LP_MODEL_NAME if fmt == "lp" else _MPS_MODEL_NAME
+    if not name_rule.fullmatch(model.name):
+        raise InvalidParameter(
+            f"model name {model.name!r} would not read back from {fmt}")
     vnames, rnames = _file_names(model, fmt)
     if fmt == "lp":
         _write_lp(model, path, vnames, rnames)
@@ -736,57 +744,52 @@ def _status_from_word(word: str, have_values: bool) -> str:
 
 
 def solve_external(model: MilpModel, command_template: str,
-                   time_limit_s: float = 600.0, mip_gap: float = 1e-6,
-                   workdir: str | None = None,
-                   fmt: str = "mps") -> SolveResult:
-    """Export, run `command_template` as a subprocess, parse its solution.
+                   time_limit_s: float = 600.0,
+                   mip_gap: float = 1e-6) -> SolveResult:
+    """Export to free MPS, run `command_template` as a subprocess, parse its
+    solution.
 
-    The exchange files go to `workdir`, or to a temporary directory that is
-    removed once the solution has been read.
+    The exchange files go to a temporary directory that is removed once the
+    solution has been read.
     """
     if not command_template.strip():
         raise InvalidParameter("empty external command template")
-    if not workdir:
-        with tempfile.TemporaryDirectory(prefix="fcrsched_") as tmpdir:
-            return solve_external(model, command_template, time_limit_s,
-                                  mip_gap, tmpdir, fmt)
-    os.makedirs(workdir, exist_ok=True)
-    suffix = "lp" if fmt == "lp" else "mps"
-    model_file = os.path.join(workdir, f"{model.name}.{suffix}")
-    solution_file = os.path.join(workdir, f"{model.name}.sol")
-    export_model(model, model_file, fmt)
-    subst = {"{model_file}": model_file, "{solution_file}": solution_file,
-             "{time_limit}": _num(time_limit_s), "{gap}": _num(mip_gap)}
-    argv = []
-    for token in shlex.split(command_template):
-        for key, val in subst.items():
-            token = token.replace(key, val)
-        argv.append(token)
-    t0 = time.perf_counter()
-    try:
-        proc = subprocess.run(argv, capture_output=True, text=True,
-                              timeout=time_limit_s + 120.0)
-    except FileNotFoundError as exc:
-        raise BackendError(f"external solver not found: {exc}") from exc
-    except subprocess.TimeoutExpired:
-        return SolveResult("TimeLimit", None, None, math.inf,
-                           time.perf_counter() - t0, "external",
-                           "subprocess hit the hard timeout")
-    wall = time.perf_counter() - t0
-    if proc.returncode != 0:
-        tail = (proc.stderr or proc.stdout or "").strip()[-400:]
-        return SolveResult("BackendError", None, None, math.inf, wall,
-                           "external",
-                           f"exit code {proc.returncode}: {tail}")
-    if not os.path.exists(solution_file):
-        return SolveResult("BackendError", None, None, math.inf, wall,
-                           "external", "solver wrote no solution file")
-    word, file_obj, values = parse_solution_file(solution_file)
+    with tempfile.TemporaryDirectory(prefix="fcrsched_") as workdir:
+        model_file = os.path.join(workdir, f"{model.name}.mps")
+        solution_file = os.path.join(workdir, f"{model.name}.sol")
+        export_model(model, model_file, "mps")
+        subst = {"{model_file}": model_file, "{solution_file}": solution_file,
+                 "{time_limit}": _num(time_limit_s), "{gap}": _num(mip_gap)}
+        argv = []
+        for token in shlex.split(command_template):
+            for key, val in subst.items():
+                token = token.replace(key, val)
+            argv.append(token)
+        t0 = time.perf_counter()
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True,
+                                  timeout=time_limit_s + 120.0)
+        except FileNotFoundError as exc:
+            raise BackendError(f"external solver not found: {exc}") from exc
+        except subprocess.TimeoutExpired:
+            return SolveResult("TimeLimit", None, None, math.inf,
+                               time.perf_counter() - t0, "external",
+                               "subprocess hit the hard timeout")
+        wall = time.perf_counter() - t0
+        if proc.returncode != 0:
+            tail = (proc.stderr or proc.stdout or "").strip()[-400:]
+            return SolveResult("BackendError", None, None, math.inf, wall,
+                               "external",
+                               f"exit code {proc.returncode}: {tail}")
+        if not os.path.exists(solution_file):
+            return SolveResult("BackendError", None, None, math.inf, wall,
+                               "external", "solver wrote no solution file")
+        word, file_obj, values = parse_solution_file(solution_file)
     status = _status_from_word(word, bool(values))
     if status in ("Infeasible", "BackendError"):
         return SolveResult(status, None, None, math.inf, wall, "external",
                            f"solver reported {word!r}")
-    vnames, _ = _file_names(model, fmt)
+    vnames, _ = _file_names(model, "mps")
     # solvers that print only nonzero columns leave the rest at zero
     x = np.zeros(model.n_vars)
     n_missing = 0

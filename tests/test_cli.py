@@ -167,6 +167,19 @@ def test_report_with_meta_but_no_runs(tmp_path, capsys):
     assert cfg  # config file itself was fine
 
 
+@pytest.mark.parametrize("meta", [
+    pytest.param('{"config": {"case_id": "MU', id="truncated"),
+    pytest.param('{"synthetic_seed": 1}', id="no_config"),
+])
+def test_report_damaged_meta_is_data_error(tmp_path, capsys, meta):
+    outdir = tmp_path / "out"
+    os.makedirs(outdir)
+    (outdir / "meta.json").write_text(meta)
+    assert main(["report", "--from", str(outdir)]) == 4
+    err = capsys.readouterr().err
+    assert "error:" in err and "meta.json" in err
+
+
 # -- export-model ------------------------------------------------------------------
 
 

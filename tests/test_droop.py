@@ -9,7 +9,6 @@ import pytest
 
 from fcrsched import (
     AlignmentError,
-    DroopParams,
     FrequencyTrace,
     InvalidParameter,
     TimeGrid,
@@ -102,13 +101,6 @@ def test_non_finite_frequency_rejected():
             fcrd_up_fraction(f)
         with pytest.raises(InvalidParameter):
             fcrd_down_fraction(f)
-
-
-def test_custom_params_validation():
-    with pytest.raises(InvalidParameter):
-        DroopParams(f_min_n=50.2)
-    p = DroopParams(f_min_n=49.8, f_max_n=50.2)
-    assert fcrn_fraction(49.9, p) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_vector_matches_scalar_bit_exactly():

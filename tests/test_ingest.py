@@ -14,7 +14,6 @@ from fcrsched import (
     FrequencyTrace,
     GapTooLong,
     InvalidParameter,
-    MeanReversionParams,
     MissingFile,
     MissingHour,
     OutOfRangeSample,
@@ -275,16 +274,6 @@ def test_synth_frequency_deterministic_and_in_window():
     assert np.all(a.values >= 49.0) and np.all(a.values <= 51.0)
     c = synth_frequency(6, grid, days=2)
     assert not np.array_equal(a.values, c.values)
-
-
-def test_synth_frequency_custom_params():
-    grid = TimeGrid(0, 4, 2)
-    tr = synth_frequency(1, grid, MeanReversionParams(sigma=0.0))
-    np.testing.assert_array_equal(tr.values, np.full(8, 50.0))
-    with pytest.raises(InvalidParameter):
-        MeanReversionParams(kappa=0.0)
-    with pytest.raises(InvalidParameter):
-        MeanReversionParams(clamp=(51.0, 49.0))
 
 
 def test_synth_prices_deterministic_and_valid():

@@ -132,11 +132,6 @@ def test_bid_histogram_defaults_and_zero_filter(tmp_path):
     assert (spec_du.lo, spec_du.hi) == (0.0, 2.0)  # up/down markets bid to 2x
     assert counts_du.sum() == 0
 
-    custom = HistogramSpec(0.0, 0.6, 3)
-    spec2, counts2 = bid_histogram(res, "N", spec=custom)
-    assert spec2 is custom
-    np.testing.assert_array_equal(counts2, [0, 0, 4])
-
 
 # -- tables ----------------------------------------------------------------------
 

@@ -307,6 +307,25 @@ def test_export_refuses_names_it_would_read_back_differently(
     assert_models_equal(m, roundtrip(m, tmp_path / "m.fixed", "mps-fixed"))
 
 
+@pytest.mark.parametrize("fmt,name", [
+    pytest.param("mps", "", id="mps_empty"),
+    pytest.param("mps-fixed", "", id="mps-fixed_empty"),
+    pytest.param("lp", "", id="lp_empty"),
+    pytest.param("mps", "day model", id="mps_space"),
+    pytest.param("mps-fixed", "day\tmodel", id="mps-fixed_tab"),
+    pytest.param("lp", " day model", id="lp_leading_space"),
+    pytest.param("lp", "day\nmodel", id="lp_line_break"),
+])
+def test_export_refuses_model_names_it_would_read_back_differently(
+        tmp_path, fmt, name):
+    """MPS reads the model name as one field of the NAME line and LP as the
+    stripped first comment line; an empty name reads back as `parsed`."""
+    m = tiny_milp()
+    m.name = name
+    with pytest.raises(InvalidParameter, match="model name"):
+        export_model(m, str(tmp_path / "m.txt"), fmt=fmt)
+
+
 def test_roundtrip_without_sidecar_keeps_file_names(tmp_path):
     m = tiny_milp()
     path = str(tmp_path / "tiny.mps")
@@ -424,11 +443,11 @@ def test_parse_solution_time_limit_word(tmp_path):
 
 # -- external backend via the bundled stub ------------------------------------
 
-def test_external_stub_matches_scipy(tmp_path, monkeypatch):
+def test_external_stub_matches_scipy(monkeypatch):
     monkeypatch.setenv("STUB_MODE", "ok")
     inp = day_inputs(seed=14, hours=2)
     m = build_day_model(inp)
-    ext = solve_external(m, STUB_CMD, workdir=str(tmp_path))
+    ext = solve_external(m, STUB_CMD)
     ref = solve_scipy(m, mip_gap=1e-9)
     assert ext.ok and ref.ok
     assert ext.backend == "external"
@@ -436,38 +455,30 @@ def test_external_stub_matches_scipy(tmp_path, monkeypatch):
     assert m.objective_value(ext.x) == pytest.approx(ext.objective, rel=1e-12)
 
 
-def test_external_stub_mps_fixed_format(tmp_path, monkeypatch):
-    monkeypatch.setenv("STUB_MODE", "ok")
-    m = tiny_milp()
-    ext = solve_external(m, STUB_CMD, workdir=str(tmp_path), fmt="mps-fixed")
-    assert ext.ok
-    assert ext.objective == pytest.approx(solve_scipy(m).objective, rel=1e-9)
-
-
-def test_external_stub_infeasible(tmp_path, monkeypatch):
+def test_external_stub_infeasible(monkeypatch):
     monkeypatch.setenv("STUB_MODE", "infeasible")
-    res = solve_external(tiny_milp(), STUB_CMD, workdir=str(tmp_path))
+    res = solve_external(tiny_milp(), STUB_CMD)
     assert res.status == "Infeasible" and res.x is None
 
 
-def test_external_stub_crash(tmp_path, monkeypatch):
+def test_external_stub_crash(monkeypatch):
     monkeypatch.setenv("STUB_MODE", "crash")
-    res = solve_external(tiny_milp(), STUB_CMD, workdir=str(tmp_path))
+    res = solve_external(tiny_milp(), STUB_CMD)
     assert res.status == "BackendError" and not res.ok
     assert "exit code 7" in res.message
     assert "simulated solver crash" in res.message
 
 
-def test_external_stub_silent(tmp_path, monkeypatch):
+def test_external_stub_silent(monkeypatch):
     monkeypatch.setenv("STUB_MODE", "silent")
-    res = solve_external(tiny_milp(), STUB_CMD, workdir=str(tmp_path))
+    res = solve_external(tiny_milp(), STUB_CMD)
     assert res.status == "BackendError"
     assert "no solution file" in res.message
 
 
-def test_external_stub_garbage(tmp_path, monkeypatch):
+def test_external_stub_garbage(monkeypatch):
     monkeypatch.setenv("STUB_MODE", "garbage")
-    res = solve_external(tiny_milp(), STUB_CMD, workdir=str(tmp_path))
+    res = solve_external(tiny_milp(), STUB_CMD)
     assert res.status == "BackendError"
 
 
@@ -477,12 +488,11 @@ def test_external_missing_binary_raises():
                        "definitely_not_a_solver_7fk3 {model_file} {solution_file}")
 
 
-def test_external_placeholder_substitution(tmp_path, monkeypatch):
+def test_external_placeholder_substitution(monkeypatch):
     monkeypatch.setenv("STUB_MODE", "ok")
     cmd = (f"{sys.executable} {STUB} {{model_file}} {{solution_file}} "
            "{time_limit} {gap}")
-    res = solve_external(tiny_milp(), cmd, workdir=str(tmp_path),
-                         time_limit_s=33.0, mip_gap=1e-5)
+    res = solve_external(tiny_milp(), cmd, time_limit_s=33.0, mip_gap=1e-5)
     assert res.ok  # stub ignores the extra argv entries
 
 
