@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -114,6 +114,14 @@ class CalendarLinearization:
             if soe <= seg.hi_mwh or seg is self.segments[-1]:
                 return seg.cost_at(soe)
         raise InvalidParameter(f"soe {soe} outside linearization domain")
+
+    @property
+    def falling_kinks(self) -> tuple[int, ...]:
+        """Each breakpoint j (between segments j-1 and j) where the secant
+        slope falls: the kinks at which the cost is not convex."""
+        slopes = [seg.slope_eur_per_mwh for seg in self.segments]
+        return tuple(j for j in range(1, len(slopes))
+                     if slopes[j] < slopes[j - 1])
 
 
 @dataclass(frozen=True)

@@ -290,27 +290,31 @@ def model_size(inputs: DayInputs) -> dict[str, int]:
     """Closed-form variable/binary/row counts for a day model.
 
     With H hours, T steps, A = number of case-allowed markets whose minimum
-    bid is positive, deg = degradation in objective and pmin = (p_min > 0):
+    bid is positive, deg = degradation in objective, F = number of falling
+    kinks of the calendar secants (`CalendarLinearization.falling_kinks`,
+    1 for the default coefficients) and pmin = (p_min > 0):
 
-      vars  = 2H + 2H + 3H + A*H + 2T + (2T if pmin) + T + (6H if deg)
-      bins  = 2H + A*H + (2T if pmin) + (3H if deg)
+      vars  = 2H + 2H + 3H + A*H + 2T + (2T if pmin) + T
+            + ((3 + F)*H if deg)                  calendar fills + kink picks
+      bins  = 2H + A*H + (2T if pmin) + (F*H if deg)
       rows  = 2H + (2H if pmin) + H              baseline bounds + exclusivity
             + (5T if pmin)                        step bounds + exclusivity
             + 2T                                  SoE recursion + pinning
             + 2*A*H                               bid bounds
             + 2H + 10H                            power requirement + endurance
-            + (8H if deg)                         hourly calendar rows
+            + ((1 + 3F)*H if deg)                 hourly calendar rows
     """
     H, T = inputs.grid.hours, inputs.grid.n_steps
     A = sum(1 for m in CASE_MARKETS[inputs.case_id]
             if inputs.spec.min_bid(m) > 0.0)
     deg = inputs.degradation_in_objective
+    F = len(inputs.cal_lin.falling_kinks) if deg else 0
     pmin = inputs.step_binaries
     n_vars = 2 * H + 2 * H + 3 * H + A * H + 2 * T + (2 * T if pmin else 0) \
-        + T + (6 * H if deg else 0)
-    n_bins = 2 * H + A * H + (2 * T if pmin else 0) + (3 * H if deg else 0)
+        + T + ((3 + F) * H if deg else 0)
+    n_bins = 2 * H + A * H + (2 * T if pmin else 0) + F * H
     n_rows = 2 * H + (2 * H if pmin else 0) + H + (5 * T if pmin else 0) \
-        + 2 * T + 2 * A * H + 2 * H + 10 * H + (8 * H if deg else 0)
+        + 2 * T + 2 * A * H + 2 * H + 10 * H + ((1 + 3 * F) * H if deg else 0)
     return {"n_vars": n_vars, "n_binaries": n_bins, "n_rows": n_rows}
 
 
@@ -390,12 +394,14 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
 
     if inputs.degradation_in_objective:
         segs = inputs.cal_lin.segments
-        cal_names = [f"[h={h},k={k}]" for h in range(H) for k in range(3)]
-        z_cal = m.add_variables(["z_cal" + s for s in cal_names], 0.0, 1.0,
-                                binary=True).reshape(H, 3)
-        s_cal = m.add_variables(["s_cal" + s for s in cal_names], 0.0,
-                                np.tile([seg.hi_mwh for seg in segs], H)
-                                ).reshape(H, 3)
+        K, kinks = len(segs), inputs.cal_lin.falling_kinks
+        widths = [seg.hi_mwh - seg.lo_mwh for seg in segs]
+        y_cal = m.add_variables(
+            [f"y_cal[h={h},j={j}]" for h in range(H) for j in kinks],
+            0.0, 1.0, binary=True).reshape(H, len(kinks))
+        d_cal = m.add_variables(
+            [f"d_cal[h={h},k={k}]" for h in range(H) for k in range(K)],
+            0.0, np.tile(widths, H)).reshape(H, K)
 
     # baseline bounds and hourly exclusivity
     rows = [("bl_up_ch[h={}]", [(ch_bl, 1.0), (b_ch_bl, -spec.p_max)],
@@ -492,20 +498,24 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
                   spec.soe_min - prev_const)]
     _add_row_group(m, H, rows)
 
-    # calendar piecewise selection, linked to each hour's mean SoE
+    # calendar cost as incremental fills of the secant segments, summing to
+    # each hour's mean SoE. Where the slopes rise the cheaper segment fills
+    # first on its own; at a falling kink j, y_cal = 1 fills every segment
+    # before j and y_cal = 0 empties every segment from j on.
     if inputs.degradation_in_objective:
-        rows = [("cal_pick[h={}]", [(z_cal[:, k], 1.0) for k in range(3)],
-                 "==", 1.0)]
-        for k in range(3):
-            rows += [(f"cal_lo[h={{}},k={k}]",
-                      [(s_cal[:, k], 1.0), (z_cal[:, k], -segs[k].lo_mwh)],
-                      ">=", 0.0),
-                     (f"cal_up[h={{}},k={k}]",
-                      [(s_cal[:, k], 1.0), (z_cal[:, k], -segs[k].hi_mwh)],
-                      "<=", 0.0)]
+        rows = []
+        for i, j in enumerate(kinks):
+            for k in range(K):
+                terms = [(d_cal[:, k], 1.0), (y_cal[:, i], -widths[k])]
+                if k < j:
+                    rows.append((f"cal_full[h={{}},j={j},k={k}]", terms,
+                                 ">=", 0.0))
+                else:
+                    rows.append((f"cal_empty[h={{}},j={j},k={k}]", terms,
+                                 "<=", 0.0))
         hour_steps = soe.reshape(H, spH)
         rows.append(("cal_link[h={}]",
-                     [(s_cal[:, k], 1.0) for k in range(3)]
+                     [(d_cal[:, k], 1.0) for k in range(K)]
                      + [(hour_steps[:, j], -1.0 / spH) for j in range(spH)],
                      "==", 0.0))
         _add_row_group(m, H, rows)
@@ -530,9 +540,10 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     if inputs.degradation_in_objective:
         k_cyc = inputs.cyc_lin.k_cyc
         price((p_ch, -k_cyc * dt_h), (p_ds, -k_cyc * dt_h))
-        # the per-step secant cost, charged spH times at the hour's mean SoE
-        price((s_cal, [-spH * seg.slope_eur_per_mwh for seg in segs]),
-              (z_cal, [-spH * seg.intercept_eur for seg in segs]))
+        # the per-step secant cost, charged spH times at the hour's mean SoE:
+        # its value at the first breakpoint plus each fill at its slope
+        price((d_cal, [-spH * seg.slope_eur_per_mwh for seg in segs]))
+        m.objective_const = -H * spH * segs[0].cost_at(segs[0].lo_mwh)
 
     built = model_size(inputs)
     assert (m.n_vars, m.n_binaries, m.n_rows) == (
@@ -677,9 +688,11 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
     (the registry name before `[`) at a time.
 
     Each money part is its families' share of the model's own objective,
-    so the parts sum to the solver objective. Realized powers are split
-    from the pinned net power `p_ch - p_ds`, so that reported throughput
-    is minimal. Tiny negative values are clamped to zero.
+    so the parts sum to the solver objective; the objective's constant,
+    the calendar cost at the first breakpoint, goes to `c_deg_lin`.
+    Realized powers are split from the pinned net power `p_ch - p_ds`, so
+    that reported throughput is minimal. Tiny negative values are clamped
+    to zero.
     """
     x = np.asarray(x, dtype=float)
     grid = inputs.grid
@@ -712,6 +725,6 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
         soe=np.clip(values("soe"), inputs.spec.soe_min, inputs.spec.soe_max),
         r_da=share("ds_bl"), r_n=share("bid_n"), r_du=share("bid_du"),
         r_dd=share("bid_dd"), c_da=cost("ch_bl"),
-        c_deg_lin=cost("p_ch", "p_ds", "s_cal", "z_cal"),
+        c_deg_lin=cost("p_ch", "p_ds", "d_cal") - model.objective_const,
         objective=model.objective_value(x),
         status=status, gap=gap, nodes=nodes, wall_time=wall_time)

@@ -283,6 +283,12 @@ def _write_lp(model: MilpModel, path: str, vnames: list[str],
 
 def export_model(model: MilpModel, path: str, fmt: str = "mps") -> str:
     """Write the model plus its name sidecar; returns the sidecar path."""
+    return _export(model, path, fmt)[0]
+
+
+def _export(model: MilpModel, path: str,
+            fmt: str) -> tuple[str, list[str]]:
+    """`export_model`, also returning the column names as written."""
     if fmt not in EXPORT_FORMATS:
         raise UnsupportedFormat(f"format {fmt!r}; choose one of {EXPORT_FORMATS}")
     if model.n_vars == 0:
@@ -296,7 +302,7 @@ def export_model(model: MilpModel, path: str, fmt: str = "mps") -> str:
         _write_lp(model, path, vnames, rnames)
     else:
         _write_mps(model, path, vnames, rnames)
-    return _write_sidecar(path, model, vnames, rnames, fmt)
+    return _write_sidecar(path, model, vnames, rnames, fmt), vnames
 
 
 # -- parsers -----------------------------------------------------------------
@@ -757,7 +763,7 @@ def solve_external(model: MilpModel, command_template: str,
     with tempfile.TemporaryDirectory(prefix="fcrsched_") as workdir:
         model_file = os.path.join(workdir, f"{model.name}.mps")
         solution_file = os.path.join(workdir, f"{model.name}.sol")
-        export_model(model, model_file, "mps")
+        _, vnames = _export(model, model_file, "mps")
         subst = {"{model_file}": model_file, "{solution_file}": solution_file,
                  "{time_limit}": _num(time_limit_s), "{gap}": _num(mip_gap)}
         argv = []
@@ -789,7 +795,6 @@ def solve_external(model: MilpModel, command_template: str,
     if status in ("Infeasible", "BackendError"):
         return SolveResult(status, None, None, math.inf, wall, "external",
                            f"solver reported {word!r}")
-    vnames, _ = _file_names(model, "mps")
     # solvers that print only nonzero columns leave the rest at zero
     x = np.zeros(model.n_vars)
     n_missing = 0

@@ -59,9 +59,15 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
 
     if inputs.degradation_in_objective:
         segs = inputs.cal_lin.segments
-        z_cal = [[m.add_variable(f"z_cal[h={h},k={k}]", 0.0, 1.0, binary=True)
-                  for k in range(3)] for h in range(H)]
-        s_cal = [[m.add_variable(f"s_cal[h={h},k={k}]", 0.0, segs[k].hi_mwh)
+        widths = [seg.hi_mwh - seg.lo_mwh for seg in segs]
+        # a kink pick only where the secant slope falls
+        kinks = []
+        for j in range(1, 3):
+            if segs[j].slope_eur_per_mwh < segs[j - 1].slope_eur_per_mwh:
+                kinks.append(j)
+        y_cal = [[m.add_variable(f"y_cal[h={h},j={j}]", 0.0, 1.0, binary=True)
+                  for j in kinks] for h in range(H)]
+        d_cal = [[m.add_variable(f"d_cal[h={h},k={k}]", 0.0, widths[k])
                   for k in range(3)] for h in range(H)]
 
     # baseline bounds and hourly exclusivity
@@ -173,20 +179,24 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
             m.add_constraint(f"{label}_min[h={h}]", prev + terms, ">=",
                              spec.soe_min - prev_const)
 
-    # calendar piecewise selection, linked to each hour's mean SoE
+    # calendar segments filled in order: at each falling kink j, a set pick
+    # fills every segment before j, a clear one empties every segment from j
     if inputs.degradation_in_objective:
         for h in range(H):
-            m.add_constraint(f"cal_pick[h={h}]",
-                             [(z_cal[h][k], 1.0) for k in range(3)], "==", 1.0)
-            for k in range(3):
-                m.add_constraint(
-                    f"cal_lo[h={h},k={k}]",
-                    [(s_cal[h][k], 1.0), (z_cal[h][k], -segs[k].lo_mwh)], ">=", 0.0)
-                m.add_constraint(
-                    f"cal_up[h={h},k={k}]",
-                    [(s_cal[h][k], 1.0), (z_cal[h][k], -segs[k].hi_mwh)], "<=", 0.0)
+            for i, j in enumerate(kinks):
+                for k in range(3):
+                    if k < j:
+                        m.add_constraint(
+                            f"cal_full[h={h},j={j},k={k}]",
+                            [(d_cal[h][k], 1.0), (y_cal[h][i], -widths[k])],
+                            ">=", 0.0)
+                    else:
+                        m.add_constraint(
+                            f"cal_empty[h={h},j={j},k={k}]",
+                            [(d_cal[h][k], 1.0), (y_cal[h][i], -widths[k])],
+                            "<=", 0.0)
             m.add_constraint(f"cal_link[h={h}]",
-                             [(s_cal[h][k], 1.0) for k in range(3)]
+                             [(d_cal[h][k], 1.0) for k in range(3)]
                              + [(soe[t], -1.0 / spH)
                                 for t in range(h * spH, (h + 1) * spH)],
                              "==", 0.0)
@@ -210,7 +220,8 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
         # the per-step secant cost, charged spH times at the hour's mean SoE
         for h in range(H):
             for k in range(3):
-                m.set_objective_coeff(s_cal[h][k],
+                m.set_objective_coeff(d_cal[h][k],
                                       -spH * segs[k].slope_eur_per_mwh)
-                m.set_objective_coeff(z_cal[h][k], -spH * segs[k].intercept_eur)
+        # every hour's cost at the first breakpoint, the segments' base
+        m.objective_const = -H * spH * segs[0].cost_at(segs[0].lo_mwh)
     return m

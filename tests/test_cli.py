@@ -229,7 +229,10 @@ def test_export_model_deg_objective(tmp_path):
     assert main(["export-model", "--config", cfg, "--day", "0",
                  "--synthetic-seed", "3", "--out", out_path]) == 0
     model = parse_mps(out_path)
-    assert any("z_cal" in name for name in model.var_names)
+    assert any(name.startswith("d_cal") for name in model.var_names)
+    assert any(name.startswith("y_cal") for name in model.var_names)
+    # the calendar cost at SoE 0 comes back as the objective's constant
+    assert model.objective_const < 0.0
 
 
 def test_export_model_is_the_model_run_solved(tmp_path):
@@ -254,9 +257,12 @@ def test_export_model_is_the_model_run_solved(tmp_path):
                              cfg.grid_for(1).step_seconds, battery_npv(spec))
     sph = cfg.steps_per_hour
     for k, seg in enumerate(cal.segments):
-        col = model.col(f"s_cal[h=0,k={k}]")
+        col = model.col(f"d_cal[h=0,k={k}]")
         assert model.objective[col] == pytest.approx(
             -sph * seg.slope_eur_per_mwh, rel=1e-12)
+    hours = len(day0["ch_bl"])
+    assert model.objective_const == pytest.approx(
+        -hours * sph * cal.cost_at(0.0), rel=1e-12)
     # and it is, row by row, the model run built
     bundle = load_bundle(cfg, synthetic_seed=3)
     built = build_day_model(day_inputs(bundle, 1, day0["soe"][-1], 1.0,
@@ -265,6 +271,8 @@ def test_export_model_is_the_model_run_solved(tmp_path):
     assert {n: (sorted(c), s, r) for n, c, s, r in model.rows} == \
         {n: (sorted(c), s, r) for n, c, s, r in built.rows}
     assert model.objective == pytest.approx(built.objective, rel=1e-12)
+    assert model.objective_const == pytest.approx(built.objective_const,
+                                                  rel=1e-12)
 
 
 def test_export_model_without_checkpoint_starts_from_initial_soe(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fcrsched import (
+    AgingCoefficients,
     BatterySpec,
     DayInputs,
     InfeasibleBounds,
@@ -15,9 +16,7 @@ from fcrsched import (
     MilpModel,
     RegistryMiss,
     build_day_model,
-    extract_day_solution,
     model_size,
-    solve_scipy,
 )
 from fcrsched.milp import validate_solution
 
@@ -219,7 +218,8 @@ def test_model_size_formula(case, positive_p_min, deg):
     inp = day_inputs(case=case, hours=3, steps_per_hour=4, spec=spec, deg=deg)
     m = build_day_model(inp)
     assert m.has("b_ch[t=0]") == positive_p_min
-    assert m.has("z_cal[h=2,k=0]") == deg
+    assert m.has("d_cal[h=2,k=0]") == deg
+    assert m.has("y_cal[h=2,j=2]") == deg
     size = model_size(inp)
     assert m.n_vars == size["n_vars"]
     assert m.n_binaries == size["n_binaries"]
@@ -235,12 +235,16 @@ def test_block_builder_matches_the_loop_reference(case, positive_p_min, deg):
     spec = BatterySpec(p_min=0.05 if positive_p_min else 0.0)
     inp = day_inputs(case=case, hours=3, steps_per_hour=4, spec=spec,
                      deg=deg, s0=0.4, tax=2.0, grid_tariff=5.0)
-    got, ref = build_day_model(inp), loop_day_model(inp)
+    assert_same_model(build_day_model(inp), loop_day_model(inp))
+
+
+def assert_same_model(got: MilpModel, ref: MilpModel) -> None:
     assert (got.name, got.var_names, got.lb, got.ub, got.is_binary) == \
         (ref.name, ref.var_names, ref.lb, ref.ub, ref.is_binary)
     assert (got.row_names, got.row_senses, got.rhs) == \
         (ref.row_names, ref.row_senses, ref.rhs)
     assert list(got.objective) == list(ref.objective)
+    assert got.objective_const == ref.objective_const
     arrays = [(np.array(list(got.objective.values())),
                np.array(list(ref.objective.values())))]
     arrays += zip(got.triplets(), ref.triplets())
@@ -265,8 +269,10 @@ def test_registry_names_unique_and_resolvable():
     assert len(set(m.var_names)) == m.n_vars
     assert len({r[0] for r in m.rows}) == m.n_rows
     for name in ("ch_bl[h=0]", "bid_n[h=1]", "p_ch[t=7]", "soe[t=0]",
-                 "z_cal[h=1,k=2]", "s_cal[h=1,k=0]"):
+                 "d_cal[h=1,k=2]", "d_cal[h=1,k=0]", "y_cal[h=1,j=2]"):
         assert m.has(name)
+    # the default secants fall only at the 0.7 breakpoint
+    assert not m.has("y_cal[h=1,j=1]")
 
 
 # -- solved-model semantics ---------------------------------------------------
@@ -349,18 +355,62 @@ def test_degradation_term_in_objective():
 
 
 def test_calendar_pieces_select_correct_segment():
-    inp = day_inputs(seed=10, hours=2, deg=True)
+    # hour means of 0.718, 0.5 and 0.232 MWh: the pick at 0.7 set once
+    inp = day_inputs(seed=9, hours=3, deg=True, s0=0.9)
     model, res, sol = solve_day(inp)
     segs = inp.cal_lin.segments
     sph = inp.grid.steps_per_hour
+    assert inp.cal_lin.falling_kinks == (2,)
+    picks = set()
     for h in range(inp.grid.hours):
-        z = [res.x[model.col(f"z_cal[h={h},k={k}]")] for k in range(3)]
-        s = [res.x[model.col(f"s_cal[h={h},k={k}]")] for k in range(3)]
-        assert sum(z) == pytest.approx(1.0, abs=1e-6)
+        d = [res.x[model.col(f"d_cal[h={h},k={k}]")] for k in range(3)]
+        y = res.x[model.col(f"y_cal[h={h},j=2]")]
         mean_soe = float(np.mean(sol.soe[h * sph:(h + 1) * sph]))
-        assert sum(s) == pytest.approx(mean_soe, abs=1e-6)
-        k = int(np.argmax(z))
-        assert segs[k].lo_mwh - 1e-6 <= s[k] <= segs[k].hi_mwh + 1e-6
+        assert sum(d) == pytest.approx(mean_soe, abs=1e-6)
+        # segments fill in order: full below the mean, empty above it
+        for k, seg in enumerate(segs):
+            fill = min(max(mean_soe - seg.lo_mwh, 0.0),
+                       seg.hi_mwh - seg.lo_mwh)
+            assert d[k] == pytest.approx(fill, abs=1e-6)
+        assert y == pytest.approx(float(mean_soe > segs[2].lo_mwh), abs=1e-6)
+        picks.add(round(y))
+    assert picks == {0, 1}
+
+
+# secants of the calendar pre-factor per span: (34.7, 155.3, 34.0) per
+# percent by default; a larger c3 makes the last rise, the b3/c3 pair makes
+# both fall (34.7, 22.0, 10.0)
+KINK_PATTERNS = {
+    "default_falls_at_0.7": (AgingCoefficients(), (2,)),
+    "convex_at_both": (AgingCoefficients(c3=28035.0), ()),
+    "falls_at_both": (AgingCoefficients(b3=28782.0, c3=18650.0), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(KINK_PATTERNS))
+def test_calendar_cost_exact_over_kink_patterns(pattern):
+    aging, kinks = KINK_PATTERNS[pattern]
+    # a 0.2 MW charger cannot bring hour 0's mean SoE below 0.7 from 0.9
+    spec = BatterySpec(p_max=0.2, aging=aging)
+    inp = day_inputs(seed=9, hours=3, deg=True, s0=0.9, spec=spec)
+    assert inp.cal_lin.falling_kinks == kinks
+    model, res, sol = solve_day(inp)
+    assert_same_model(model, loop_day_model(inp))
+    size = model_size(inp)
+    assert (model.n_vars, model.n_binaries, model.n_rows) == (
+        size["n_vars"], size["n_binaries"], size["n_rows"])
+    assert sum(model.is_binary[model.col(f"y_cal[h=0,j={j}]")]
+               for j in kinks) == len(kinks)
+    assert size["n_binaries"] == model_size(day_inputs(
+        seed=9, hours=3, s0=0.9, spec=spec))["n_binaries"] + 3 * len(kinks)
+    dt_h, sph = inp.grid.dt_hours, inp.grid.steps_per_hour
+    cyc = inp.cyc_lin.k_cyc * dt_h * float(np.sum(sol.p_ch + sol.p_ds))
+    hour_means = sol.soe.reshape(inp.grid.hours, sph).mean(axis=1)
+    assert hour_means.max() > inp.cal_lin.segments[2].lo_mwh
+    cal = sum(sph * inp.cal_lin.cost_at(float(s)) for s in hour_means)
+    assert sol.c_deg_lin == pytest.approx(cyc + cal, abs=1e-6)
+    parts = sol.r_da + sol.r_fcr - sol.c_da - sol.c_deg_lin
+    assert parts == pytest.approx(res.objective, abs=1e-6)
 
 
 def test_extract_roundtrip_to_dict():
@@ -382,12 +432,13 @@ def test_validate_rejects_wrong_length():
 
 
 @pytest.mark.parametrize("steps_per_hour, expected", [
-    (4, (672, 192, 888)),
-    (60, (4704, 192, 3576)),
+    (4, (624, 144, 792)),
+    (60, (4656, 144, 3480)),
 ])
 def test_model_size_of_a_default_multi_deg_day(steps_per_hour, expected):
-    # no per-step binaries for the default battery: 3H calendar binaries,
-    # 2H baseline and 3H minimum-bid binaries at any resolution
+    # no per-step binaries for the default battery: H calendar binaries at
+    # the one falling kink, 2H baseline and 3H minimum-bid binaries at any
+    # resolution
     inp = day_inputs(hours=24, steps_per_hour=steps_per_hour, deg=True)
     size = model_size(inp)
     assert (size["n_vars"], size["n_binaries"], size["n_rows"]) == expected

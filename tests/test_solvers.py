@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-import shlex
 import sys
 from pathlib import Path
 
@@ -453,6 +452,20 @@ def test_external_stub_matches_scipy(monkeypatch):
     assert ext.backend == "external"
     assert ext.objective == pytest.approx(ref.objective, rel=1e-6)
     assert m.objective_value(ext.x) == pytest.approx(ext.objective, rel=1e-12)
+
+
+def test_external_solve_sanitizes_each_name_once(monkeypatch):
+    monkeypatch.setenv("STUB_MODE", "ok")
+    m = build_day_model(day_inputs(seed=14, hours=2, deg=True))
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return sanitize_name(name)
+
+    monkeypatch.setattr("fcrsched.solvers.sanitize_name", counting)
+    assert solve_external(m, STUB_CMD).ok
+    assert len(calls) == m.n_vars + m.n_rows
 
 
 def test_external_stub_infeasible(monkeypatch):
