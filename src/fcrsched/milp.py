@@ -1,13 +1,15 @@
 """Day-model MILP assembly, solution validation and semantic extraction.
 
 One model covers one day: hourly baseline charge/discharge and reserve bids,
-per-step realized powers pinned to the droop activation of those bids, the
-state-of-energy recursion, reserve power and endurance requirements, and the
-linearized degradation cost when it is priced in the objective: cycle
-aging per step on the throughput, calendar aging once per hour on the
-hour's mean SoE.
+the state-of-energy recursion driven by the droop activation of those bids,
+reserve power and endurance requirements, and the linearized degradation
+cost when it is priced in the objective: calendar aging once per hour on
+the hour's mean SoE, cycle aging once per hour on an upper bound of the
+hour's throughput. Per-step realized powers are columns only for a battery
+with a positive minimum power; otherwise extraction rebuilds them from the
+hourly decisions.
 
-Variable registry names follow the `family[index]` pattern, e.g. `p_ch[t=37]`
+Variable registry names follow the `family[index]` pattern, e.g. `soe[t=37]`
 or `bid_n[h=5]`; constraint names follow the same pattern. The exact count of
 variables, binaries and rows for a given configuration is the closed form in
 `model_size`, asserted by tests against every built model.
@@ -276,12 +278,14 @@ class DayInputs:
                 "degradation in objective requires cal_lin and cyc_lin")
 
     @property
-    def step_binaries(self) -> bool:
-        """Whether realized powers need charge/discharge binaries.
+    def step_powers(self) -> bool:
+        """Whether realized powers are per-step columns.
 
-        Only a positive `p_min` needs them. With `p_min == 0` the pinned net
-        power fixes p_ch - p_ds, and any overlap of the two only adds cycle
-        cost in deg mode; `extract_day_solution` re-splits the net power.
+        Only a positive `p_min` needs them, with their charge/discharge
+        binaries. With `p_min == 0` no row needs them: `req_up` and
+        `req_dn` already keep the net power within `p_max`, the cycle cost
+        is priced per hour, and `extract_day_solution` rebuilds the net
+        power from the hourly decisions.
         """
         return self.spec.p_min > 0.0
 
@@ -294,28 +298,54 @@ def model_size(inputs: DayInputs) -> dict[str, int]:
     kinks of the calendar secants (`CalendarLinearization.falling_kinks`,
     1 for the default coefficients) and pmin = (p_min > 0):
 
-      vars  = 2H + 2H + 3H + A*H + 2T + (2T if pmin) + T
+      vars  = 2H + 2H + 3H + A*H + T
+            + (4T if pmin)                        step powers + binaries
             + ((3 + F)*H if deg)                  calendar fills + kink picks
+            + (H if deg and not pmin)             hourly cycle cost
       bins  = 2H + A*H + (2T if pmin) + (F*H if deg)
       rows  = 2H + (2H if pmin) + H              baseline bounds + exclusivity
-            + (5T if pmin)                        step bounds + exclusivity
-            + 2T                                  SoE recursion + pinning
+            + (6T if pmin)                        step bounds, exclusivity,
+                                                  power pinning
+            + T                                   SoE recursion
             + 2*A*H                               bid bounds
             + 2H + 10H                            power requirement + endurance
             + ((1 + 3F)*H if deg)                 hourly calendar rows
+            + (H if deg and not pmin)             hourly cycle cost
+
+    So the per-step power families (`p_ch`, `p_ds`, `b_ch`, `b_ds`, `pin`
+    and the `st_*` rows) exist only when `p_min > 0`; otherwise `soe` is
+    the one per-step column family.
     """
     H, T = inputs.grid.hours, inputs.grid.n_steps
     A = sum(1 for m in CASE_MARKETS[inputs.case_id]
             if inputs.spec.min_bid(m) > 0.0)
     deg = inputs.degradation_in_objective
     F = len(inputs.cal_lin.falling_kinks) if deg else 0
-    pmin = inputs.step_binaries
-    n_vars = 2 * H + 2 * H + 3 * H + A * H + 2 * T + (2 * T if pmin else 0) \
-        + T + ((3 + F) * H if deg else 0)
+    pmin = inputs.step_powers
+    hourly_cyc = H if deg and not pmin else 0
+    n_vars = 2 * H + 2 * H + 3 * H + A * H + T + (4 * T if pmin else 0) \
+        + ((3 + F) * H if deg else 0) + hourly_cyc
     n_bins = 2 * H + A * H + (2 * T if pmin else 0) + F * H
-    n_rows = 2 * H + (2 * H if pmin else 0) + H + (5 * T if pmin else 0) \
-        + 2 * T + 2 * A * H + 2 * H + 10 * H + ((1 + 3 * F) * H if deg else 0)
+    n_rows = 2 * H + (2 * H if pmin else 0) + H + (6 * T if pmin else 0) \
+        + T + 2 * A * H + 2 * H + 10 * H + ((1 + 3 * F) * H if deg else 0) \
+        + hourly_cyc
     return {"n_vars": n_vars, "n_binaries": n_bins, "n_rows": n_rows}
+
+
+def step_power_coeffs(contents: EnergyContentSeries) -> dict[str, np.ndarray]:
+    """Per-step coefficient of each hourly decision in the realized net
+    power (load convention, charging positive):
+    `net_t = sum over families f of coeffs[f][t] * f[h(t)]`.
+
+    The baseline enters at its set point, each bid at its droop activation
+    fraction. The builder pins `p_ch - p_ds` to this sum when per-step
+    powers are columns, prices the hourly cycle cost from its absolute
+    values otherwise, and extraction rebuilds the net power from it.
+    """
+    ones = np.ones(contents.n_steps)
+    return {"ch_bl": ones, "ds_bl": -ones,
+            "bid_n": contents.frac_nd - contents.frac_nu,
+            "bid_dd": contents.frac_dd, "bid_du": -contents.frac_du}
 
 
 def _add_row_group(m: MilpModel, n: int, families: list[tuple]) -> None:
@@ -361,6 +391,10 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     m = MilpModel(f"day{grid.day_index}_{inputs.case_id}")
     hour = np.arange(T) // spH      # hour of each step
 
+    def hour_sums(arr: np.ndarray) -> np.ndarray:
+        return np.array([math.fsum(arr[h * spH:(h + 1) * spH])
+                         for h in range(H)])
+
     def hourly(family: str, lo, hi, binary: bool = False) -> np.ndarray:
         return m.add_variables([f"{family}[h={h}]" for h in range(H)],
                                lo, hi, binary)
@@ -385,9 +419,9 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
         if mk in allowed and spec.min_bid(mk) > 0.0:
             b_bid[mk] = hourly(var, 0.0, 1.0, binary=True)
 
-    p_ch = per_step("p_ch", 0.0, spec.p_max)
-    p_ds = per_step("p_ds", 0.0, spec.p_max)
-    if inputs.step_binaries:
+    if inputs.step_powers:
+        p_ch = per_step("p_ch", 0.0, spec.p_max)
+        p_ds = per_step("p_ds", 0.0, spec.p_max)
         b_ch = per_step("b_ch", 0.0, 1.0, binary=True)
         b_ds = per_step("b_ds", 0.0, 1.0, binary=True)
     soe = per_step("soe", spec.soe_min, spec.soe_max)
@@ -402,6 +436,11 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
         d_cal = m.add_variables(
             [f"d_cal[h={h},k={k}]" for h in range(H) for k in range(K)],
             0.0, np.tile(widths, H)).reshape(H, K)
+        if not inputs.step_powers:
+            # the hour's throughput bound: per step at most p_max of each
+            # baseline flow and FCR-N, 2 p_max of FCR-D, so this cap never
+            # binds
+            cyc = hourly("cyc", 0.0, 6.0 * spH * spec.p_max)
 
     # baseline bounds and hourly exclusivity
     rows = [("bl_up_ch[h={}]", [(ch_bl, 1.0), (b_ch_bl, -spec.p_max)],
@@ -417,7 +456,7 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     _add_row_group(m, H, rows)
 
     # realized power bounds and per-step exclusivity
-    if inputs.step_binaries:
+    if inputs.step_powers:
         _add_row_group(m, T, [
             ("st_up_ch[t={}]", [(p_ch, 1.0), (b_ch, -spec.p_max)], "<=", 0.0),
             ("st_up_ds[t={}]", [(p_ds, 1.0), (b_ds, -spec.p_max)], "<=", 0.0),
@@ -443,14 +482,15 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
         "==", rhs)])
 
     # realized power pinned to baseline plus droop activation
-    _add_row_group(m, T, [(
-        "pin[t={}]",
-        [(p_ch, 1.0), (p_ds, -1.0),
-         (ch_bl[hour], -1.0), (ds_bl[hour], 1.0),
-         (bid["N"][hour], -(cont.frac_nd - cont.frac_nu)),
-         (bid["DD"][hour], -cont.frac_dd),
-         (bid["DU"][hour], cont.frac_du)],
-        "==", 0.0)])
+    decisions = {"ch_bl": ch_bl, "ds_bl": ds_bl, "bid_n": bid["N"],
+                 "bid_dd": bid["DD"], "bid_du": bid["DU"]}
+    net_coeffs = step_power_coeffs(cont)
+    if inputs.step_powers:
+        _add_row_group(m, T, [(
+            "pin[t={}]",
+            [(p_ch, 1.0), (p_ds, -1.0)]
+            + [(decisions[f][hour], -c) for f, c in net_coeffs.items()],
+            "==", 0.0)])
 
     # minimum-bid linking
     for mk, var in (("N", "bid_n"), ("DU", "bid_du"), ("DD", "bid_dd")):
@@ -518,6 +558,15 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
                      [(d_cal[:, k], 1.0) for k in range(K)]
                      + [(hour_steps[:, j], -1.0 / spH) for j in range(spH)],
                      "==", 0.0))
+        if not inputs.step_powers:
+            # cyc bounds the hour's throughput sum_t |net_t|: one step's
+            # activation terms share one sign, and so does the hour's
+            # baseline, so the bound is exact unless the two oppose
+            rows.append(("cyc_def[h={}]",
+                         [(cyc, 1.0)]
+                         + [(decisions[f], -hour_sums(np.abs(c)))
+                            for f, c in net_coeffs.items()],
+                         "==", 0.0))
         _add_row_group(m, H, rows)
 
     # objective: spot revenue + reserve revenue - charging cost - degradation
@@ -539,7 +588,10 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
           (bid["DD"], prices.fcr_dd))
     if inputs.degradation_in_objective:
         k_cyc = inputs.cyc_lin.k_cyc
-        price((p_ch, -k_cyc * dt_h), (p_ds, -k_cyc * dt_h))
+        if inputs.step_powers:
+            price((p_ch, -k_cyc * dt_h), (p_ds, -k_cyc * dt_h))
+        else:
+            price((cyc, -k_cyc * dt_h))
         # the per-step secant cost, charged spH times at the hour's mean SoE:
         # its value at the first breakpoint plus each fill at its slope
         price((d_cal, [-spH * seg.slope_eur_per_mwh for seg in segs]))
@@ -673,11 +725,20 @@ class DaySolution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DaySolution":
+        """The inverse of `to_dict`. A missing or unknown key raises
+        KeyError or TypeError; an array of the wrong length, ValueError."""
         kw = dict(d)
         for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd",
                   "p_ch", "p_ds", "soe"):
             kw[f] = np.asarray(kw[f], dtype=float)
-        return cls(**kw)
+        sol = cls(**kw)
+        for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd"):
+            if getattr(sol, f).shape != (sol.hours,):
+                raise ValueError(f"{f} must hold {sol.hours} hourly values")
+        for f in ("p_ch", "p_ds", "soe"):
+            if getattr(sol, f).shape != (sol.n_steps,):
+                raise ValueError(f"{f} must hold {sol.n_steps} step values")
+        return sol
 
 
 def extract_day_solution(model: MilpModel, x: np.ndarray,
@@ -690,9 +751,10 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
     Each money part is its families' share of the model's own objective,
     so the parts sum to the solver objective; the objective's constant,
     the calendar cost at the first breakpoint, goes to `c_deg_lin`.
-    Realized powers are split from the pinned net power `p_ch - p_ds`, so
-    that reported throughput is minimal. Tiny negative values are clamped
-    to zero.
+    Tiny negative values are clamped to zero. Each step's realized net
+    power is rebuilt from the reported hourly decisions through
+    `step_power_coeffs` and split into charge or discharge, so that
+    reported throughput is minimal.
     """
     x = np.asarray(x, dtype=float)
     grid = inputs.grid
@@ -714,17 +776,20 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
     def clean(arr: np.ndarray) -> np.ndarray:
         return np.where(np.abs(arr) < 1e-9, 0.0, np.maximum(arr, 0.0))
 
-    net = values("p_ch") - values("p_ds")
+    hourly = {f: clean(values(f))
+              for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd")}
+    hour = np.arange(grid.n_steps) // grid.steps_per_hour
+    net = sum(c * hourly[f][hour]
+              for f, c in step_power_coeffs(inputs.contents).items())
     return DaySolution(
         day_index=grid.day_index, steps_per_hour=grid.steps_per_hour,
         hours=grid.hours, dt_seconds=float(grid.step_seconds), s0=inputs.s0,
-        ch_bl=clean(values("ch_bl")), ds_bl=clean(values("ds_bl")),
-        bid_n=clean(values("bid_n")), bid_du=clean(values("bid_du")),
-        bid_dd=clean(values("bid_dd")),
+        **hourly,
         p_ch=clean(np.maximum(net, 0.0)), p_ds=clean(np.maximum(-net, 0.0)),
         soe=np.clip(values("soe"), inputs.spec.soe_min, inputs.spec.soe_max),
         r_da=share("ds_bl"), r_n=share("bid_n"), r_du=share("bid_du"),
         r_dd=share("bid_dd"), c_da=cost("ch_bl"),
-        c_deg_lin=cost("p_ch", "p_ds", "d_cal") - model.objective_const,
+        c_deg_lin=cost("p_ch", "p_ds", "d_cal", "cyc")
+        - model.objective_const,
         objective=model.objective_value(x),
         status=status, gap=gap, nodes=nodes, wall_time=wall_time)

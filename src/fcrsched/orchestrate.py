@@ -34,6 +34,7 @@ from .droop import energy_content
 from .errors import (
     AlignmentError,
     ConfigError,
+    DataError,
     InvalidParameter,
     MissingFile,
     SolverFailure,
@@ -234,12 +235,18 @@ def _write_checkpoint(path: str, config_hash: str, data_hash: str,
 
 
 def _load_checkpoint(path: str) -> dict:
-    """A checkpoint's payload; empty when absent or unreadable."""
+    """A checkpoint's payload; empty when absent. A file that holds no JSON
+    object raises DataError."""
     try:
         with open(path, encoding="ascii") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
+            payload = json.load(fh)
+    except OSError:
         return {}
+    except ValueError as exc:
+        raise DataError(f"{path}: not a JSON checkpoint ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: not a JSON checkpoint object")
+    return payload
 
 
 def _read_checkpoint(path: str, config_hash: str, data_hash: str,
@@ -248,6 +255,9 @@ def _read_checkpoint(path: str, config_hash: str, data_hash: str,
     """Load a matching checkpoint; None when absent or stale.
 
     With `s0` given, a checkpoint that started from another SoE is stale.
+    A checkpoint that holds no JSON object, or a matching one whose
+    solution is missing or does not rebuild a `DaySolution`, raises
+    DataError naming the file.
     """
     payload = _load_checkpoint(path)
     if (payload.get("config_hash") != config_hash
@@ -256,7 +266,11 @@ def _read_checkpoint(path: str, config_hash: str, data_hash: str,
             or payload.get("degradation_in_objective") != deg
             or payload.get("day") != day):
         return None
-    sol = DaySolution.from_dict(payload["solution"])
+    try:
+        sol = DaySolution.from_dict(payload["solution"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: the checkpoint of day {day} is damaged "
+                        f"({type(exc).__name__}: {exc})") from exc
     if s0 is not None and abs(sol.s0 - s0) > 1e-9:
         return None  # carry-over changed upstream; recompute
     return sol
@@ -305,8 +319,11 @@ def carried_soe(bundle: DataBundle, case_id: str, deg: bool, k: int) -> float:
     if k > 0:
         prev = cfg.days[k - 1]
         path = _checkpoint_path(_run_dir(cfg, case_id, deg), prev)
-        sol = _read_checkpoint(path, cfg.config_hash(), bundle.data_hash(),
-                               case_id, deg, prev, None)
+        sol = None
+        with contextlib.suppress(DataError):    # damaged: as if absent
+            sol = _read_checkpoint(path, cfg.config_hash(),
+                                   bundle.data_hash(), case_id, deg, prev,
+                                   None)
         if sol is not None:
             return float(sol.soe[-1])
     return cfg.initial_soe
@@ -341,8 +358,12 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
     for k, day in enumerate(cfg.days):
         age_k = cfg.start_age_days + float(k)
         ckpt = _checkpoint_path(run_dir, day)
-        sol = _read_checkpoint(ckpt, chash, dhash, case, deg, day, s0) \
-            if resume else None
+        sol = None
+        if resume:
+            try:
+                sol = _read_checkpoint(ckpt, chash, dhash, case, deg, day, s0)
+            except DataError as exc:
+                log.warning("%s; solving the day again", exc)
         if sol is None:
             inputs = day_inputs(bundle, day, s0, calendar_age(cfg, k), case,
                                 deg)
@@ -426,6 +447,7 @@ def load_horizon(config: RunConfig, case_id: str,
 
     Every day must be one `run_case` would reuse: same configuration, the
     data of the first day's checkpoint, and the previous day's final SoE.
+    A damaged checkpoint raises DataError, which `run_case` would re-solve.
     """
     run_dir = _run_dir(config, case_id, degradation_in_objective)
     chash = config.config_hash()

@@ -138,6 +138,21 @@ def audit_solution(inputs: DayInputs, sol) -> dict[str, float]:
     return viol
 
 
+def hourly_cycle_bound(inputs: DayInputs, sol) -> np.ndarray:
+    """Per hour, the throughput bound the deg model prices the cycle cost
+    on, from a solution's hourly decisions: the baseline in every step plus
+    each bid at its activation fractions, in MW summed over the steps."""
+    cont, sph = inputs.contents, inputs.grid.steps_per_hour
+
+    def hour_sums(arr):
+        return arr.reshape(inputs.grid.hours, sph).sum(axis=1)
+
+    return (sph * (sol.ch_bl + sol.ds_bl)
+            + sol.bid_n * hour_sums(cont.frac_nd + cont.frac_nu)
+            + sol.bid_dd * hour_sums(cont.frac_dd)
+            + sol.bid_du * hour_sums(cont.frac_du))
+
+
 def solve_day(inputs: DayInputs, backend=None):
     """Build, solve with scipy (tight gap), validate, and extract."""
     from fcrsched import build_day_model, extract_day_solution, solve_scipy

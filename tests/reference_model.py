@@ -9,6 +9,8 @@ the same model, array for array.
 
 from __future__ import annotations
 
+import math
+
 from fcrsched.ingest import CASE_MARKETS
 from fcrsched.milp import (
     REQ_FACTOR_OPP,
@@ -47,9 +49,11 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
             b_bid[mk] = [m.add_variable(f"{var}[h={h}]", 0.0, 1.0, binary=True)
                          for h in range(H)]
 
-    p_ch = [m.add_variable(f"p_ch[t={t}]", 0.0, spec.p_max) for t in range(T)]
-    p_ds = [m.add_variable(f"p_ds[t={t}]", 0.0, spec.p_max) for t in range(T)]
-    if inputs.step_binaries:
+    if inputs.step_powers:
+        p_ch = [m.add_variable(f"p_ch[t={t}]", 0.0, spec.p_max)
+                for t in range(T)]
+        p_ds = [m.add_variable(f"p_ds[t={t}]", 0.0, spec.p_max)
+                for t in range(T)]
         b_ch = [m.add_variable(f"b_ch[t={t}]", 0.0, 1.0, binary=True)
                 for t in range(T)]
         b_ds = [m.add_variable(f"b_ds[t={t}]", 0.0, 1.0, binary=True)
@@ -69,6 +73,9 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
                   for j in kinks] for h in range(H)]
         d_cal = [[m.add_variable(f"d_cal[h={h},k={k}]", 0.0, widths[k])
                   for k in range(3)] for h in range(H)]
+        if not inputs.step_powers:
+            cyc = [m.add_variable(f"cyc[h={h}]", 0.0, 6.0 * spH * spec.p_max)
+                   for h in range(H)]
 
     # baseline bounds and hourly exclusivity
     for h in range(H):
@@ -85,7 +92,7 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
                          [(b_ch_bl[h], 1.0), (b_ds_bl[h], 1.0)], "<=", 1.0)
 
     # realized power bounds and per-step exclusivity
-    if inputs.step_binaries:
+    if inputs.step_powers:
         for t in range(T):
             m.add_constraint(f"st_up_ch[t={t}]",
                              [(p_ch[t], 1.0), (b_ch[t], -spec.p_max)], "<=", 0.0)
@@ -116,16 +123,17 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
         m.add_constraint(f"soe_rec[t={t}]", coeffs, "==", rhs)
 
     # realized power pinned to baseline plus droop activation
-    for t in range(T):
-        h = grid.hour_of_step(t)
-        m.add_constraint(
-            f"pin[t={t}]",
-            [(p_ch[t], 1.0), (p_ds[t], -1.0),
-             (ch_bl[h], -1.0), (ds_bl[h], 1.0),
-             (bid["N"][h], -(cont.frac_nd[t] - cont.frac_nu[t])),
-             (bid["DD"][h], -cont.frac_dd[t]),
-             (bid["DU"][h], cont.frac_du[t])],
-            "==", 0.0)
+    if inputs.step_powers:
+        for t in range(T):
+            h = grid.hour_of_step(t)
+            m.add_constraint(
+                f"pin[t={t}]",
+                [(p_ch[t], 1.0), (p_ds[t], -1.0),
+                 (ch_bl[h], -1.0), (ds_bl[h], 1.0),
+                 (bid["N"][h], -(cont.frac_nd[t] - cont.frac_nu[t])),
+                 (bid["DD"][h], -cont.frac_dd[t]),
+                 (bid["DU"][h], cont.frac_du[t])],
+                "==", 0.0)
 
     # minimum-bid linking
     for mk, var in (("N", "bid_n"), ("DU", "bid_du"), ("DD", "bid_dd")):
@@ -200,6 +208,19 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
                              + [(soe[t], -1.0 / spH)
                                 for t in range(h * spH, (h + 1) * spH)],
                              "==", 0.0)
+            if not inputs.step_powers:
+                # the hour's throughput bound: the baseline at its set
+                # point in every step, each bid at its activation fraction
+                s = slice(h * spH, (h + 1) * spH)
+                m.add_constraint(
+                    f"cyc_def[h={h}]",
+                    [(cyc[h], 1.0), (ch_bl[h], -float(spH)),
+                     (ds_bl[h], -float(spH)),
+                     (bid["N"][h],
+                      -math.fsum(cont.frac_nd[s] + cont.frac_nu[s])),
+                     (bid["DD"][h], -math.fsum(cont.frac_dd[s])),
+                     (bid["DU"][h], -math.fsum(cont.frac_du[s]))],
+                    "==", 0.0)
 
     # objective: spot revenue + reserve revenue - charging cost - degradation
     for h in range(H):
@@ -214,9 +235,13 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
         m.set_objective_coeff(bid["DD"][h], prices.fcr_dd[h])
     if inputs.degradation_in_objective:
         k_cyc = inputs.cyc_lin.k_cyc
-        for t in range(T):
-            m.set_objective_coeff(p_ch[t], -k_cyc * dt_h)
-            m.set_objective_coeff(p_ds[t], -k_cyc * dt_h)
+        if inputs.step_powers:
+            for t in range(T):
+                m.set_objective_coeff(p_ch[t], -k_cyc * dt_h)
+                m.set_objective_coeff(p_ds[t], -k_cyc * dt_h)
+        else:
+            for h in range(H):
+                m.set_objective_coeff(cyc[h], -k_cyc * dt_h)
         # the per-step secant cost, charged spH times at the hour's mean SoE
         for h in range(H):
             for k in range(3):

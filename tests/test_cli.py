@@ -180,6 +180,24 @@ def test_report_damaged_meta_is_data_error(tmp_path, capsys, meta):
     assert "error:" in err and "meta.json" in err
 
 
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda sol: sol.clear(), id="solution_empty"),
+    pytest.param(lambda sol: sol.pop("soe"), id="field_missing"),
+    pytest.param(lambda sol: sol.update(extra=1.0), id="unknown_key"),
+])
+def test_report_damaged_checkpoint_is_data_error(tmp_path, capsys, damage):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--synthetic-seed", "3"]) == 0
+    path = tmp_path / "out" / "FCR_N_nodeg" / "day_0000.json"
+    payload = json.loads(path.read_text())
+    damage(payload["solution"])
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", "--from", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "error:" in err and "day_0000.json" in err and "day 0" in err
+
+
 # -- export-model ------------------------------------------------------------------
 
 

@@ -20,7 +20,13 @@ from fcrsched import (
 )
 from fcrsched.milp import validate_solution
 
-from helpers import audit_solution, day_inputs, flat_prices, solve_day
+from helpers import (
+    audit_solution,
+    day_inputs,
+    flat_prices,
+    hourly_cycle_bound,
+    solve_day,
+)
 from reference_model import loop_day_model
 
 
@@ -218,6 +224,9 @@ def test_model_size_formula(case, positive_p_min, deg):
     inp = day_inputs(case=case, hours=3, steps_per_hour=4, spec=spec, deg=deg)
     m = build_day_model(inp)
     assert m.has("b_ch[t=0]") == positive_p_min
+    assert m.has("p_ch[t=0]") == positive_p_min
+    assert ("pin[t=0]" in m.row_names) == positive_p_min
+    assert m.has("cyc[h=2]") == (deg and not positive_p_min)
     assert m.has("d_cal[h=2,k=0]") == deg
     assert m.has("y_cal[h=2,j=2]") == deg
     size = model_size(inp)
@@ -268,11 +277,21 @@ def test_registry_names_unique_and_resolvable():
     m = build_day_model(inp)
     assert len(set(m.var_names)) == m.n_vars
     assert len({r[0] for r in m.rows}) == m.n_rows
-    for name in ("ch_bl[h=0]", "bid_n[h=1]", "p_ch[t=7]", "soe[t=0]",
+    for name in ("ch_bl[h=0]", "bid_n[h=1]", "cyc[h=1]", "soe[t=0]",
                  "d_cal[h=1,k=2]", "d_cal[h=1,k=0]", "y_cal[h=1,j=2]"):
         assert m.has(name)
+    assert "cyc_def[h=1]" in m.row_names
     # the default secants fall only at the 0.7 breakpoint
     assert not m.has("y_cal[h=1,j=1]")
+    # per-step powers, with their per-step cycle price, only for a battery
+    # with a positive minimum power
+    assert not m.has("p_ch[t=7]") and "pin[t=7]" not in m.row_names
+    m = build_day_model(day_inputs(hours=2, deg=True,
+                                   spec=BatterySpec(p_min=0.05)))
+    for name in ("p_ch[t=7]", "p_ds[t=7]", "b_ch[t=7]", "soe[t=0]"):
+        assert m.has(name)
+    assert "pin[t=7]" in m.row_names
+    assert not m.has("cyc[h=1]") and "cyc_def[h=1]" not in m.row_names
 
 
 # -- solved-model semantics ---------------------------------------------------
@@ -304,7 +323,7 @@ def test_validator_flags_injected_violation():
     assert "soe_rec" in report.worst_by_family()
     assert report.max_violation >= 0.25
     x = res.x.copy()
-    x[model.col("p_ch[t=0]")] = np.nan      # a non-finite value never passes
+    x[model.col("ch_bl[h=0]")] = np.nan     # a non-finite value never passes
     assert validate_solution(model, x).worst_by_family()["bounds"] == math.inf
 
 
@@ -347,11 +366,72 @@ def test_degradation_term_in_objective():
     model, res, sol = solve_day(inp)
     # recompute the linear degradation charge from the extracted arrays
     dt_h, sph = inp.grid.dt_hours, inp.grid.steps_per_hour
-    cyc = inp.cyc_lin.k_cyc * dt_h * float(np.sum(sol.p_ch + sol.p_ds))
+    cyc = inp.cyc_lin.k_cyc * dt_h * float(np.sum(
+        hourly_cycle_bound(inp, sol)))
     hour_means = sol.soe.reshape(inp.grid.hours, sph).mean(axis=1)
     cal = sum(sph * inp.cal_lin.cost_at(float(s)) for s in hour_means)
     assert sol.c_deg_lin == pytest.approx(cyc + cal, abs=1e-6)
     assert sol.c_deg_lin >= 0.0
+
+
+def opposed_excess(inp, sol) -> float:
+    """Sum over the steps where the baseline and the activation point
+    opposite ways of twice the smaller of the two magnitudes: by how much
+    `|baseline| + |activation|` exceeds `|net|` there."""
+    cont, hour = inp.contents, np.arange(inp.grid.n_steps) // \
+        inp.grid.steps_per_hour
+    base = (sol.ch_bl - sol.ds_bl)[hour]
+    act = (sol.bid_n[hour] * (cont.frac_nd - cont.frac_nu)
+           + sol.bid_dd[hour] * cont.frac_dd - sol.bid_du[hour] * cont.frac_du)
+    return float(np.sum(np.where(base * act < 0.0,
+                                 2.0 * np.minimum(abs(base), abs(act)), 0.0)))
+
+
+def priced_cycle_cost(model, res, inp) -> float:
+    cols = [model.col(f"cyc[h={h}]") for h in range(inp.grid.hours)]
+    return -float(model.objective_vector()[cols] @ res.x[cols])
+
+
+@pytest.mark.parametrize("case", ["MULTI", "FCR_N", "FCR_DU", "FCR_DD"])
+@pytest.mark.parametrize("deg", [False, True])
+def test_hourly_cycle_price_bounds_the_rebuilt_throughput(case, deg):
+    inp = day_inputs(seed=1, case=case, hours=24, steps_per_hour=4, deg=deg)
+    model, res, sol = solve_day(inp)
+    # no per-step power column bounds the net power: req_up and req_dn do
+    assert not model.has("p_ch[t=0]")
+    assert float(np.max(np.abs(sol.p_ch - sol.p_ds))) <= inp.spec.p_max + 1e-9
+    if deg:
+        k = inp.cyc_lin.k_cyc * inp.grid.dt_hours
+        bound = float(np.sum(hourly_cycle_bound(inp, sol)))
+        throughput = float(np.sum(sol.p_ch + sol.p_ds))
+        priced = priced_cycle_cost(model, res, inp)
+        assert priced == pytest.approx(k * bound, rel=1e-9, abs=1e-9)
+        assert priced >= k * throughput
+        # the bound exceeds the throughput only where the baseline and the
+        # activation oppose
+        assert bound - throughput == pytest.approx(
+            opposed_excess(inp, sol), abs=1e-9)
+
+
+def test_hourly_cycle_price_is_strict_where_baseline_and_activation_oppose():
+    # a high SoE, a 50 EUR/MWh spot price and a 60 EUR/MW FCR-N price: hour
+    # 0 discharges its baseline and bids FCR-N, whose down activation in
+    # three of the hour's steps charges
+    inp = day_inputs(seed=1, case="FCR_N", hours=3, steps_per_hour=4,
+                     deg=True, s0=0.9,
+                     prices=flat_prices(3, spot=50.0, fcr_n=60.0))
+    model, res, sol = solve_day(inp)
+    assert sol.ds_bl[0] > 0.0 and sol.bid_n[0] > 0.0
+    assert np.count_nonzero(inp.contents.frac_nd[:4]) == 3
+    k = inp.cyc_lin.k_cyc * inp.grid.dt_hours
+    bound = float(np.sum(hourly_cycle_bound(inp, sol)))
+    throughput = float(np.sum(sol.p_ch + sol.p_ds))
+    excess = opposed_excess(inp, sol)
+    assert excess > 0.1
+    assert bound - throughput == pytest.approx(excess, abs=1e-9)
+    assert priced_cycle_cost(model, res, inp) == pytest.approx(
+        k * bound, rel=1e-9, abs=1e-9)
+    assert priced_cycle_cost(model, res, inp) > k * (throughput + 0.1)
 
 
 def test_calendar_pieces_select_correct_segment():
@@ -404,7 +484,8 @@ def test_calendar_cost_exact_over_kink_patterns(pattern):
     assert size["n_binaries"] == model_size(day_inputs(
         seed=9, hours=3, s0=0.9, spec=spec))["n_binaries"] + 3 * len(kinks)
     dt_h, sph = inp.grid.dt_hours, inp.grid.steps_per_hour
-    cyc = inp.cyc_lin.k_cyc * dt_h * float(np.sum(sol.p_ch + sol.p_ds))
+    cyc = inp.cyc_lin.k_cyc * dt_h * float(np.sum(
+        hourly_cycle_bound(inp, sol)))
     hour_means = sol.soe.reshape(inp.grid.hours, sph).mean(axis=1)
     assert hour_means.max() > inp.cal_lin.segments[2].lo_mwh
     cal = sum(sph * inp.cal_lin.cost_at(float(s)) for s in hour_means)
@@ -432,11 +513,12 @@ def test_validate_rejects_wrong_length():
 
 
 @pytest.mark.parametrize("steps_per_hour, expected", [
-    (4, (624, 144, 792)),
-    (60, (4656, 144, 3480)),
+    (4, (456, 144, 720)),
+    (60, (1800, 144, 2064)),
 ])
 def test_model_size_of_a_default_multi_deg_day(steps_per_hour, expected):
-    # no per-step binaries for the default battery: H calendar binaries at
+    # no per-step powers or binaries for the default battery, so soe and
+    # its recursion are the only per-step families: H calendar binaries at
     # the one falling kink, 2H baseline and 3H minimum-bid binaries at any
     # resolution
     inp = day_inputs(hours=24, steps_per_hour=steps_per_hour, deg=True)

@@ -30,6 +30,7 @@ from fcrsched import (
 from fcrsched.errors import (
     AlignmentError,
     ConfigError,
+    DataError,
     InvalidParameter,
     MissingFile,
     SolverFailure,
@@ -273,10 +274,48 @@ def test_corrupt_checkpoint_is_recomputed(tmp_path, monkeypatch):
     patch_backend(monkeypatch, counting_backend(calls))
     run_case(bundle)
     path = os.path.join(str(tmp_path), "MULTI_nodeg", "day_0000.json")
+    for text in ("{not json", "[]"):
+        with open(path, "w") as fh:
+            fh.write(text)
+        run_case(bundle)
+    assert len(calls) == 3
+
+
+# valid JSON with matching hashes whose solution does not rebuild a day
+CHECKPOINT_DAMAGE = {
+    "solution_missing": lambda payload: payload.pop("solution"),
+    "field_missing": lambda payload: payload["solution"].pop("soe"),
+    "unknown_key": lambda payload: payload["solution"].update(extra=1.0),
+    "soe_empty": lambda payload: payload["solution"].update(soe=[]),
+}
+
+
+def damage_checkpoint(path: str, kind: str) -> None:
+    with open(path) as fh:
+        payload = json.load(fh)
+    CHECKPOINT_DAMAGE[kind](payload)
     with open(path, "w") as fh:
-        fh.write("{not json")
-    run_case(bundle)
-    assert len(calls) == 2
+        json.dump(payload, fh)
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKPOINT_DAMAGE))
+def test_damaged_checkpoint_is_resolved_on_resume_and_refused_by_load(
+        tmp_path, monkeypatch, kind):
+    cfg = toy_config(tmp_path, case_id="WO_FCR", days=(0, 1))
+    bundle = load_bundle(cfg, synthetic_seed=7)
+    calls: list = []
+    patch_backend(monkeypatch, counting_backend(calls))
+    first = run_case(bundle)
+    path = os.path.join(str(tmp_path), "WO_FCR_nodeg", "day_0000.json")
+    damage_checkpoint(path, kind)
+
+    with pytest.raises(DataError, match=r"day_0000\.json.* day 0 is damaged"):
+        load_horizon(cfg, "WO_FCR", False)
+    second = run_case(bundle)
+    assert len(calls) == 3          # day 0 re-solved, day 1 reused
+    assert second.totals() == pytest.approx(first.totals())
+    assert load_horizon(cfg, "WO_FCR", False).totals() == pytest.approx(
+        first.totals())
 
 
 def test_solver_failure_keeps_completed_days(tmp_path, monkeypatch):
@@ -398,6 +437,17 @@ def test_load_horizon_rejects_days_from_another_data_set(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         run_case(load_bundle(cfg, synthetic_seed=9))
     with pytest.raises(ConfigError, match="day 1"):
+        load_horizon(cfg, "MULTI", False)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]"])
+def test_load_horizon_refuses_unreadable_checkpoint(tmp_path, text):
+    cfg = toy_config(tmp_path)
+    run_case(load_bundle(cfg, synthetic_seed=7), resume=False)
+    path = os.path.join(str(tmp_path), "MULTI_nodeg", "day_0000.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(DataError, match=r"day_0000\.json: not a JSON"):
         load_horizon(cfg, "MULTI", False)
 
 
