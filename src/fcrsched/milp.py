@@ -348,14 +348,30 @@ def step_power_coeffs(contents: EnergyContentSeries) -> dict[str, np.ndarray]:
             "bid_dd": contents.frac_dd, "bid_du": -contents.frac_du}
 
 
+def soe_step_deltas(contents: EnergyContentSeries, spec: BatterySpec,
+                    dt_h: float) -> dict[str, np.ndarray]:
+    """Per-step SoE change per unit of each hourly decision:
+    `soe[t] = soe[t-1] + sum over families f of deltas[f][t] * f[h(t)]`.
+
+    Efficiencies act on the baseline flows only; activation energy enters
+    unscaled. The builder writes the SoE recursion and each hour's mean
+    SoE from these deltas.
+    """
+    n = contents.n_steps
+    return {"ch_bl": np.full(n, spec.eta_ch * dt_h),
+            "ds_bl": np.full(n, -dt_h / spec.eta_ds),
+            "bid_n": contents.e_dr_n - contents.e_ur_n,
+            "bid_dd": contents.e_dr_dd, "bid_du": -contents.e_ur_du}
+
+
 def _add_row_group(m: MilpModel, n: int, families: list[tuple]) -> None:
     """Add row families of `n` rows each, interleaved: row 0 of every
     family in the given order, then row 1, and so on.
 
     A family is `(name, terms, sense, rhs)`. `name` is a format string
     taking the row index; `terms` is a list of `(columns, coeffs)`, each a
-    scalar or one entry per row; a negative column leaves the term out of
-    that row. `rhs` is a scalar or one value per row.
+    scalar or one entry per row; a negative column or a zero coefficient
+    leaves the term out of that row. `rhs` is a scalar or one value per row.
     """
     n_terms = [len(terms) for _, terms, _, _ in families]
     cols = np.empty((n, sum(n_terms)), dtype=np.intp)
@@ -371,7 +387,7 @@ def _add_row_group(m: MilpModel, n: int, families: list[tuple]) -> None:
     for j, (name, _, _, family_rhs) in enumerate(families):
         names[j::len(families)] = map(name.format, range(n))
         rhs[:, j] = family_rhs
-    keep = cols >= 0
+    keep = (cols >= 0) & (vals != 0.0)
     m.add_constraints(names, rows[keep], cols[keep], vals[keep],
                       [sense for _, _, sense, _ in families] * n, rhs.ravel())
 
@@ -392,8 +408,8 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     hour = np.arange(T) // spH      # hour of each step
 
     def hour_sums(arr: np.ndarray) -> np.ndarray:
-        return np.array([math.fsum(arr[h * spH:(h + 1) * spH])
-                         for h in range(H)])
+        return np.array([math.fsum(steps)
+                         for steps in arr.reshape(H, spH).tolist()])
 
     def hourly(family: str, lo, hi, binary: bool = False) -> np.ndarray:
         return m.add_variables([f"{family}[h={h}]" for h in range(H)],
@@ -464,26 +480,21 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
             ("st_lo_ds[t={}]", [(p_ds, 1.0), (b_ds, -spec.p_min)], ">=", 0.0),
             ("st_excl[t={}]", [(b_ch, 1.0), (b_ds, 1.0)], "<=", 1.0)])
 
-    # state-of-energy recursion; efficiencies act on the baseline flows only,
-    # activation energy enters unscaled. Step 0 starts from s0, not from a
-    # previous soe column.
+    # state-of-energy recursion. Step 0 starts from s0, not from a previous
+    # soe column.
+    decisions = {"ch_bl": ch_bl, "ds_bl": ds_bl, "bid_n": bid["N"],
+                 "bid_dd": bid["DD"], "bid_du": bid["DU"]}
+    deltas = soe_step_deltas(cont, spec, dt_h)
     prev_soe = np.concatenate(([-1], soe[:-1]))
     rhs = np.zeros(T)
     rhs[0] = inputs.s0
     _add_row_group(m, T, [(
         "soe_rec[t={}]",
-        [(soe, 1.0),
-         (ch_bl[hour], -spec.eta_ch * dt_h),
-         (ds_bl[hour], dt_h / spec.eta_ds),
-         (bid["N"][hour], -(cont.e_dr_n - cont.e_ur_n)),
-         (bid["DD"][hour], -cont.e_dr_dd),
-         (bid["DU"][hour], cont.e_ur_du),
-         (prev_soe, -1.0)],
+        [(soe, 1.0)] + [(decisions[f][hour], -d) for f, d in deltas.items()]
+        + [(prev_soe, -1.0)],
         "==", rhs)])
 
     # realized power pinned to baseline plus droop activation
-    decisions = {"ch_bl": ch_bl, "ds_bl": ds_bl, "bid_n": bid["N"],
-                 "bid_dd": bid["DD"], "bid_du": bid["DU"]}
     net_coeffs = step_power_coeffs(cont)
     if inputs.step_powers:
         _add_row_group(m, T, [(
@@ -516,7 +527,8 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     # 0 starts from s0, later hours from the last soe column of the hour
     # before
     third = 1.0 / 3.0
-    prev = [(np.concatenate(([-1], soe[spH - 1:T - 1:spH])), 1.0)]
+    hour_start = np.concatenate(([-1], soe[spH - 1:T - 1:spH]))
+    prev = [(hour_start, 1.0)]
     prev_const = np.zeros(H)
     prev_const[0] = inputs.s0
     scenarios = {
@@ -553,11 +565,15 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
                 else:
                     rows.append((f"cal_empty[h={{}},j={j},k={k}]", terms,
                                  "<=", 0.0))
-        hour_steps = soe.reshape(H, spH)
+        # the hour's mean SoE: the SoE before the hour plus each step's
+        # delta, weighted by the share of the hour's steps from that step on
+        weights = np.tile((spH - np.arange(spH)) / spH, H)
         rows.append(("cal_link[h={}]",
                      [(d_cal[:, k], 1.0) for k in range(K)]
-                     + [(hour_steps[:, j], -1.0 / spH) for j in range(spH)],
-                     "==", 0.0))
+                     + [(hour_start, -1.0)]
+                     + [(decisions[f], -hour_sums(d * weights))
+                        for f, d in deltas.items()],
+                     "==", prev_const))
         if not inputs.step_powers:
             # cyc bounds the hour's throughput sum_t |net_t|: one step's
             # activation terms share one sign, and so does the hour's

@@ -249,6 +249,17 @@ def _load_checkpoint(path: str) -> dict:
     return payload
 
 
+def _mismatch(payload: dict, config_hash: str, data_hash: str, case_id: str,
+              deg: bool, day: int) -> tuple | None:
+    """`(field, recorded, expected)` for the first field of a checkpoint
+    that belongs to another run; None when all match."""
+    expected = {"config_hash": config_hash, "data_hash": data_hash,
+                "case_id": case_id, "degradation_in_objective": deg,
+                "day": day}
+    return next(((k, payload.get(k), v) for k, v in expected.items()
+                 if payload.get(k) != v), None)
+
+
 def _read_checkpoint(path: str, config_hash: str, data_hash: str,
                      case_id: str, deg: bool, day: int,
                      s0: float | None) -> DaySolution | None:
@@ -260,11 +271,7 @@ def _read_checkpoint(path: str, config_hash: str, data_hash: str,
     DataError naming the file.
     """
     payload = _load_checkpoint(path)
-    if (payload.get("config_hash") != config_hash
-            or payload.get("data_hash") != data_hash
-            or payload.get("case_id") != case_id
-            or payload.get("degradation_in_objective") != deg
-            or payload.get("day") != day):
+    if _mismatch(payload, config_hash, data_hash, case_id, deg, day):
         return None
     try:
         sol = DaySolution.from_dict(payload["solution"])
@@ -453,6 +460,7 @@ def load_horizon(config: RunConfig, case_id: str,
     chash = config.config_hash()
     dhash = None
     s0 = config.initial_soe
+    start = "the configured initial SoE"
     solutions = []
     for day in config.days:
         path = _checkpoint_path(run_dir, day)
@@ -463,12 +471,26 @@ def load_horizon(config: RunConfig, case_id: str,
         sol = _read_checkpoint(path, chash, dhash, case_id,
                                degradation_in_objective, day, s0)
         if sol is None:
-            raise ConfigError(
-                f"{path}: day {day} was produced under a different "
-                f"configuration, data set or starting SoE than day "
-                f"{config.days[0]}")
+            payload = _load_checkpoint(path)
+            field, recorded, expected = _mismatch(
+                payload, chash, dhash, case_id, degradation_in_objective,
+                day) or (None, None, None)
+            if field == "config_hash":
+                why = (f"was produced under a different configuration "
+                       f"(configuration hash {recorded}, not {expected})")
+            elif field == "data_hash":
+                why = (f"was solved on a different data set than day "
+                       f"{config.days[0]} (data hash {recorded}, not "
+                       f"{expected})")
+            elif field is not None:
+                why = f"records {field} {recorded!r}, not {expected!r}"
+            else:
+                why = (f"started from SoE {payload['solution']['s0']!r}, "
+                       f"but {start} is {s0!r}")
+            raise ConfigError(f"{path}: day {day} {why}")
         solutions.append(sol)
         s0 = float(sol.soe[-1])
+        start = f"the final SoE of day {day}"
     return HorizonResult(case_id=case_id,
                          degradation_in_objective=degradation_in_objective,
                          config=config, days=tuple(solutions))

@@ -156,7 +156,8 @@ def _write_sidecar(path: str, model: MilpModel, vnames: list[str],
         "rows": dict(zip(rnames, model.row_names)),
     }
     with open(sidecar, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(payload, indent=2))
+        # compact, so that json's C encoder writes it
+        fh.write(json.dumps(payload))
         fh.write("\n")
     return sidecar
 

@@ -4,7 +4,8 @@ Test reference only. `build_day_model` adds each family of columns and
 rows as one block of arrays; this builder states the same model with the
 scalar `add_variable`, `add_constraint` and `set_objective_coeff` calls,
 one loop iteration per hour or step, and the tests require both to give
-the same model, array for array.
+the same model, array for array. Like the block builder, it leaves a
+term with a zero coefficient out of its row.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
     dt_h = grid.dt_hours
     allowed = CASE_MARKETS[inputs.case_id]
     m = MilpModel(f"day{grid.day_index}_{inputs.case_id}")
+
+    def add_row(name, coeffs, sense, rhs):
+        m.add_constraint(name, [(c, v) for c, v in coeffs if v != 0.0],
+                         sense, rhs)
 
     bl_hi = 0.0 if inputs.force_zero_baseline else spec.p_max
     ch_bl = [m.add_variable(f"ch_bl[h={h}]", 0.0, bl_hi) for h in range(H)]
@@ -79,31 +84,31 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
 
     # baseline bounds and hourly exclusivity
     for h in range(H):
-        m.add_constraint(f"bl_up_ch[h={h}]",
-                         [(ch_bl[h], 1.0), (b_ch_bl[h], -spec.p_max)], "<=", 0.0)
-        m.add_constraint(f"bl_up_ds[h={h}]",
-                         [(ds_bl[h], 1.0), (b_ds_bl[h], -spec.p_max)], "<=", 0.0)
+        add_row(f"bl_up_ch[h={h}]",
+                [(ch_bl[h], 1.0), (b_ch_bl[h], -spec.p_max)], "<=", 0.0)
+        add_row(f"bl_up_ds[h={h}]",
+                [(ds_bl[h], 1.0), (b_ds_bl[h], -spec.p_max)], "<=", 0.0)
         if spec.p_min > 0.0:
-            m.add_constraint(f"bl_lo_ch[h={h}]",
-                             [(ch_bl[h], 1.0), (b_ch_bl[h], -spec.p_min)], ">=", 0.0)
-            m.add_constraint(f"bl_lo_ds[h={h}]",
-                             [(ds_bl[h], 1.0), (b_ds_bl[h], -spec.p_min)], ">=", 0.0)
-        m.add_constraint(f"bl_excl[h={h}]",
-                         [(b_ch_bl[h], 1.0), (b_ds_bl[h], 1.0)], "<=", 1.0)
+            add_row(f"bl_lo_ch[h={h}]",
+                    [(ch_bl[h], 1.0), (b_ch_bl[h], -spec.p_min)], ">=", 0.0)
+            add_row(f"bl_lo_ds[h={h}]",
+                    [(ds_bl[h], 1.0), (b_ds_bl[h], -spec.p_min)], ">=", 0.0)
+        add_row(f"bl_excl[h={h}]",
+                [(b_ch_bl[h], 1.0), (b_ds_bl[h], 1.0)], "<=", 1.0)
 
     # realized power bounds and per-step exclusivity
     if inputs.step_powers:
         for t in range(T):
-            m.add_constraint(f"st_up_ch[t={t}]",
-                             [(p_ch[t], 1.0), (b_ch[t], -spec.p_max)], "<=", 0.0)
-            m.add_constraint(f"st_up_ds[t={t}]",
-                             [(p_ds[t], 1.0), (b_ds[t], -spec.p_max)], "<=", 0.0)
-            m.add_constraint(f"st_lo_ch[t={t}]",
-                             [(p_ch[t], 1.0), (b_ch[t], -spec.p_min)], ">=", 0.0)
-            m.add_constraint(f"st_lo_ds[t={t}]",
-                             [(p_ds[t], 1.0), (b_ds[t], -spec.p_min)], ">=", 0.0)
-            m.add_constraint(f"st_excl[t={t}]",
-                             [(b_ch[t], 1.0), (b_ds[t], 1.0)], "<=", 1.0)
+            add_row(f"st_up_ch[t={t}]",
+                    [(p_ch[t], 1.0), (b_ch[t], -spec.p_max)], "<=", 0.0)
+            add_row(f"st_up_ds[t={t}]",
+                    [(p_ds[t], 1.0), (b_ds[t], -spec.p_max)], "<=", 0.0)
+            add_row(f"st_lo_ch[t={t}]",
+                    [(p_ch[t], 1.0), (b_ch[t], -spec.p_min)], ">=", 0.0)
+            add_row(f"st_lo_ds[t={t}]",
+                    [(p_ds[t], 1.0), (b_ds[t], -spec.p_min)], ">=", 0.0)
+            add_row(f"st_excl[t={t}]",
+                    [(b_ch[t], 1.0), (b_ds[t], 1.0)], "<=", 1.0)
 
     # state-of-energy recursion; efficiencies act on the baseline flows only,
     # activation energy enters unscaled
@@ -120,13 +125,13 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
             rhs = inputs.s0
         else:
             coeffs.append((soe[t - 1], -1.0))
-        m.add_constraint(f"soe_rec[t={t}]", coeffs, "==", rhs)
+        add_row(f"soe_rec[t={t}]", coeffs, "==", rhs)
 
     # realized power pinned to baseline plus droop activation
     if inputs.step_powers:
         for t in range(T):
             h = grid.hour_of_step(t)
-            m.add_constraint(
+            add_row(
                 f"pin[t={t}]",
                 [(p_ch[t], 1.0), (p_ds[t], -1.0),
                  (ch_bl[h], -1.0), (ds_bl[h], 1.0),
@@ -140,22 +145,22 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
         if mk not in b_bid:
             continue
         for h in range(H):
-            m.add_constraint(f"{var}_lo[h={h}]",
-                             [(bid[mk][h], 1.0), (b_bid[mk][h], -spec.min_bid(mk))],
-                             ">=", 0.0)
-            m.add_constraint(f"{var}_up[h={h}]",
-                             [(bid[mk][h], 1.0), (b_bid[mk][h], -bid_caps[mk])],
-                             "<=", 0.0)
+            add_row(f"{var}_lo[h={h}]",
+                    [(bid[mk][h], 1.0), (b_bid[mk][h], -spec.min_bid(mk))],
+                    ">=", 0.0)
+            add_row(f"{var}_up[h={h}]",
+                    [(bid[mk][h], 1.0), (b_bid[mk][h], -bid_caps[mk])],
+                    "<=", 0.0)
 
     # reserve power requirements around the baseline (load convention)
     for h in range(H):
-        m.add_constraint(
+        add_row(
             f"req_up[h={h}]",
             [(bid["N"][h], REQ_FACTOR_OWN), (bid["DU"][h], 1.0),
              (bid["DD"][h], REQ_FACTOR_OPP),
              (ch_bl[h], -1.0), (ds_bl[h], 1.0)],
             "<=", spec.p_max)
-        m.add_constraint(
+        add_row(
             f"req_dn[h={h}]",
             [(bid["N"][h], REQ_FACTOR_OWN), (bid["DD"][h], 1.0),
              (bid["DU"][h], REQ_FACTOR_OPP),
@@ -182,10 +187,10 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
                                (bid["N"][h], -1.0), (bid["DU"][h], -third)],
         }
         for label, terms in scenarios.items():
-            m.add_constraint(f"{label}_max[h={h}]", prev + terms, "<=",
-                             spec.soe_max - prev_const)
-            m.add_constraint(f"{label}_min[h={h}]", prev + terms, ">=",
-                             spec.soe_min - prev_const)
+            add_row(f"{label}_max[h={h}]", prev + terms, "<=",
+                    spec.soe_max - prev_const)
+            add_row(f"{label}_min[h={h}]", prev + terms, ">=",
+                    spec.soe_min - prev_const)
 
     # calendar segments filled in order: at each falling kink j, a set pick
     # fills every segment before j, a clear one empties every segment from j
@@ -194,25 +199,37 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
             for i, j in enumerate(kinks):
                 for k in range(3):
                     if k < j:
-                        m.add_constraint(
+                        add_row(
                             f"cal_full[h={h},j={j},k={k}]",
                             [(d_cal[h][k], 1.0), (y_cal[h][i], -widths[k])],
                             ">=", 0.0)
                     else:
-                        m.add_constraint(
+                        add_row(
                             f"cal_empty[h={h},j={j},k={k}]",
                             [(d_cal[h][k], 1.0), (y_cal[h][i], -widths[k])],
                             "<=", 0.0)
-            m.add_constraint(f"cal_link[h={h}]",
-                             [(d_cal[h][k], 1.0) for k in range(3)]
-                             + [(soe[t], -1.0 / spH)
-                                for t in range(h * spH, (h + 1) * spH)],
-                             "==", 0.0)
+            # the hour's mean SoE: the SoE before the hour plus each step's
+            # delta weighted by the share of the hour's steps from it on
+            s = slice(h * spH, (h + 1) * spH)
+            if h == 0:
+                start, start_const = [], inputs.s0
+            else:
+                start, start_const = [(soe[h * spH - 1], -1.0)], 0.0
+            flows = [(ch_bl[h], [spec.eta_ch * dt_h] * spH),
+                     (ds_bl[h], [-dt_h / spec.eta_ds] * spH),
+                     (bid["N"][h], cont.e_dr_n[s] - cont.e_ur_n[s]),
+                     (bid["DD"][h], cont.e_dr_dd[s]),
+                     (bid["DU"][h], -cont.e_ur_du[s])]
+            add_row(f"cal_link[h={h}]",
+                    [(d_cal[h][k], 1.0) for k in range(3)] + start
+                    + [(col, -math.fsum(float(d[i]) * ((spH - i) / spH)
+                                        for i in range(spH)))
+                       for col, d in flows],
+                    "==", start_const)
             if not inputs.step_powers:
                 # the hour's throughput bound: the baseline at its set
                 # point in every step, each bid at its activation fraction
-                s = slice(h * spH, (h + 1) * spH)
-                m.add_constraint(
+                add_row(
                     f"cyc_def[h={h}]",
                     [(cyc[h], 1.0), (ch_bl[h], -float(spH)),
                      (ds_bl[h], -float(spH)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,14 +12,16 @@ from fcrsched import (
     AgingCoefficients,
     BatterySpec,
     DayInputs,
+    FrequencyTrace,
     InfeasibleBounds,
     InvalidParameter,
     MilpModel,
     RegistryMiss,
     build_day_model,
+    energy_content,
     model_size,
 )
-from fcrsched.milp import validate_solution
+from fcrsched.milp import soe_step_deltas, validate_solution
 
 from helpers import (
     audit_solution,
@@ -261,6 +264,81 @@ def assert_same_model(got: MilpModel, ref: MilpModel) -> None:
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def with_fcrd_activation(inp: DayInputs) -> DayInputs:
+    """`inp` on its synthetic trace, except that every third step sits at
+    49.8 Hz (FCR-D up active) and every third step after it at 50.2 Hz
+    (FCR-D down active)."""
+    grid = inp.grid
+    f = 50.0 + 0.01 * np.sin(np.arange(grid.n_steps))
+    f[::3] = 49.8
+    f[1::3] = 50.2
+    trace = FrequencyTrace(f, grid.n_steps)
+    return dataclasses.replace(inp, contents=energy_content(trace, grid))
+
+
+def entries_by_row(m: MilpModel) -> dict[str, dict[int, float]]:
+    rows, cols, vals, _, _ = m.triplets()
+    out: dict[str, dict[int, float]] = {name: {} for name in m.row_names}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        out[m.row_names[r]][c] = v
+    return out
+
+
+@pytest.mark.parametrize("case", ["WO_FCR", "FCR_N", "FCR_DU", "FCR_DD", "MULTI"])
+@pytest.mark.parametrize("positive_p_min", [False, True])
+@pytest.mark.parametrize("deg", [False, True])
+def test_day_model_holds_no_zero_entries(case, positive_p_min, deg):
+    spec = BatterySpec(p_min=0.05 if positive_p_min else 0.0)
+    synthetic = day_inputs(case=case, hours=3, steps_per_hour=4, spec=spec,
+                           deg=deg)
+    fcrd = with_fcrd_activation(synthetic)
+    # the synthetic trace never activates FCR-D, the other one sometimes
+    assert not synthetic.contents.e_dr_dd.any()
+    assert not synthetic.contents.e_ur_du.any()
+    for inp in (synthetic, fcrd):
+        m = build_day_model(inp)
+        assert m.triplets()[2].all()
+        rows = entries_by_row(m)
+        assert all(rows.values())
+        # FCR-D bids enter a step's SoE recursion only where they activate
+        cont = inp.contents
+        for family, energy in (("bid_dd", cont.e_dr_dd),
+                               ("bid_du", cont.e_ur_du)):
+            kept = [t for t in range(inp.grid.n_steps)
+                    if m.col(f"{family}[h={inp.grid.hour_of_step(t)}]")
+                    in rows[f"soe_rec[t={t}]"]]
+            assert kept == np.flatnonzero(energy).tolist()
+    assert 0 < np.count_nonzero(fcrd.contents.e_dr_dd) < fcrd.grid.n_steps
+    assert 0 < np.count_nonzero(fcrd.contents.e_ur_du) < fcrd.grid.n_steps
+
+
+@pytest.mark.parametrize("steps_per_hour", [4, 60])
+def test_cal_link_is_the_hour_mean_of_the_soe_recursion(steps_per_hour):
+    """For any hourly decisions, the SoE mean a `cal_link` row gives its
+    calendar fills equals the mean of the SoE the recursion rolls forward."""
+    inp = with_fcrd_activation(day_inputs(
+        hours=3, steps_per_hour=steps_per_hour, deg=True, s0=0.4))
+    grid = inp.grid
+    m = build_day_model(inp)
+    rng = np.random.default_rng(5)
+    deltas = soe_step_deltas(inp.contents, inp.spec, grid.dt_hours)
+    hour = np.arange(grid.n_steps) // steps_per_hour
+    x = np.zeros(m.n_vars)
+    soe = inp.s0 + np.zeros(grid.n_steps)
+    for family, delta in deltas.items():
+        values = rng.uniform(0.0, 1.0, grid.hours)
+        x[[m.col(f"{family}[h={h}]") for h in range(grid.hours)]] = values
+        soe += np.cumsum(delta * values[hour])
+    x[[m.col(f"soe[t={t}]") for t in range(grid.n_steps)]] = soe
+    # with every fill at zero, a row's fills must sum to rhs - A @ x
+    rows, cols, vals, _, _ = m.triplets()
+    lhs = np.bincount(rows, weights=vals * x[cols], minlength=m.n_rows)
+    for h in range(grid.hours):
+        r = m.row_names.index(f"cal_link[h={h}]")
+        mean = float(np.mean(soe[h * steps_per_hour:(h + 1) * steps_per_hour]))
+        assert m.rhs[r] - lhs[r] == pytest.approx(mean, rel=1e-12, abs=0.0)
 
 
 def test_model_size_with_p_min():

@@ -290,10 +290,11 @@ CHECKPOINT_DAMAGE = {
 }
 
 
-def damage_checkpoint(path: str, kind: str) -> None:
+def edit_checkpoint(path: str, edit) -> None:
+    """Apply `edit` to the checkpoint's payload in place."""
     with open(path) as fh:
         payload = json.load(fh)
-    CHECKPOINT_DAMAGE[kind](payload)
+    edit(payload)
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
@@ -307,7 +308,7 @@ def test_damaged_checkpoint_is_resolved_on_resume_and_refused_by_load(
     patch_backend(monkeypatch, counting_backend(calls))
     first = run_case(bundle)
     path = os.path.join(str(tmp_path), "WO_FCR_nodeg", "day_0000.json")
-    damage_checkpoint(path, kind)
+    edit_checkpoint(path, CHECKPOINT_DAMAGE[kind])
 
     with pytest.raises(DataError, match=r"day_0000\.json.* day 0 is damaged"):
         load_horizon(cfg, "WO_FCR", False)
@@ -438,6 +439,45 @@ def test_load_horizon_rejects_days_from_another_data_set(tmp_path, monkeypatch):
         run_case(load_bundle(cfg, synthetic_seed=9))
     with pytest.raises(ConfigError, match="day 1"):
         load_horizon(cfg, "MULTI", False)
+
+
+def test_load_horizon_names_the_other_configuration_hash(tmp_path):
+    cfg = toy_config(tmp_path, case_id="WO_FCR")
+    run_case(load_bundle(cfg, synthetic_seed=7))
+    other = toy_config(tmp_path, case_id="WO_FCR", mip_gap=1e-4)
+    with pytest.raises(ConfigError) as err:
+        load_horizon(other, "WO_FCR", False)
+    assert str(err.value).endswith(
+        f"day_0000.json: day 0 was produced under a different configuration "
+        f"(configuration hash {cfg.config_hash()}, not "
+        f"{other.config_hash()})")
+
+
+def test_load_horizon_names_the_other_data_hash(tmp_path):
+    cfg = toy_config(tmp_path, case_id="WO_FCR", days=(0, 1))
+    bundle = load_bundle(cfg, synthetic_seed=7)
+    run_case(bundle)
+    edit_checkpoint(os.path.join(str(tmp_path), "WO_FCR_nodeg",
+                                 "day_0001.json"),
+                    lambda p: p.update(data_hash="0123456789abcdef"))
+    with pytest.raises(ConfigError) as err:
+        load_horizon(cfg, "WO_FCR", False)
+    assert str(err.value).endswith(
+        f"day_0001.json: day 1 was solved on a different data set than "
+        f"day 0 (data hash 0123456789abcdef, not {bundle.data_hash()})")
+
+
+def test_load_horizon_names_the_other_starting_soe(tmp_path):
+    cfg = toy_config(tmp_path, case_id="WO_FCR")
+    run_case(load_bundle(cfg, synthetic_seed=7))
+    edit_checkpoint(os.path.join(str(tmp_path), "WO_FCR_nodeg",
+                                 "day_0000.json"),
+                    lambda p: p["solution"].update(s0=0.3))
+    with pytest.raises(ConfigError) as err:
+        load_horizon(cfg, "WO_FCR", False)
+    assert str(err.value).endswith(
+        f"day_0000.json: day 0 started from SoE 0.3, but the configured "
+        f"initial SoE is {cfg.initial_soe!r}")
 
 
 @pytest.mark.parametrize("text", ["{not json", "[]"])

@@ -171,7 +171,7 @@ def test_writers_bytes_of_tiny_model(tmp_path, fmt):
         "rows": dict(zip(rnames, ["cap[t=0]", "floor[t=0]", "link[t=0]"])),
     }
     assert Path(sidecar).read_text(encoding="ascii") == \
-        json.dumps(expected, indent=2) + "\n"
+        json.dumps(expected) + "\n"
 
 def test_sanitize_name():
     assert sanitize_name("p_ch[t=37]") == "p_ch_t37"
