@@ -24,8 +24,9 @@ from fcrsched import (
 )
 
 # Inputs: a 24-hour day at 15-minute resolution, synthetic frequency and
-# prices, all three reserve markets allowed ("MULTI"), degradation charged
-# after the fact rather than inside the objective.
+# prices, all three reserve markets allowed ("MULTI"). No aging
+# linearizations are given, so degradation is charged after the fact rather
+# than inside the objective.
 grid = TimeGrid(day_index=0, steps_per_hour=4, hours=24)
 spec = BatterySpec()
 trace = synth_frequency(seed=11, grid=grid)
@@ -38,7 +39,6 @@ inputs = DayInputs(
     spec=spec,
     s0=0.5 * spec.capacity,
     case_id="MULTI",
-    degradation_in_objective=False,
 )
 
 size = model_size(inputs)

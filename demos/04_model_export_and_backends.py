@@ -33,7 +33,7 @@ spec = BatterySpec()
 inputs = DayInputs(
     grid=grid, prices=synth_prices(8, grid.hours),
     contents=energy_content(synth_frequency(7, grid), grid),
-    spec=spec, s0=0.5, case_id="MULTI", degradation_in_objective=False)
+    spec=spec, s0=0.5, case_id="MULTI")
 model = build_day_model(inputs)
 
 # Export writes the model plus a sidecar mapping solver-safe names back to

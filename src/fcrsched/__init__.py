@@ -16,7 +16,6 @@ Typical flow:
 
 from .degradation import (
     AgingCoefficients,
-    BatteryNpv,
     CalendarLinearization,
     CycleLinearization,
     battery_npv,

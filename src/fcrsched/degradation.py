@@ -76,18 +76,6 @@ class AgingCoefficients:
 
 
 @dataclass(frozen=True)
-class BatteryNpv:
-    """Net present value of the battery in EUR, with the inputs echoed."""
-
-    value: float
-    replacement_cost: float
-    om_cost: float
-    lifetime_years: int
-    interest_rate: float
-    salvage_ratio: float
-
-
-@dataclass(frozen=True)
 class CalendarSegment:
     lo_mwh: float
     hi_mwh: float
@@ -104,10 +92,6 @@ class CalendarLinearization:
     """Per-step calendar cost as three secant segments over SoE in MWh."""
 
     segments: tuple[CalendarSegment, CalendarSegment, CalendarSegment]
-    temperature: float
-    age_days: float
-    dt_seconds: float
-    npv_eur: float
 
     def cost_at(self, soe: float) -> float:
         for seg in self.segments:
@@ -136,66 +120,53 @@ class CycleLinearization:
 
     k_cyc: float
     max_rel_err: float
-    p_lo: float
-    p_hi: float
 
 
-def battery_npv(spec: "BatterySpec") -> BatteryNpv:
+def battery_npv(spec: "BatterySpec") -> float:
     """Discounted replacement-plus-O&M value of the battery in EUR.
 
     value = (1 - r_sv) * C_rep / (1+i)^L + C_om * ((1+i)^L - 1) / (alpha (1+i)^L)
     with alpha defaulting to the interest rate i (standard annuity form).
     """
-    if spec.lifetime_years < 1:
-        raise InvalidParameter("lifetime_years must be >= 1")
-    if spec.interest_rate <= 0:
-        raise InvalidParameter("interest_rate must be > 0")
     alpha = spec.npv_alpha if spec.npv_alpha is not None else spec.interest_rate
-    if alpha <= 0:
-        raise InvalidParameter("npv_alpha must be > 0")
     c_rep = spec.replacement_cost * spec.capacity
     growth = (1.0 + spec.interest_rate) ** spec.lifetime_years
-    value = (1.0 - spec.salvage_ratio) * c_rep / growth \
+    return (1.0 - spec.salvage_ratio) * c_rep / growth \
         + spec.om_cost * (growth - 1.0) / (alpha * growth)
-    return BatteryNpv(value=value, replacement_cost=spec.replacement_cost,
-                      om_cost=spec.om_cost, lifetime_years=spec.lifetime_years,
-                      interest_rate=spec.interest_rate,
-                      salvage_ratio=spec.salvage_ratio)
 
 
-def eur_per_pct(npv: BatteryNpv | float, eol_retained: float) -> float:
+def eur_per_pct(spec: "BatterySpec") -> float:
     """EUR value of one percent of capacity loss."""
-    value = npv.value if isinstance(npv, BatteryNpv) else float(npv)
-    return value / (100.0 * (1.0 - eol_retained))
+    return battery_npv(spec) / (100.0 * (1.0 - spec.eol_retained))
 
 
-def _arrhenius(coeffs: AgingCoefficients, temp_K: float) -> float:
-    return math.exp(-coeffs.Ea / (coeffs.R_gas * temp_K))
+def _arrhenius(spec: "BatterySpec") -> float:
+    co = spec.aging
+    return math.exp(-co.Ea / (co.R_gas * spec.temperature))
 
 
-def calendar_aging_step(soe: float, temp_K: float, age_days: float,
-                        dt_seconds: float, coeffs: AgingCoefficients,
-                        capacity: float) -> float:
+def calendar_aging_step(spec: "BatterySpec", soe: float, age_days: float,
+                        dt_seconds: float) -> float:
     """Percent capacity lost to calendar aging over one step.
 
     Uses the incremental square-root-of-time form
     G(SoC%) * exp(-Ea/(R K)) * (sqrt(age + dt) - sqrt(age)), which
     telescopes to the cumulative law over consecutive steps at constant SoC.
     """
-    if not 0.0 <= soe <= capacity:
-        raise InvalidParameter(f"soe {soe} outside [0, {capacity}]")
+    if not 0.0 <= soe <= spec.capacity:
+        raise InvalidParameter(f"soe {soe} outside [0, {spec.capacity}]")
     if age_days < 0:
         raise InvalidParameter("age_days must be >= 0")
     if dt_seconds < 0:
         raise InvalidParameter("dt_seconds must be >= 0")
-    g = coeffs.g_of_soc(100.0 * soe / capacity)
-    arr = _arrhenius(coeffs, temp_K)
+    g = spec.aging.g_of_soc(100.0 * soe / spec.capacity)
     dt_days = dt_seconds / 86400.0
-    return g * arr * (math.sqrt(age_days + dt_days) - math.sqrt(age_days))
+    return g * _arrhenius(spec) \
+        * (math.sqrt(age_days + dt_days) - math.sqrt(age_days))
 
 
-def cycle_aging_step(p_ch: float, p_ds: float, dt_seconds: float,
-                     coeffs: AgingCoefficients, capacity: float) -> float:
+def cycle_aging_step(spec: "BatterySpec", p_ch: float, p_ds: float,
+                     dt_seconds: float) -> float:
     """Percent capacity lost to cycle aging over one step.
 
     C-rate is (p_ch + p_ds) / capacity; throughput is per-unit-capacity
@@ -205,15 +176,15 @@ def cycle_aging_step(p_ch: float, p_ds: float, dt_seconds: float,
         raise InvalidParameter("powers must be >= 0")
     if min(p_ch, p_ds) > 1e-9:
         raise InvalidParameter("simultaneous charge and discharge")
+    co = spec.aging
     p = p_ch + p_ds
-    c_rate = p / capacity
-    throughput = p * (dt_seconds / 3600.0) / capacity * coeffs.ah_scale
-    return coeffs.q_poly_at_temp * math.exp(coeffs.q4 * c_rate) * throughput
+    c_rate = p / spec.capacity
+    throughput = p * (dt_seconds / 3600.0) / spec.capacity * co.ah_scale
+    return co.q_poly_at_temp * math.exp(co.q4 * c_rate) * throughput
 
 
-def linearize_calendar(spec: "BatterySpec", temp_K: float, age_days: float,
-                       dt_seconds: float,
-                       npv: BatteryNpv | float) -> CalendarLinearization:
+def linearize_calendar(spec: "BatterySpec", age_days: float,
+                       dt_seconds: float) -> CalendarLinearization:
     """Secant linearization of per-step calendar cost over SoE.
 
     Breakpoints sit at 0, 0.5, 0.7 and 1.0 of capacity; the nonlinear cost
@@ -224,15 +195,11 @@ def linearize_calendar(spec: "BatterySpec", temp_K: float, age_days: float,
     worst absolute gap to the quadratic inside the span.
     """
     q = spec.capacity
-    scale = eur_per_pct(npv, spec.eol_retained)
-
-    def cost(soe: float) -> float:
-        return scale * calendar_aging_step(
-            soe, temp_K, age_days, dt_seconds, spec.aging, q)
-
+    scale = eur_per_pct(spec)
     breaks = [0.0, 0.5 * q, 0.7 * q, 1.0 * q]
-    values = [cost(s) for s in breaks]
-    arr = _arrhenius(spec.aging, temp_K)
+    values = [scale * calendar_aging_step(spec, s, age_days, dt_seconds)
+              for s in breaks]
+    arr = _arrhenius(spec)
     dtf = math.sqrt(age_days + dt_seconds / 86400.0) - math.sqrt(age_days)
     curvatures = (spec.aging.a1, spec.aging.b1, spec.aging.c1)
 
@@ -253,18 +220,14 @@ def linearize_calendar(spec: "BatterySpec", temp_K: float, age_days: float,
         segments.append(CalendarSegment(
             lo_mwh=lo, hi_mwh=hi, slope_eur_per_mwh=slope,
             intercept_eur=intercept, max_gap_eur=sag + jump))
-    return CalendarLinearization(
-        segments=tuple(segments), temperature=temp_K, age_days=age_days,
-        dt_seconds=dt_seconds,
-        npv_eur=npv.value if isinstance(npv, BatteryNpv) else float(npv))
+    return CalendarLinearization(segments=tuple(segments))
 
 
 CYCLE_FIT_SAMPLES = 50
 CYCLE_FIT_TOL = 0.10        # cap on the fit's full-scale relative error
 
 
-def linearize_cycle(spec: "BatterySpec", temp_K: float,
-                    npv: BatteryNpv | float) -> CycleLinearization:
+def linearize_cycle(spec: "BatterySpec") -> CycleLinearization:
     """Least-squares EUR/MWh-throughput coefficient over the power range.
 
     Fits k so that k * p approximates c * p * exp(q4 * p / capacity) over 50
@@ -273,7 +236,7 @@ def linearize_cycle(spec: "BatterySpec", temp_K: float,
     full-scale relative error exceeds the 10 % cap.
     """
     co = spec.aging
-    scale = eur_per_pct(npv, spec.eol_retained)
+    scale = eur_per_pct(spec)
     # nonlinear cost of moving 1 MWh at constant power p:
     #   scale * q_poly * exp(q4 p / cap) * ah_scale / cap
     c0 = scale * co.q_poly_at_temp * co.ah_scale / spec.capacity
@@ -288,11 +251,10 @@ def linearize_cycle(spec: "BatterySpec", temp_K: float,
             f"cycle fit error {max_rel_err:.3f} exceeds {CYCLE_FIT_TOL}")
     if k_cyc <= 0:
         raise InvalidParameter("k_cyc must be > 0")
-    return CycleLinearization(k_cyc=k_cyc, max_rel_err=max_rel_err,
-                              p_lo=p_lo, p_hi=p_hi)
+    return CycleLinearization(k_cyc=k_cyc, max_rel_err=max_rel_err)
 
 
-def post_calculate_aging(solution, spec: "BatterySpec", temp_K: float,
+def post_calculate_aging(solution, spec: "BatterySpec",
                          age_days: float) -> tuple[float, float, float, float]:
     """Exact nonlinear aging of a solved day: (cal EUR, cyc EUR, cal %, cyc %).
 
@@ -311,9 +273,7 @@ def post_calculate_aging(solution, spec: "BatterySpec", temp_K: float,
     cyc_pct = 0.0
     for t in range(soe.size):
         cal_pct += calendar_aging_step(
-            float(soe[t]), temp_K, age_days + t * dt_days, dt, spec.aging,
-            spec.capacity)
-        cyc_pct += cycle_aging_step(float(p_ch[t]), float(p_ds[t]), dt,
-                                    spec.aging, spec.capacity)
-    scale = eur_per_pct(battery_npv(spec), spec.eol_retained)
+            spec, float(soe[t]), age_days + t * dt_days, dt)
+        cyc_pct += cycle_aging_step(spec, float(p_ch[t]), float(p_ds[t]), dt)
+    scale = eur_per_pct(spec)
     return cal_pct * scale, cyc_pct * scale, cal_pct, cyc_pct

@@ -226,6 +226,11 @@ class BatterySpec:
                 raise InvalidParameter(f"{name} must lie in [0, 2*p_max]")
         if self.lifetime_years < 1:
             raise InvalidParameter("lifetime_years must be >= 1")
+        # `not x > 0` also refuses NaN, which would turn every cost into NaN
+        if not self.interest_rate > 0:
+            raise InvalidParameter("interest_rate must be > 0")
+        if self.npv_alpha is not None and not self.npv_alpha > 0:
+            raise InvalidParameter("npv_alpha must be > 0")
         if self.temperature <= 0:
             raise InvalidParameter("temperature must be in Kelvin and > 0")
 

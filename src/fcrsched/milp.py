@@ -255,7 +255,6 @@ class DayInputs:
     spec: BatterySpec
     s0: float
     case_id: str
-    degradation_in_objective: bool = True
     cal_lin: CalendarLinearization | None = None
     cyc_lin: CycleLinearization | None = None
     force_zero_baseline: bool = False
@@ -272,10 +271,14 @@ class DayInputs:
         if not self.spec.soe_min <= self.s0 <= self.spec.soe_max:
             raise InfeasibleBounds(
                 f"s0={self.s0} outside [{self.spec.soe_min}, {self.spec.soe_max}]")
-        if self.degradation_in_objective and (self.cal_lin is None
-                                              or self.cyc_lin is None):
+        if (self.cal_lin is None) != (self.cyc_lin is None):
             raise InvalidParameter(
-                "degradation in objective requires cal_lin and cyc_lin")
+                "give both cal_lin and cyc_lin, or neither")
+
+    @property
+    def degradation_in_objective(self) -> bool:
+        """Whether aging is priced: exactly when the linearizations are given."""
+        return self.cal_lin is not None
 
     @property
     def step_powers(self) -> bool:

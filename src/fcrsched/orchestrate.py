@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degradation import (
-    battery_npv,
     linearize_calendar,
     linearize_cycle,
     post_calculate_aging,
@@ -303,17 +302,14 @@ def day_inputs(bundle: DataBundle, day: int, s0: float, age: float,
     grid = cfg.grid_for(day)
     cal_lin = cyc_lin = None
     if deg:
-        npv = battery_npv(spec)
-        cal_lin = linearize_calendar(
-            spec, spec.temperature, age, grid.step_seconds, npv)
-        cyc_lin = linearize_cycle(spec, spec.temperature, npv)
+        cal_lin = linearize_calendar(spec, age, grid.step_seconds)
+        cyc_lin = linearize_cycle(spec)
     day_trace = FrequencyTrace(bundle.frequency.day_values(day), grid.n_steps)
     return DayInputs(
         grid=grid,
         prices=bundle.prices.day_slice(day, cfg.hours_per_day),
         contents=energy_content(day_trace, grid),
         spec=spec, s0=s0, case_id=case_id,
-        degradation_in_objective=deg,
         cal_lin=cal_lin, cyc_lin=cyc_lin,
         force_zero_baseline=cfg.force_zero_baseline)
 
@@ -394,7 +390,7 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
                      "%d nodes in %.2fs", day, case, "deg" if deg else "nodeg",
                      sol.objective, sol.gap, sol.nodes, result.wall_time)
             cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
-                sol, spec, spec.temperature, age_k)
+                sol, spec, age_k)
             profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur
             sol = dataclasses.replace(sol, cal_cost=cal_eur, cyc_cost=cyc_eur,
                                       cal_pct=cal_pct, cyc_pct=cyc_pct,

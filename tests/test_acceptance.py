@@ -235,21 +235,19 @@ def test_pricing_degradation_reduces_realized_aging_in_6_of_7_seeds(tmp_path):
 
 def test_calendar_secants_exact_at_breakpoints_and_cycle_fit_within_10pct():
     spec = BatterySpec()
-    npv = battery_npv(spec)
-    scale = eur_per_pct(npv, spec.eol_retained)
+    scale = eur_per_pct(spec)
 
-    cal = linearize_calendar(spec, spec.temperature, 30.0, 900.0, npv)
+    cal = linearize_calendar(spec, 30.0, 900.0)
     for frac in (0.0, 0.5, 0.7, 1.0):
         bp = frac * spec.capacity
-        exact = scale * calendar_aging_step(bp, spec.temperature, 30.0, 900.0,
-                                            spec.aging, spec.capacity)
+        exact = scale * calendar_aging_step(spec, bp, 30.0, 900.0)
         assert abs(cal.cost_at(bp) - exact) <= 1e-12 * exact, frac
     for a, b in zip(cal.segments, cal.segments[1:]):
         join = a.slope_eur_per_mwh * a.hi_mwh + a.intercept_eur
         other = b.slope_eur_per_mwh * b.lo_mwh + b.intercept_eur
         assert abs(join - other) <= 1e-12 * abs(join)
 
-    cyc = linearize_cycle(spec, spec.temperature, npv)
+    cyc = linearize_cycle(spec)
     assert cyc.max_rel_err <= 0.10  # the linearizer's own report
     co = spec.aging
     c0 = scale * co.q_poly_at_temp * co.ah_scale / spec.capacity
@@ -267,7 +265,7 @@ def test_calendar_secants_exact_at_breakpoints_and_cycle_fit_within_10pct():
 
 
 def test_battery_npv_matches_independent_value_63210_eur_within_10():
-    value = battery_npv(BatterySpec()).value
+    value = battery_npv(BatterySpec())
     assert abs(value - 63210.0) <= 10.0
     # exact figure from an independent high-precision evaluation
     assert value == pytest.approx(63210.6115735084, abs=1e-6)

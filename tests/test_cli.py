@@ -13,7 +13,6 @@ import pytest
 
 from fcrsched import (
     RunConfig,
-    battery_npv,
     build_day_model,
     linearize_calendar,
     load_bundle,
@@ -128,6 +127,23 @@ def test_run_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "day 0" in err
     assert (tmp_path / "out" / "FCR_N_nodeg" / "failure.json").exists()
+
+
+@pytest.mark.parametrize("battery", [{"interest_rate": 0.0},
+                                     {"npv_alpha": -1.0}])
+def test_run_nonpositive_npv_rate_exits_before_any_solve(tmp_path, capsys,
+                                                         monkeypatch, battery):
+    cfg = write_config(tmp_path, case_id="WO_FCR", battery=battery)
+
+    def never(model, time_limit_s=600.0, mip_gap=1e-6):
+        raise AssertionError("a day was solved")
+
+    monkeypatch.setattr("fcrsched.orchestrate.get_backend",
+                        lambda name: never)
+    assert main(["run", "--config", cfg, "--synthetic-seed", "3"]) == 2
+    (key,) = battery
+    assert f"{key} must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -- report ----------------------------------------------------------------------
@@ -271,8 +287,7 @@ def test_export_model_is_the_model_run_solved(tmp_path):
     # the calendar cost is priced at the mid-horizon age, 0 + 0.5 * 2 days
     cfg = RunConfig.from_file(cfg_path)
     spec = cfg.battery
-    cal = linearize_calendar(spec, spec.temperature, 1.0,
-                             cfg.grid_for(1).step_seconds, battery_npv(spec))
+    cal = linearize_calendar(spec, 1.0, cfg.grid_for(1).step_seconds)
     sph = cfg.steps_per_hour
     for k, seg in enumerate(cal.segments):
         col = model.col(f"d_cal[h=0,k={k}]")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -63,30 +64,32 @@ def test_npv_matches_exact_rational_arithmetic():
     exact = (Fraction(1, 2) * c_rep / growth
              + Fraction(2740) * (growth - 1) / (Fraction(5, 100) * growth))
     npv = battery_npv(SPEC)
-    assert npv.value == pytest.approx(float(exact), rel=1e-12)
-    assert npv.value == pytest.approx(63_210.6115735084, rel=1e-12)
+    assert npv == pytest.approx(float(exact), rel=1e-12)
+    assert npv == pytest.approx(63_210.6115735084, rel=1e-12)
 
 
 def test_npv_custom_alpha_and_validation():
     spec = BatterySpec(npv_alpha=0.08)
     growth = 1.05 ** 10
     want = 0.5 * 137_000 / growth + 2740 * (growth - 1) / (0.08 * growth)
-    assert battery_npv(spec).value == pytest.approx(want, rel=1e-12)
+    assert battery_npv(spec) == pytest.approx(want, rel=1e-12)
     with pytest.raises(InvalidParameter):
         battery_npv(BatterySpec(interest_rate=-0.01))
 
 
 def test_eur_per_pct():
-    npv = battery_npv(SPEC)
-    assert eur_per_pct(npv, 0.8) == pytest.approx(npv.value / 20.0, rel=1e-15)
-    assert eur_per_pct(1000.0, 0.9) == pytest.approx(100.0, rel=1e-15)
+    assert eur_per_pct(SPEC) == pytest.approx(battery_npv(SPEC) / 20.0,
+                                              rel=1e-15)
+    spec = BatterySpec(eol_retained=0.9)
+    assert eur_per_pct(spec) == pytest.approx(battery_npv(spec) / 10.0,
+                                              rel=1e-15)
 
 
 def test_arrhenius_factor_in_calendar_step():
     # G(50%) at reference temperature over dt from age 0:
     # increment = G * exp(-Ea/(R T)) * sqrt(dt_days)
     dt = 900.0
-    inc = calendar_aging_step(0.5, T_REF, 0.0, dt, CO, 1.0)
+    inc = calendar_aging_step(SPEC, 0.5, 0.0, dt)
     arr = math.exp(-24_500.0 / (8.314 * T_REF))
     assert arr == pytest.approx(4.308581343169691e-05, rel=1e-12)
     assert inc == pytest.approx(2959.6 * arr * math.sqrt(dt / 86400.0),
@@ -98,7 +101,7 @@ def test_calendar_step_telescopes_to_cumulative_law():
     n = 192
     age0 = 12.5
     total = math.fsum(
-        calendar_aging_step(0.3, T_REF, age0 + t * dt / 86400.0, dt, CO, 1.0)
+        calendar_aging_step(SPEC, 0.3, age0 + t * dt / 86400.0, dt)
         for t in range(n))
     direct = (CO.g_of_soc(30.0) * math.exp(-CO.Ea / (CO.R_gas * T_REF))
               * (math.sqrt(age0 + n * dt / 86400.0) - math.sqrt(age0)))
@@ -107,31 +110,31 @@ def test_calendar_step_telescopes_to_cumulative_law():
 
 def test_calendar_step_validation():
     with pytest.raises(InvalidParameter):
-        calendar_aging_step(-0.01, T_REF, 0.0, 900, CO, 1.0)
+        calendar_aging_step(SPEC, -0.01, 0.0, 900)
     with pytest.raises(InvalidParameter):
-        calendar_aging_step(1.01, T_REF, 0.0, 900, CO, 1.0)
+        calendar_aging_step(SPEC, 1.01, 0.0, 900)
     with pytest.raises(InvalidParameter):
-        calendar_aging_step(0.5, T_REF, -1.0, 900, CO, 1.0)
-    assert calendar_aging_step(0.5, T_REF, 10.0, 0.0, CO, 1.0) == 0.0
+        calendar_aging_step(SPEC, 0.5, -1.0, 900)
+    assert calendar_aging_step(SPEC, 0.5, 10.0, 0.0) == 0.0
 
 
 def test_cycle_step_pinned_and_scaling():
     # 1 MW for one hour on the 1 MWh unit: C-rate 1, throughput 1
-    pct = cycle_aging_step(1.0, 0.0, 3600, CO, 1.0)
+    pct = cycle_aging_step(SPEC, 1.0, 0.0, 3600)
     assert pct == pytest.approx(0.0008 * math.exp(0.3903), rel=1e-12)
     assert pct == pytest.approx(1.1819391636732719e-3, rel=1e-12)
     # throughput is linear in dt, cost symmetric in charge/discharge
-    assert cycle_aging_step(0.0, 1.0, 3600, CO, 1.0) == pct
-    assert cycle_aging_step(1.0, 0.0, 900, CO, 1.0) == pytest.approx(
+    assert cycle_aging_step(SPEC, 0.0, 1.0, 3600) == pct
+    assert cycle_aging_step(SPEC, 1.0, 0.0, 900) == pytest.approx(
         pct / 4.0, rel=1e-12)
-    assert cycle_aging_step(0.0, 0.0, 3600, CO, 1.0) == 0.0
+    assert cycle_aging_step(SPEC, 0.0, 0.0, 3600) == 0.0
 
 
 def test_cycle_step_rejects_simultaneous_flow():
     with pytest.raises(InvalidParameter):
-        cycle_aging_step(0.5, 0.5, 3600, CO, 1.0)
+        cycle_aging_step(SPEC, 0.5, 0.5, 3600)
     with pytest.raises(InvalidParameter):
-        cycle_aging_step(-0.1, 0.0, 3600, CO, 1.0)
+        cycle_aging_step(SPEC, -0.1, 0.0, 3600)
 
 
 def test_aging_coefficients_validation():
@@ -142,11 +145,10 @@ def test_aging_coefficients_validation():
 
 
 def test_calendar_linearization_exact_at_breakpoints():
-    npv = battery_npv(SPEC)
-    cal = linearize_calendar(SPEC, T_REF, 30.0, 900, npv)
-    scale = eur_per_pct(npv, SPEC.eol_retained)
+    cal = linearize_calendar(SPEC, 30.0, 900)
+    scale = eur_per_pct(SPEC)
     for b in (0.0, 0.5, 0.7, 1.0):
-        nonlinear = scale * calendar_aging_step(b, T_REF, 30.0, 900, CO, 1.0)
+        nonlinear = scale * calendar_aging_step(SPEC, b, 30.0, 900)
         assert cal.cost_at(b) == pytest.approx(nonlinear, rel=1e-12)
     # segments join continuously
     for left, right in zip(cal.segments, cal.segments[1:]):
@@ -155,23 +157,20 @@ def test_calendar_linearization_exact_at_breakpoints():
 
 
 def test_calendar_linearization_gap_bound_holds():
-    npv = battery_npv(SPEC)
-    cal = linearize_calendar(SPEC, T_REF, 30.0, 900, npv)
-    scale = eur_per_pct(npv, SPEC.eol_retained)
+    cal = linearize_calendar(SPEC, 30.0, 900)
+    scale = eur_per_pct(SPEC)
     for seg in cal.segments:
         for s in np.linspace(seg.lo_mwh, seg.hi_mwh, 200):
-            nonlinear = scale * calendar_aging_step(
-                float(s), T_REF, 30.0, 900, CO, 1.0)
+            nonlinear = scale * calendar_aging_step(SPEC, float(s), 30.0, 900)
             assert abs(seg.cost_at(float(s)) - nonlinear) \
                 <= seg.max_gap_eur + 1e-12
 
 
 def test_cycle_linearization_pinned_fit():
-    cyc = linearize_cycle(SPEC, T_REF, battery_npv(SPEC))
+    cyc = linearize_cycle(SPEC)
     assert cyc.k_cyc == pytest.approx(3.4075744785343587, rel=1e-9)
     assert cyc.max_rel_err == pytest.approx(0.08779964473754141, rel=1e-9)
     assert cyc.max_rel_err <= 0.10
-    assert (cyc.p_lo, cyc.p_hi) == (0.1, 1.0)
 
 
 def test_cycle_linearization_tolerance_enforced():
@@ -179,7 +178,7 @@ def test_cycle_linearization_tolerance_enforced():
     # 10 % cap; the default q4 = 0.3903 misses by 0.0878
     steep = BatterySpec(aging=AgingCoefficients(q4=0.5))
     with pytest.raises(FitToleranceExceeded, match="0.110 exceeds 0.1"):
-        linearize_cycle(steep, T_REF, battery_npv(steep))
+        linearize_cycle(steep)
 
 
 def test_post_calculated_aging_matches_manual_loop():
@@ -190,15 +189,54 @@ def test_post_calculated_aging_matches_manual_loop():
     sol = SimpleNamespace(soe=soe, p_ch=np.maximum(p, 0.0),
                           p_ds=np.maximum(-p, 0.0), dt_seconds=900.0)
     cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
-        sol, SPEC, T_REF, 40.0)
+        sol, SPEC, 40.0)
     want_cal = sum(
-        calendar_aging_step(float(soe[t]), T_REF, 40.0 + t * 900.0 / 86400.0,
-                            900.0, CO, 1.0) for t in range(n))
+        calendar_aging_step(SPEC, float(soe[t]), 40.0 + t * 900.0 / 86400.0,
+                            900.0) for t in range(n))
     want_cyc = sum(
-        cycle_aging_step(float(max(p[t], 0.0)), float(max(-p[t], 0.0)),
-                         900.0, CO, 1.0) for t in range(n))
-    scale = eur_per_pct(battery_npv(SPEC), SPEC.eol_retained)
+        cycle_aging_step(SPEC, float(max(p[t], 0.0)), float(max(-p[t], 0.0)),
+                         900.0) for t in range(n))
+    scale = eur_per_pct(SPEC)
     assert cal_pct == pytest.approx(want_cal, rel=1e-12)
     assert cyc_pct == pytest.approx(want_cyc, rel=1e-12)
     assert cal_eur == pytest.approx(want_cal * scale, rel=1e-12)
     assert cyc_eur == pytest.approx(want_cyc * scale, rel=1e-12)
+
+
+def test_aging_reads_capacity_temperature_and_npv_from_the_spec():
+    # every other aging test runs on the default spec, where a function that
+    # read a default in place of the spec's field would still pass
+    spec = BatterySpec(capacity=2.0, temperature=308.15, npv_alpha=0.04)
+    at_ref = dataclasses.replace(spec, temperature=T_REF)
+    growth = 1.05 ** 10
+    npv = 0.5 * 137_000 * 2.0 / growth + 2740 * (growth - 1) / (0.04 * growth)
+    scale = eur_per_pct(spec)
+    assert scale == pytest.approx(npv / 20.0, rel=1e-12)
+
+    cal = linearize_calendar(spec, 30.0, 900)
+    for frac in (0.0, 0.5, 0.7, 1.0):
+        b = frac * spec.capacity
+        exact = scale * calendar_aging_step(spec, b, 30.0, 900)
+        assert cal.cost_at(b) == pytest.approx(exact, rel=1e-12), frac
+
+    # temperature enters the calendar law only through the Arrhenius factor
+    ratio = (math.exp(-CO.Ea / (CO.R_gas * 308.15))
+             / math.exp(-CO.Ea / (CO.R_gas * T_REF)))
+    for seg, ref in zip(cal.segments,
+                        linearize_calendar(at_ref, 30.0, 900).segments):
+        assert seg.slope_eur_per_mwh == pytest.approx(
+            ratio * ref.slope_eur_per_mwh, rel=1e-12)
+    n = 96
+    sol = SimpleNamespace(soe=np.full(n, 0.6 * spec.capacity),
+                          p_ch=np.zeros(n), p_ds=np.zeros(n),
+                          dt_seconds=900.0)
+    cal_eur, _, cal_pct, _ = post_calculate_aging(sol, spec, 40.0)
+    _, _, ref_pct, _ = post_calculate_aging(sol, at_ref, 40.0)
+    assert cal_pct == pytest.approx(ratio * ref_pct, rel=1e-12)
+    assert cal_eur == pytest.approx(scale * cal_pct, rel=1e-12)
+
+    # cycle aging reads q_poly_at_temp, evaluated by the user at the
+    # operating temperature, and the C-rate on the spec's capacity
+    assert linearize_cycle(spec).k_cyc == linearize_cycle(at_ref).k_cyc
+    assert cycle_aging_step(spec, 1.0, 0.0, 3600) == pytest.approx(
+        0.0008 * math.exp(0.3903 * 0.5) * 0.5, rel=1e-12)

@@ -162,6 +162,17 @@ def test_run_config_unknown_key_and_missing_file(tmp_path):
         RunConfig.from_file(bad)
 
 
+@pytest.mark.parametrize("battery", [{"interest_rate": 0.0},
+                                     {"interest_rate": float("nan")},
+                                     {"npv_alpha": -1.0},
+                                     {"npv_alpha": float("nan")}])
+def test_run_config_refuses_nonpositive_npv_rates(battery):
+    # the battery NPV divides by both; refused at load, not after a solve
+    (key,) = battery
+    with pytest.raises(InvalidParameter, match=f"{key} must be > 0"):
+        RunConfig.from_dict({"battery": battery})
+
+
 @pytest.mark.parametrize("key", ["relax_step_binaries",
                                  "efficiency_on_activation",
                                  "tax_on_discharge", "arrhenius_positive"])

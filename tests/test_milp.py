@@ -203,10 +203,12 @@ def test_day_inputs_validation():
         day_inputs(hours=2, case="NOPE")
     with pytest.raises(InfeasibleBounds):
         day_inputs(hours=2, s0=0.05)     # below the SoE window
-    with pytest.raises(InvalidParameter):
-        DayInputs(grid=good.grid, prices=good.prices, contents=good.contents,
-                  spec=good.spec, s0=good.s0, case_id="MULTI",
-                  degradation_in_objective=True)  # needs linearizations
+    deg = day_inputs(hours=2, deg=True)
+    for lin in ({"cal_lin": deg.cal_lin}, {"cyc_lin": deg.cyc_lin}):
+        with pytest.raises(InvalidParameter):   # needs both linearizations
+            DayInputs(grid=good.grid, prices=good.prices,
+                      contents=good.contents, spec=good.spec, s0=good.s0,
+                      case_id="MULTI", **lin)
 
 
 def test_day_inputs_misaligned_contents():
