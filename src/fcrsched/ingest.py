@@ -233,6 +233,15 @@ class BatterySpec:
             raise InvalidParameter("npv_alpha must be > 0")
         if self.temperature <= 0:
             raise InvalidParameter("temperature must be in Kelvin and > 0")
+        # NaN passes a check such as `x <= 0` above
+        for name in ("capacity", "p_min", "p_max", "soc_min", "soc_max",
+                     "eta_ch", "eta_ds", "min_bid_n", "min_bid_du",
+                     "min_bid_dd", "replacement_cost", "om_cost",
+                     "eol_retained", "interest_rate", "salvage_ratio",
+                     "temperature", "npv_alpha"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameter(f"battery {name} must be finite")
 
     @property
     def soe_min(self) -> float:
@@ -313,6 +322,10 @@ class RunConfig:
             raise InvalidParameter("start_age_days must be >= 0")
         if self.max_gap_seconds < 0:
             raise InvalidParameter("max_gap_seconds must be >= 0")
+        for name in ("initial_soe", "time_limit_s", "mip_gap",
+                     "start_age_days", "grid_tariff", "tax"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameter(f"{name} must be finite")
 
     @property
     def degmode(self) -> str:

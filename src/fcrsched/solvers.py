@@ -81,22 +81,19 @@ class SolveResult:
 
 # -- name handling -----------------------------------------------------------
 
-# LP section keywords, matched case-insensitively against the first word of a
-# line, with what the parser reads after them (section, maximize).
-_LP_SECTIONS = {"maximize": ("obj", True), "minimize": ("obj", False),
-                "subject": ("rows", None), "st": ("rows", None),
-                "bounds": ("bounds", None), "binaries": ("bins", None),
-                "binary": ("bins", None), "bin": ("bins", None),
-                "general": (None, None), "generals": (None, None),
-                "end": ("done", None)}
-# a name the LP parser reads back as one name token
+# LP section keywords in any case; LP readers take a line that starts with
+# one for a section header, so LP export refuses them as names
+_LP_KEYWORDS = frozenset({"maximize", "minimize", "subject", "st", "bounds",
+                          "binaries", "binary", "bin", "general", "generals",
+                          "end"})
+# a name LP readers take for one name token
 _LP_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-# a name the MPS parser reads back as one field: not empty, no whitespace,
-# and no leading `*`, which starts a comment line
+# a name MPS readers take for one field: not empty, no whitespace, and no
+# leading `*`, which starts a comment line
 _MPS_NAME = r"[^\s*]\S*"
 _MPS_COLUMN_NAME = re.compile(_MPS_NAME)
 # row names the MPS writer uses itself: the objective row, and the column
-# entries it reads as integrality markers
+# entries MPS readers take for integrality markers
 _MPS_RESERVED = re.compile(r"OBJ|'*MARKER'*")
 _MPS_ROW_NAME = re.compile(rf"(?!(?:{_MPS_RESERVED.pattern})\Z){_MPS_NAME}")
 # a model name the parsers read back unchanged: MPS reads one field of the
@@ -130,7 +127,7 @@ def _file_names(model: MilpModel, fmt: str) -> tuple[list[str], list[str]]:
             raise InvalidParameter(f"name {bad!r} is not an LP name")
         # a line starting with a keyword would be read as a section header
         for name in names:
-            if name.lower() in _LP_SECTIONS:
+            if name.lower() in _LP_KEYWORDS:
                 raise InvalidParameter(
                     f"name {name!r} is an LP section keyword")
     else:
@@ -323,19 +320,24 @@ class _VarTable(dict):
 
     A name gets the next column index the first time it is looked up, and
     the parsed model's columns come in that order; sidecar names are looked
-    up first, which restores the original column order.
+    up first, which restores the original column order. With `lp_names`,
+    a name the file introduces must be an LP name.
     """
 
-    def __init__(self, names):
+    def __init__(self, names, lp_names: bool = False):
         super().__init__()
         self.binary: list[bool] = []
         self.lo: dict[int, float] = {}
         self.hi: dict[int, float] = {}
         self.obj: dict[int, float] = {}
+        self.lp_names = False
         for name in names:
             self[name]  # the lookup registers the column
+        self.lp_names = lp_names
 
     def __missing__(self, name: str) -> int:
+        if self.lp_names and not _LP_NAME.fullmatch(name):
+            raise ParseError(f"{name!r} is not an LP name")
         c = self[name] = len(self)
         self.binary.append(False)
         return c
@@ -365,17 +367,31 @@ class _VarTable(dict):
         return model
 
 
+# The readers are the inverses of `_write_mps` and `_write_lp`. A line at
+# column 0 is a section header, a data line starts with a space, and each
+# line is split once on whitespace; a line in any other layout raises
+# `ParseError` naming the file and line.
+
 _MPS_SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS",
                  "ENDATA")
-_MPS_ROW_SENSE = {"L": "<=", "G": ">=", "E": "=="}
-# bound types, and how many fields their lines hold (a BV or MI value is
-# optional and ignored)
-_MPS_BOUND_FIELDS = {"BV": (3, 4), "MI": (3, 4), "FX": (4,), "LO": (4,),
-                     "UP": (4,)}
+_MPS_ROW_SENSE = {tag: sense for sense, tag in _MPS_SENSE.items()}
+_MPS_MARKERS = {"'INTORG'": True, "'INTEND'": False}
+# bound types, and how many fields their lines hold
+_MPS_BOUND_FIELDS = {"BV": 3, "FX": 4, "LO": 4, "UP": 4}
 
 
 def parse_mps(path: str) -> MilpModel:
-    """Read a (free or fixed) MPS file written by `export_model`."""
+    """Read an MPS file in the layout `export_model` writes.
+
+    Section headers: `NAME <model name>`, `OBJSENSE`, `ROWS`, `COLUMNS`,
+    `RHS`, `BOUNDS` and `ENDATA`, which ends the file. Data lines, by
+    section: `MAX`; `<N|L|G|E> <row>`; `<column> <row> <value>`,
+    or the integrality markers `<name> 'MARKER' 'INTORG'` and
+    `<name> 'MARKER' 'INTEND'`; `<set> <row> <value>`; and
+    `BV <set> <column>` or `<FX|LO|UP> <set> <column> <value>`. A `0` in
+    the objective row only declares a column without entries. RANGES and
+    SOS sections raise `UnsupportedFormat`.
+    """
     if not os.path.exists(path):
         raise ParseError(f"model file {path!r} does not exist")
     vmap, rmap = _load_sidecar(path)
@@ -394,88 +410,68 @@ def parse_mps(path: str) -> MilpModel:
     section = None
     in_int = False
     col_name = None     # column of the previous COLUMNS line
+    lineno = 0
     with open(path, encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             tokens = line.split()
-            if not tokens or tokens[0][0] == "*":
-                continue
-            if not line[0].isspace():
-                section = tokens[0].upper()
-                if section in ("RANGES", "SOS"):
-                    raise UnsupportedFormat(
-                        f"{section} sections are not supported")
-                if section not in _MPS_SECTIONS:
-                    raise ParseError(
-                        f"{path}:{lineno}: {section!r} is not an MPS section")
-                if section == "NAME" and len(tokens) > 1:
-                    model_name = tokens[1]
-                if section == "OBJSENSE" and len(tokens) > 1:
-                    maximize = tokens[1].upper().startswith("MAX")
-                if section == "ENDATA":
-                    break
-                continue
             try:
+                if line[0] != " ":
+                    if tokens[:1] in (["RANGES"], ["SOS"]):
+                        raise UnsupportedFormat(
+                            f"{path}:{lineno}: {tokens[0]} sections are not "
+                            "supported")
+                    section = tokens[0] if tokens else ""
+                    if section not in _MPS_SECTIONS or \
+                            len(tokens) != 1 + (section == "NAME"):
+                        raise ParseError(
+                            f"{line.strip()!r} is not an MPS section header")
+                    if section == "NAME":
+                        model_name = tokens[1]
+                    if section == "ENDATA":
+                        break
+                    continue
                 if section == "COLUMNS":
-                    if len(tokens) >= 3 and "MARKER" in tokens[1] \
-                            and tokens[1].strip("'") == "MARKER":
-                        in_int = tokens[2].strip("'") == "INTORG"
+                    if len(tokens) != 3:
+                        raise ParseError("expected a column, a row and a value")
+                    name, rname, text = tokens
+                    if rname == "'MARKER'":
+                        if text not in _MPS_MARKERS:
+                            raise ParseError("expected 'INTORG' or 'INTEND'")
+                        in_int = _MPS_MARKERS[text]
                         col_name = None
                         continue
-                    if len(tokens) not in (3, 5):
-                        raise ParseError("expected a column name and one or "
-                                         "two row/value pairs")
-                    if tokens[0] != col_name:
-                        col_name = tokens[0]
-                        col = table[col_name]
+                    if name != col_name:
+                        col_name = name
+                        col = table[name]
                         if in_int:
                             table.binary[col] = True
-                    for i in range(1, len(tokens), 2):
-                        rname, text = tokens[i], tokens[i + 1]
-                        val = float(text)
-                        if rname == obj_row:
-                            # a bare 0 only declares the column
-                            if text != "0":
-                                table.obj[col] = table.obj.get(col, 0.0) + val
-                        elif rname in row_at:
-                            ent_rows.append(row_at[rname])
-                            ent_cols.append(col)
-                            ent_vals.append(val)
-                        else:
-                            raise ParseError(f"unknown row {rname!r}")
-                elif section == "OBJSENSE":
-                    maximize = tokens[0].upper().startswith("MAX")
-                elif section == "ROWS":
-                    tag = tokens[0].upper()
-                    if len(tokens) != 2 or tag not in ("N", *_MPS_ROW_SENSE):
-                        raise ParseError("expected a row type (N, L, G or E) "
-                                         "and a row name")
-                    if tag == "N":
-                        obj_row = tokens[1]
+                    val = float(text)
+                    if rname == obj_row:
+                        # a bare 0 only declares the column
+                        if text != "0":
+                            table.obj[col] = table.obj.get(col, 0.0) + val
+                    elif rname in row_at:
+                        ent_rows.append(row_at[rname])
+                        ent_cols.append(col)
+                        ent_vals.append(val)
                     else:
-                        row_at[tokens[1]] = len(row_names)
-                        row_names.append(tokens[1])
-                        row_sense.append(_MPS_ROW_SENSE[tag])
-                        rhs.append(0.0)
+                        raise ParseError(f"unknown row {rname!r}")
                 elif section == "RHS":
-                    if len(tokens) not in (3, 5):
-                        raise ParseError("expected a set name and one or two "
-                                         "row/value pairs")
-                    for i in range(1, len(tokens), 2):
-                        rname, val = tokens[i], float(tokens[i + 1])
-                        if rname == obj_row:
-                            obj_const = -val
-                        elif rname in row_at:
-                            rhs[row_at[rname]] = val
-                        else:
-                            raise ParseError(f"unknown row {rname!r}")
+                    if len(tokens) != 3:
+                        raise ParseError("expected a set name, a row and a "
+                                         "value")
+                    rname, val = tokens[1], float(tokens[2])
+                    if rname == obj_row:
+                        obj_const = -val
+                    elif rname in row_at:
+                        rhs[row_at[rname]] = val
+                    else:
+                        raise ParseError(f"unknown row {rname!r}")
                 elif section == "BOUNDS":
-                    tag = tokens[0].upper()
-                    if tag not in _MPS_BOUND_FIELDS:
-                        raise UnsupportedFormat(f"bound type {tag!r}")
-                    if len(tokens) not in _MPS_BOUND_FIELDS[tag]:
-                        raise ParseError(f"expected {tag} BOUND-SET COLUMN"
-                                         + ("" if tag in ("BV", "MI")
-                                            else " VALUE"))
+                    tag = tokens[0] if tokens else ""
+                    if len(tokens) != _MPS_BOUND_FIELDS.get(tag):
+                        raise ParseError("expected BV BOUND-SET COLUMN or "
+                                         "FX|LO|UP BOUND-SET COLUMN VALUE")
                     c = table[tokens[2]]
                     if tag == "BV":
                         table.binary[c] = True
@@ -484,186 +480,163 @@ def parse_mps(path: str) -> MilpModel:
                         table.lo[c] = table.hi[c] = float(tokens[3])
                     elif tag == "LO":
                         table.lo[c] = float(tokens[3])
-                    elif tag == "UP":
-                        table.hi[c] = float(tokens[3])
                     else:
-                        table.lo[c] = -math.inf
+                        table.hi[c] = float(tokens[3])
+                elif section == "ROWS":
+                    if len(tokens) != 2 or \
+                            tokens[0] not in ("N", *_MPS_ROW_SENSE):
+                        raise ParseError("expected a row type (N, L, G or E) "
+                                         "and a row name")
+                    if tokens[0] == "N":
+                        obj_row = tokens[1]
+                    else:
+                        row_at[tokens[1]] = len(row_names)
+                        row_names.append(tokens[1])
+                        row_sense.append(_MPS_ROW_SENSE[tokens[0]])
+                        rhs.append(0.0)
+                elif section == "OBJSENSE":
+                    if tokens != ["MAX"]:
+                        raise ParseError("expected MAX")
+                    maximize = True
                 else:
-                    raise ParseError("data before any section")
+                    raise ParseError("data outside the sections that hold "
+                                     "data")
             except (ParseError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if section != "ENDATA":
+        raise ParseError(f"{path}:{lineno}: the file ends before ENDATA")
     sign = 1.0 if maximize else -1.0
     return table.finish(model_name, row_names, row_sense, rhs,
                         (ent_rows, ent_cols, ent_vals), sign, obj_const, vmap,
                         rmap)
 
 
-_LP_NUMBER = r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"
-_LP_TOKEN = re.compile(_LP_NUMBER + "|" + _LP_NAME.pattern
-                       + r"|<=|>=|=|\+|-|:")
-_LP_STATEMENT_END = re.compile(r"(<=|>=|=)\s*[+-]?[\d.]")
-_LP_ROW_SENSE = {"<=": "<=", ">=": ">=", "=": "=="}
-# `[sign] [coefficient] name`. In a whole side, a name ends where name
-# characters do, so that a failed match never retries a split of one name
-# into two.
-_LP_TERMS = re.compile(
-    rf"(?:([+-])\s*)?(?:({_LP_NUMBER})\s*)?({_LP_NAME.pattern})")
-_LP_LHS = (rf"((?:(?:[+-]\s*)?(?:{_LP_NUMBER}\s*)?{_LP_NAME.pattern}"
-           rf"(?![A-Za-z0-9_.])\s*)*)")
-_LP_SIGNED = rf"([+-]?)\s*({_LP_NUMBER})"
-_LP_LABEL = rf"(?:({_LP_NAME.pattern})\s*:\s*)?"
-# objective: [label:] terms [+|- constant]
-_LP_OBJECTIVE = re.compile(
-    rf"{_LP_LABEL}{_LP_LHS}(?:([+-])\s*({_LP_NUMBER}))?")
-# constraint: [label:] terms sense [sign] number
-_LP_ROW = re.compile(rf"{_LP_LABEL}{_LP_LHS}(<=|>=|=)\s*{_LP_SIGNED}")
-# bound: [[sign] number <=] name [<=|>=|= [sign] number]
-_LP_BOUND = re.compile(rf"(?:{_LP_SIGNED}\s*<=\s*)?({_LP_NAME.pattern})"
-                       rf"\s*(?:(<=|>=|=)\s*{_LP_SIGNED})?")
+_LP_SECTION = {"Maximize": "obj", "Subject To": "rows", "Bounds": "bounds",
+               "Binaries": "bins", "End": "end"}
+_LP_ROW_SENSE = {text: sense for sense, text in _LP_SENSE.items()}
+_LP_SIGN = {"+": 1.0, "-": -1.0}
 
 
-def _lp_tokenize(text: str) -> list[str]:
-    tokens = _LP_TOKEN.findall(text)
-    # tokens hold no whitespace, so they cover the text exactly when they
-    # join to the text without its whitespace
-    if "".join(tokens) != "".join(text.split()):
-        pos = 0
-        for match in _LP_TOKEN.finditer(text):
-            if text[pos:match.start()].strip():
-                raise ParseError(
-                    f"cannot tokenize {text[pos:match.start()]!r}")
-            pos = match.end()
-        raise ParseError(f"cannot tokenize {text[pos:]!r}")
-    return tokens
-
-
-def _lp_refusal(stmt: str, what: str) -> Exception:
-    """The error for a statement the LP grammar does not match."""
-    tokens = _lp_tokenize(stmt)
-    if what == "constraint":
-        senses = [i for i, tok in enumerate(tokens) if tok in _LP_ROW_SENSE]
-        if not senses:
-            return ParseError(f"constraint without sense: {stmt!r}")
-        if any(_LP_NAME.fullmatch(tok) for tok in tokens[senses[0] + 1:]):
-            return UnsupportedFormat("variables on constraint right-hand side")
-    return ParseError(f"unsupported {what}: {stmt!r}")
-
-
-def _signed(sign: str, number: str) -> float:
-    return -float(number) if sign == "-" else float(number)
+def _read_lp_terms(tokens: list[str],
+                   table: _VarTable) -> tuple[list[int], list[float]]:
+    """Columns and coefficients of `[-] coeff name (+|- coeff name)*`, one
+    token each."""
+    if tokens and tokens[0] != "-":
+        tokens = ["+", *tokens]  # the writer leaves out a first term's `+`
+    if len(tokens) % 3:
+        raise ParseError("expected terms `[-] coeff name (+|- coeff name)*`")
+    try:
+        vals = [_LP_SIGN[sign] * float(coeff)
+                for sign, coeff in zip(tokens[::3], tokens[1::3])]
+    except KeyError as exc:
+        raise ParseError(f"expected + or - before a term, not {exc}") from None
+    return [table[name] for name in tokens[2::3]], vals
 
 
 def parse_lp(path: str) -> MilpModel:
-    """Read an LP-text file written by `export_model`.
+    """Read an LP file in the layout `export_model` writes.
 
-    Each side of a constraint is a sum of `[sign] [coefficient] name` terms
-    on the left and one signed number on the right; the objective may end
-    in a constant, and a bound line is `[lo <=] name [<=|>=|= value]`.
+    A first line `\\ <model name>` names the model. Section headers:
+    `Maximize`, `Subject To`, `Bounds`, `Binaries` and `End`, which ends the
+    file. Data lines, by section: one objective line
+    ` <label>: <terms> [+|- <constant>]`, or ` <label>: 0 <column>
+    [+|- <constant>]` for an empty objective; one row per line,
+    ` <label>: <terms> <sense> <rhs>` with sense `<=`, `>=` or `=`; a bound
+    ` <lo> <= <column> <= <hi>` or ` <column> = <value>`; and names of
+    binary columns. Terms are `[-] coeff name` followed by `+ coeff name` or
+    `- coeff name`, every token separated by whitespace. A `General` section
+    raises `UnsupportedFormat`.
     """
     if not os.path.exists(path):
         raise ParseError(f"model file {path!r} does not exist")
     vmap, rmap = _load_sidecar(path)
-    with open(path, encoding="ascii") as fh:
-        raw_lines = fh.readlines()
-    model_name = "parsed"
-    section = None
-    maximize = True
-    chunks: dict[str, list[str]] = {"obj": [], "rows": [], "bounds": [],
-                                    "bins": []}
-    for raw in raw_lines:
-        if raw.startswith("\\"):
-            if model_name == "parsed":
-                model_name = raw[1:].strip() or "parsed"
-            continue
-        line = raw.partition("\\")[0].strip()
-        if not line:
-            continue
-        first = line.split(None, 1)[0].lower().rstrip(":")
-        if first in _LP_SECTIONS:
-            section, mx = _LP_SECTIONS[first]
-            if mx is not None:
-                maximize = mx
-            if section == "done":
-                break
-            if section is None:
-                raise UnsupportedFormat("general integers are not supported")
-            continue
-        if section in chunks:
-            chunks[section].append(line)
-
-    table = _VarTable(vmap)
-    objective = " ".join(chunks["obj"])
-    match = _LP_OBJECTIVE.fullmatch(objective)
-    if match is None:
-        raise _lp_refusal(objective, "objective")
-    _, lhs, const_sign, const = match.groups()
-    terms = _LP_TERMS.findall(lhs)
-    if terms[:1] and terms[0][:2] == ("", "0"):
-        table[terms.pop(0)[2]]  # the writer's empty objective
-    obj_pairs = [(table[name], _signed(sign, coeff or "1"))
-                 for sign, coeff, name in terms]
-    # a constant is a sum of terms, so -0.0 reads as 0.0
-    obj_const = 0.0 + _signed(const_sign, const) if const else 0.0
-
+    table = _VarTable(vmap, lp_names=True)
     row_names: list[str] = []
     senses: list[str] = []
     rhs: list[float] = []
     ent_rows: list[int] = []
     ent_cols: list[int] = []
     ent_vals: list[float] = []
-    for stmt in _split_lp_statements(chunks["rows"]):
-        match = _LP_ROW.fullmatch(stmt)
-        if match is None:
-            raise _lp_refusal(stmt, "constraint")
-        rname, lhs, sense, rhs_sign, rhs_value = match.groups()
-        r = len(row_names)
-        for sign, coeff, name in _LP_TERMS.findall(lhs):
-            ent_rows.append(r)
-            ent_cols.append(table[name])
-            ent_vals.append(-float(coeff or "1") if sign == "-"
-                            else float(coeff or "1"))
-        row_names.append(rname or f"row{r}")
-        senses.append(_LP_ROW_SENSE[sense])
-        rhs.append(0.0 + _signed(rhs_sign, rhs_value))
-
-    for stmt in chunks["bounds"]:
-        match = _LP_BOUND.fullmatch(stmt)
-        if match is None:
-            raise _lp_refusal(stmt, "bound line")
-        lo_sign, lo, name, op, sign, value = match.groups()
-        c = table[name]
-        if lo:
-            table.lo[c] = _signed(lo_sign, lo)
-        if op == "=":
-            table.lo[c] = table.hi[c] = _signed(sign, value)
-        elif op == "<=":
-            table.hi[c] = _signed(sign, value)
-        elif op == ">=":
-            table.lo[c] = _signed(sign, value)
-    for stmt in chunks["bins"]:
-        for name in stmt.split():
-            table.binary[table[name]] = True
-
-    for c, v in obj_pairs:
-        table.obj[c] = table.obj.get(c, 0.0) + v
-    sign = 1.0 if maximize else -1.0
+    obj_const = 0.0
+    obj_read = False
+    model_name = "parsed"
+    section = None
+    lineno = 0
+    with open(path, encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, 1):
+            tokens = line.split()
+            try:
+                if line[0] != " ":
+                    if lineno == 1 and line[0] == "\\":
+                        model_name = line[1:].strip() or model_name
+                        continue
+                    if tokens[:1] and \
+                            tokens[0].lower() in ("general", "generals"):
+                        raise UnsupportedFormat(
+                            f"{path}:{lineno}: general integers are not "
+                            "supported")
+                    section = _LP_SECTION.get(line.rstrip())
+                    if section is None:
+                        raise ParseError(
+                            f"{line.strip()!r} is not an LP section header")
+                    if section == "end":
+                        break
+                    continue
+                if section == "rows":
+                    if len(tokens) < 3 or tokens[0][-1] != ":" \
+                            or tokens[-2] not in _LP_ROW_SENSE:
+                        raise ParseError("expected ` label: terms sense rhs`")
+                    cols, vals = _read_lp_terms(tokens[1:-2], table)
+                    ent_rows += [len(row_names)] * len(cols)
+                    ent_cols += cols
+                    ent_vals += vals
+                    row_names.append(tokens[0][:-1])
+                    senses.append(_LP_ROW_SENSE[tokens[-2]])
+                    # a sum of terms, so -0.0 reads as 0.0
+                    rhs.append(0.0 + float(tokens[-1]))
+                elif section == "bounds":
+                    if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
+                        c = table[tokens[2]]
+                        table.lo[c] = float(tokens[0])
+                        table.hi[c] = float(tokens[4])
+                    elif len(tokens) == 3 and tokens[1] == "=":
+                        c = table[tokens[0]]
+                        table.lo[c] = table.hi[c] = float(tokens[2])
+                    else:
+                        raise ParseError("expected ` lo <= name <= hi` or "
+                                         "` name = value`")
+                elif section == "bins":
+                    if not tokens:
+                        raise ParseError("expected column names")
+                    for name in tokens:
+                        table.binary[table[name]] = True
+                elif section == "obj":
+                    if obj_read or len(tokens) < 3 \
+                            or tokens[0][-1] != ":":
+                        raise ParseError("expected one objective line "
+                                         "` label: terms [+|- constant]`")
+                    obj_read = True
+                    body = tokens[1:]
+                    if body[-2] in _LP_SIGN:  # `+ constant` or `- constant`
+                        # a sum of terms, so -0.0 reads as 0.0
+                        obj_const += _LP_SIGN[body[-2]] * float(body[-1])
+                        del body[-2:]
+                    if len(body) == 2 and body[0] == "0":
+                        # `0 <first column>`, the writer's empty objective
+                        table[body.pop()]
+                        body.clear()
+                    cols, vals = _read_lp_terms(body, table)
+                    for c, v in zip(cols, vals):
+                        table.obj[c] = table.obj.get(c, 0.0) + v
+                else:
+                    raise ParseError("data before the first section")
+            except (ParseError, ValueError) as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if section != "end":
+        raise ParseError(f"{path}:{lineno}: the file ends before End")
     return table.finish(model_name, row_names, senses, rhs,
-                        (ent_rows, ent_cols, ent_vals), sign, obj_const, vmap,
+                        (ent_rows, ent_cols, ent_vals), 1.0, obj_const, vmap,
                         rmap)
-
-
-def _split_lp_statements(lines: list[str]) -> list[str]:
-    """Join wrapped constraint lines; a statement ends where a sense+rhs does."""
-    out: list[str] = []
-    buf = ""
-    for line in lines:
-        buf = f"{buf} {line}" if buf else line
-        if _LP_STATEMENT_END.search(buf):
-            out.append(buf)
-            buf = ""
-    if buf:
-        raise ParseError(f"dangling constraint text: {buf!r}")
-    return out
 
 
 # -- solution files ----------------------------------------------------------

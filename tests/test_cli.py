@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,14 @@ def test_run_unknown_key_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, typo_key=1)
     assert main(["run", "--config", cfg, "--synthetic-seed", "1"]) == 2
     assert "typo_key" in capsys.readouterr().err
+
+
+def test_run_nan_battery_field_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, battery={"replacement_cost": float("nan")})
+    assert "NaN" in Path(cfg).read_text()
+    assert main(["run", "--config", cfg, "--synthetic-seed", "1"]) == 2
+    assert "replacement_cost must be finite" in capsys.readouterr().err
+    assert not list((tmp_path / "out").rglob("day_*.json"))
 
 
 def test_run_without_data_source_is_config_error(tmp_path, capsys):
@@ -239,7 +248,7 @@ def test_export_model_lp_custom_path(tmp_path, capsys):
                  "--synthetic-seed", "3", "--format", "lp",
                  "--out", out_path]) == 0
     assert os.path.exists(out_path)
-    text = open(out_path).read()
+    text = Path(out_path).read_text()
     assert text.startswith(("\\", "Maximize", "Minimize"))
 
 

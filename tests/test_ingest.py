@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -100,6 +102,11 @@ def test_battery_spec_soe_window():
     assert spec2.soe_max == pytest.approx(1.6)
 
 
+def float_fields(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)
+            if f.type in ("float", "float | None")]
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(capacity=0.0),
     dict(soc_min=0.5, soc_max=0.5),
@@ -108,6 +115,10 @@ def test_battery_spec_soe_window():
     dict(eol_retained=1.0),
     dict(min_bid_n=5.0),
     dict(lifetime_years=0),
+    # NaN passes a range check; `replacement_cost`, `om_cost`,
+    # `salvage_ratio` and `temperature` once took NaN
+    *({name: value} for name in float_fields(BatterySpec)
+      for value in (math.nan, math.inf)),
 ])
 def test_battery_spec_validation(kwargs):
     with pytest.raises(InvalidParameter):
@@ -171,6 +182,13 @@ def test_run_config_refuses_nonpositive_npv_rates(battery):
     (key,) = battery
     with pytest.raises(InvalidParameter, match=f"{key} must be > 0"):
         RunConfig.from_dict({"battery": battery})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("key", float_fields(RunConfig))
+def test_run_config_refuses_non_finite_fields(key, value):
+    with pytest.raises(InvalidParameter):
+        RunConfig.from_dict({key: value})
 
 
 @pytest.mark.parametrize("key", ["relax_step_binaries",

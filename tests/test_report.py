@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,8 +245,8 @@ def test_write_csv_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "one.csv"), str(tmp_path / "two.csv")
     write_csv(p1, rows, ("a", "b", "c"))
     write_csv(p2, rows, ("a", "b", "c"))
-    b1 = open(p1, "rb").read()
-    assert b1 == open(p2, "rb").read()
+    b1 = Path(p1).read_bytes()
+    assert b1 == Path(p2).read_bytes()
     assert b1 == b"a,b,c\n1,0.1,x\n2,inf,\n"
 
 
@@ -276,7 +277,7 @@ def test_write_report_bytes_reproducible(tmp_path):
         with open(os.path.join(out_b, name), "rb") as fh:
             bytes_b = fh.read()
         assert bytes_a == bytes_b, f"{name} differs between identical runs"
-    assert open(manifest_a, "rb").read() == open(manifest_b, "rb").read()
+    assert Path(manifest_a).read_bytes() == Path(manifest_b).read_bytes()
 
 
 def test_write_report_manifest_digests(tmp_path):

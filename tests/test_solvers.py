@@ -364,6 +364,10 @@ MPS_OK = ["NAME m", "ROWS", " N OBJ", " L c1", "COLUMNS", " x c1 1.0",
     pytest.param(6, " x c1 abc", id="column_value_not_a_number"),
     pytest.param(6, " x c1", id="column_entry_without_value"),
     pytest.param(8, " RHS1 c1", id="rhs_without_value"),
+    # forms the writer never writes
+    pytest.param(6, " x OBJ 1.0 c1 1.0", id="two_pair_column_line"),
+    pytest.param(10, " MI BND x", id="mi_bound"),
+    pytest.param(2, "* a comment\nROWS", id="comment_line"),
 ])
 def test_mps_malformed_line_names_file_and_line(tmp_path, lineno, line):
     p = tmp_path / "m.mps"
@@ -378,9 +382,9 @@ def test_mps_malformed_line_names_file_and_line(tmp_path, lineno, line):
 
 def test_lp_parser_scientific_notation(tmp_path):
     p = tmp_path / "sci.lp"
-    p.write_text("Maximize\n obj: 1e-05 x + 2.5e+2 y\nSubject To\n"
-                 " c1: x + y <= 10\nBounds\n 0 <= x <= 5\n -1e+1 <= y <= 5\n"
-                 "End\n")
+    p.write_text("\\ sci\nMaximize\n obj: 1e-05 x + 2.5e+2 y\nSubject To\n"
+                 " c1: 1.0 x + 1.0 y <= 10\nBounds\n 0 <= x <= 5\n"
+                 " -1e+1 <= y <= 5\nEnd\n")
     m = parse_lp(str(p))
     assert m.objective[m.col("x")] == pytest.approx(1e-05)
     assert m.objective[m.col("y")] == pytest.approx(250.0)
@@ -391,6 +395,56 @@ def test_lp_parser_errors(tmp_path):
     p = tmp_path / "bad.lp"
     p.write_text("Maximize\n obj: 1 ?? x\nSubject To\nEnd\n")
     with pytest.raises(ParseError):
+        parse_lp(str(p))
+
+
+LP_OK = ["\\ m", "Maximize", " obj: 2.0 x + 1.0 y", "Subject To",
+         " c1: 1.0 x - 1.0 y <= 4.0", "Bounds", " 0.0 <= x <= 3.0",
+         " y = 1.0", "End"]
+
+
+@pytest.mark.parametrize("lineno,line", [
+    # forms the writer never writes
+    pytest.param(5, " c1: x - 1.0 y <= 4.0", id="term_without_coefficient"),
+    pytest.param(5, " 1.0 x - 1.0 y <= 4.0", id="unlabeled_row"),
+    pytest.param(5, " c1: 1.0 x\n - 1.0 y <= 4.0", id="wrapped_row"),
+    pytest.param(7, " x >= 1", id="one_sided_bound"),
+    pytest.param(2, "Minimize", id="minimize"),
+    pytest.param(4, "st", id="keyword_st"),
+    pytest.param(9, "binary\n y\nEnd", id="keyword_binary"),
+    # malformed lines
+    pytest.param(5, " c1: abc x - 1.0 y <= 4.0", id="coefficient_abc"),
+    pytest.param(5, " c1: 1.0 x? - 1.0 y <= 4.0", id="not_an_lp_name"),
+    pytest.param(3, " obj: 2.0 x 1.0 y", id="term_without_sign"),
+    pytest.param(5, " c1: 1.0 x - 1.0 y < 4.0", id="unknown_sense"),
+    pytest.param(8, " y = 1.0 + 1.0", id="bound_with_extra_fields"),
+])
+def test_lp_malformed_line_names_file_and_line(tmp_path, lineno, line):
+    p = tmp_path / "m.lp"
+    p.write_text("\n".join(LP_OK) + "\n")
+    m = parse_lp(str(p))
+    assert (m.name, m.rows[0][1:]) == ("m", ([(0, 1.0), (1, -1.0)], "<=", 4.0))
+    lines = list(LP_OK)
+    lines[lineno - 1] = line
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:{lineno}: ")):
+        parse_lp(str(p))
+
+
+@pytest.mark.parametrize("fmt", ["mps", "lp"])
+def test_truncated_model_file_names_file_and_line(tmp_path, fmt):
+    lines = MPS_OK if fmt == "mps" else LP_OK
+    p = tmp_path / f"m.{fmt}"
+    p.write_text("\n".join(lines[:-1]) + "\n")  # no ENDATA or End
+    with pytest.raises(ParseError, match=re.escape(
+            f"{p}:{len(lines) - 1}: the file ends before {lines[-1]}")):
+        parse_mps(str(p)) if fmt == "mps" else parse_lp(str(p))
+
+
+def test_lp_general_section_is_unsupported(tmp_path):
+    p = tmp_path / "g.lp"
+    p.write_text("\n".join(LP_OK[:-1] + ["General", " y", "End"]) + "\n")
+    with pytest.raises(UnsupportedFormat, match="general integers"):
         parse_lp(str(p))
 
 
