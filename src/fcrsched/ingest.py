@@ -373,10 +373,14 @@ class RunConfig:
 
         File locations (`outdir`, the two CSV paths) are excluded: moving a
         run directory or its inputs must not invalidate checkpoints, and the
-        actual data content is covered by the bundle's data hash.
+        actual data content is covered by the bundle's data hash. So are the
+        default `case_id` and `degradation_in_objective`: a checkpoint
+        records the case and mode it was solved for, and its run directory
+        is named after them.
         """
         d = self.to_dict()
-        for key in ("outdir", "frequency_csv", "prices_csv"):
+        for key in ("outdir", "frequency_csv", "prices_csv", "case_id",
+                    "degradation_in_objective"):
             d.pop(key, None)
         blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]

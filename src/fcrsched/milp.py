@@ -5,9 +5,11 @@ the state-of-energy recursion driven by the droop activation of those bids,
 reserve power and endurance requirements, and the linearized degradation
 cost when it is priced in the objective: calendar aging once per hour on
 the hour's mean SoE, cycle aging once per hour on an upper bound of the
-hour's throughput. Per-step realized powers are columns only for a battery
-with a positive minimum power; otherwise extraction rebuilds them from the
-hourly decisions.
+hour's throughput. Realized power is never a column: each step's net power
+is an affine expression of the hour's decisions (`step_power_coeffs`). A
+battery with a positive minimum power gets per-step charge/discharge
+binaries that keep that expression out of (-p_min, p_min); extraction
+rebuilds the powers from the hourly decisions.
 
 Variable registry names follow the `family[index]` pattern, e.g. `soe[t=37]`
 or `bid_n[h=5]`; constraint names follow the same pattern. The exact count of
@@ -280,18 +282,6 @@ class DayInputs:
         """Whether aging is priced: exactly when the linearizations are given."""
         return self.cal_lin is not None
 
-    @property
-    def step_powers(self) -> bool:
-        """Whether realized powers are per-step columns.
-
-        Only a positive `p_min` needs them, with their charge/discharge
-        binaries. With `p_min == 0` no row needs them: `req_up` and
-        `req_dn` already keep the net power within `p_max`, the cycle cost
-        is priced per hour, and `extract_day_solution` rebuilds the net
-        power from the hourly decisions.
-        """
-        return self.spec.p_min > 0.0
-
 
 def model_size(inputs: DayInputs) -> dict[str, int]:
     """Closed-form variable/binary/row counts for a day model.
@@ -302,36 +292,33 @@ def model_size(inputs: DayInputs) -> dict[str, int]:
     1 for the default coefficients) and pmin = (p_min > 0):
 
       vars  = 2H + 2H + 3H + A*H + T
-            + (4T if pmin)                        step powers + binaries
-            + ((3 + F)*H if deg)                  calendar fills + kink picks
-            + (H if deg and not pmin)             hourly cycle cost
+            + (2T if pmin)                        step charge/discharge
+                                                  binaries
+            + ((4 + F)*H if deg)                  calendar fills + kink picks
+                                                  + hourly cycle cost
       bins  = 2H + A*H + (2T if pmin) + (F*H if deg)
       rows  = 2H + (2H if pmin) + H              baseline bounds + exclusivity
-            + (6T if pmin)                        step bounds, exclusivity,
-                                                  power pinning
+            + (3T if pmin)                        step power bounds +
+                                                  exclusivity
             + T                                   SoE recursion
             + 2*A*H                               bid bounds
             + 2H + 10H                            power requirement + endurance
-            + ((1 + 3F)*H if deg)                 hourly calendar rows
-            + (H if deg and not pmin)             hourly cycle cost
+            + ((2 + 3F)*H if deg)                 hourly calendar and cycle rows
 
-    So the per-step power families (`p_ch`, `p_ds`, `b_ch`, `b_ds`, `pin`
-    and the `st_*` rows) exist only when `p_min > 0`; otherwise `soe` is
-    the one per-step column family.
+    So `soe` is the one per-step continuous family; `b_ch`, `b_ds` and the
+    `st_*` rows exist only when `p_min > 0`.
     """
     H, T = inputs.grid.hours, inputs.grid.n_steps
     A = sum(1 for m in CASE_MARKETS[inputs.case_id]
             if inputs.spec.min_bid(m) > 0.0)
     deg = inputs.degradation_in_objective
     F = len(inputs.cal_lin.falling_kinks) if deg else 0
-    pmin = inputs.step_powers
-    hourly_cyc = H if deg and not pmin else 0
-    n_vars = 2 * H + 2 * H + 3 * H + A * H + T + (4 * T if pmin else 0) \
-        + ((3 + F) * H if deg else 0) + hourly_cyc
+    pmin = inputs.spec.p_min > 0.0
+    n_vars = 2 * H + 2 * H + 3 * H + A * H + T + (2 * T if pmin else 0) \
+        + ((4 + F) * H if deg else 0)
     n_bins = 2 * H + A * H + (2 * T if pmin else 0) + F * H
-    n_rows = 2 * H + (2 * H if pmin else 0) + H + (6 * T if pmin else 0) \
-        + T + 2 * A * H + 2 * H + 10 * H + ((1 + 3 * F) * H if deg else 0) \
-        + hourly_cyc
+    n_rows = 2 * H + (2 * H if pmin else 0) + H + (3 * T if pmin else 0) \
+        + T + 2 * A * H + 2 * H + 10 * H + ((2 + 3 * F) * H if deg else 0)
     return {"n_vars": n_vars, "n_binaries": n_bins, "n_rows": n_rows}
 
 
@@ -341,9 +328,9 @@ def step_power_coeffs(contents: EnergyContentSeries) -> dict[str, np.ndarray]:
     `net_t = sum over families f of coeffs[f][t] * f[h(t)]`.
 
     The baseline enters at its set point, each bid at its droop activation
-    fraction. The builder pins `p_ch - p_ds` to this sum when per-step
-    powers are columns, prices the hourly cycle cost from its absolute
-    values otherwise, and extraction rebuilds the net power from it.
+    fraction. The builder writes the per-step power bounds of a battery
+    with a positive `p_min` on this sum and prices the hourly cycle cost
+    from its absolute values; extraction rebuilds the net power from it.
     """
     ones = np.ones(contents.n_steps)
     return {"ch_bl": ones, "ds_bl": -ones,
@@ -438,9 +425,7 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
         if mk in allowed and spec.min_bid(mk) > 0.0:
             b_bid[mk] = hourly(var, 0.0, 1.0, binary=True)
 
-    if inputs.step_powers:
-        p_ch = per_step("p_ch", 0.0, spec.p_max)
-        p_ds = per_step("p_ds", 0.0, spec.p_max)
+    if spec.p_min > 0.0:
         b_ch = per_step("b_ch", 0.0, 1.0, binary=True)
         b_ds = per_step("b_ds", 0.0, 1.0, binary=True)
     soe = per_step("soe", spec.soe_min, spec.soe_max)
@@ -455,11 +440,9 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
         d_cal = m.add_variables(
             [f"d_cal[h={h},k={k}]" for h in range(H) for k in range(K)],
             0.0, np.tile(widths, H)).reshape(H, K)
-        if not inputs.step_powers:
-            # the hour's throughput bound: per step at most p_max of each
-            # baseline flow and FCR-N, 2 p_max of FCR-D, so this cap never
-            # binds
-            cyc = hourly("cyc", 0.0, 6.0 * spH * spec.p_max)
+        # the hour's throughput bound: per step at most p_max of each
+        # baseline flow and FCR-N, 2 p_max of FCR-D, so this cap never binds
+        cyc = hourly("cyc", 0.0, 6.0 * spH * spec.p_max)
 
     # baseline bounds and hourly exclusivity
     rows = [("bl_up_ch[h={}]", [(ch_bl, 1.0), (b_ch_bl, -spec.p_max)],
@@ -474,19 +457,23 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     rows.append(("bl_excl[h={}]", [(b_ch_bl, 1.0), (b_ds_bl, 1.0)], "<=", 1.0))
     _add_row_group(m, H, rows)
 
-    # realized power bounds and per-step exclusivity
-    if inputs.step_powers:
+    # realized net power, baseline plus droop activation, within
+    # [p_min, p_max] when b_ch is set, [-p_max, -p_min] when b_ds is set,
+    # and zero when neither is
+    decisions = {"ch_bl": ch_bl, "ds_bl": ds_bl, "bid_n": bid["N"],
+                 "bid_dd": bid["DD"], "bid_du": bid["DU"]}
+    net_coeffs = step_power_coeffs(cont)
+    if spec.p_min > 0.0:
+        net = [(decisions[f][hour], c) for f, c in net_coeffs.items()]
         _add_row_group(m, T, [
-            ("st_up_ch[t={}]", [(p_ch, 1.0), (b_ch, -spec.p_max)], "<=", 0.0),
-            ("st_up_ds[t={}]", [(p_ds, 1.0), (b_ds, -spec.p_max)], "<=", 0.0),
-            ("st_lo_ch[t={}]", [(p_ch, 1.0), (b_ch, -spec.p_min)], ">=", 0.0),
-            ("st_lo_ds[t={}]", [(p_ds, 1.0), (b_ds, -spec.p_min)], ">=", 0.0),
+            ("st_ch[t={}]", net + [(b_ch, -spec.p_max), (b_ds, spec.p_min)],
+             "<=", 0.0),
+            ("st_ds[t={}]", net + [(b_ds, spec.p_max), (b_ch, -spec.p_min)],
+             ">=", 0.0),
             ("st_excl[t={}]", [(b_ch, 1.0), (b_ds, 1.0)], "<=", 1.0)])
 
     # state-of-energy recursion. Step 0 starts from s0, not from a previous
     # soe column.
-    decisions = {"ch_bl": ch_bl, "ds_bl": ds_bl, "bid_n": bid["N"],
-                 "bid_dd": bid["DD"], "bid_du": bid["DU"]}
     deltas = soe_step_deltas(cont, spec, dt_h)
     prev_soe = np.concatenate(([-1], soe[:-1]))
     rhs = np.zeros(T)
@@ -496,15 +483,6 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
         [(soe, 1.0)] + [(decisions[f][hour], -d) for f, d in deltas.items()]
         + [(prev_soe, -1.0)],
         "==", rhs)])
-
-    # realized power pinned to baseline plus droop activation
-    net_coeffs = step_power_coeffs(cont)
-    if inputs.step_powers:
-        _add_row_group(m, T, [(
-            "pin[t={}]",
-            [(p_ch, 1.0), (p_ds, -1.0)]
-            + [(decisions[f][hour], -c) for f, c in net_coeffs.items()],
-            "==", 0.0)])
 
     # minimum-bid linking
     for mk, var in (("N", "bid_n"), ("DU", "bid_du"), ("DD", "bid_dd")):
@@ -577,15 +555,14 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
                      + [(decisions[f], -hour_sums(d * weights))
                         for f, d in deltas.items()],
                      "==", prev_const))
-        if not inputs.step_powers:
-            # cyc bounds the hour's throughput sum_t |net_t|: one step's
-            # activation terms share one sign, and so does the hour's
-            # baseline, so the bound is exact unless the two oppose
-            rows.append(("cyc_def[h={}]",
-                         [(cyc, 1.0)]
-                         + [(decisions[f], -hour_sums(np.abs(c)))
-                            for f, c in net_coeffs.items()],
-                         "==", 0.0))
+        # cyc bounds the hour's throughput sum_t |net_t|: one step's
+        # activation terms share one sign, and so does the hour's baseline,
+        # so the bound is exact unless the two oppose
+        rows.append(("cyc_def[h={}]",
+                     [(cyc, 1.0)]
+                     + [(decisions[f], -hour_sums(np.abs(c)))
+                        for f, c in net_coeffs.items()],
+                     "==", 0.0))
         _add_row_group(m, H, rows)
 
     # objective: spot revenue + reserve revenue - charging cost - degradation
@@ -606,11 +583,7 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
           (bid["DU"], prices.fcr_du),
           (bid["DD"], prices.fcr_dd))
     if inputs.degradation_in_objective:
-        k_cyc = inputs.cyc_lin.k_cyc
-        if inputs.step_powers:
-            price((p_ch, -k_cyc * dt_h), (p_ds, -k_cyc * dt_h))
-        else:
-            price((cyc, -k_cyc * dt_h))
+        price((cyc, -inputs.cyc_lin.k_cyc * dt_h))
         # the per-step secant cost, charged spH times at the hour's mean SoE:
         # its value at the first breakpoint plus each fill at its slope
         price((d_cal, [-spH * seg.slope_eur_per_mwh for seg in segs]))
@@ -808,7 +781,7 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
         soe=np.clip(values("soe"), inputs.spec.soe_min, inputs.spec.soe_max),
         r_da=share("ds_bl"), r_n=share("bid_n"), r_du=share("bid_du"),
         r_dd=share("bid_dd"), c_da=cost("ch_bl"),
-        c_deg_lin=cost("p_ch", "p_ds", "d_cal", "cyc")
+        c_deg_lin=cost("d_cal", "cyc")
         - model.objective_const,
         objective=model.objective_value(x),
         status=status, gap=gap, nodes=nodes, wall_time=wall_time)

@@ -306,12 +306,26 @@ def _export(model: MilpModel, path: str,
 # -- parsers -----------------------------------------------------------------
 
 def _load_sidecar(path: str) -> tuple[dict[str, str], dict[str, str]]:
+    """The `variables` and `rows` name maps of the file's sidecar, empty
+    without one. A sidecar that holds no JSON object, or a map that is not
+    a string-to-string object, raises ParseError naming the sidecar."""
     sidecar = path + ".names.json"
     if not os.path.exists(sidecar):
         return {}, {}
     with open(sidecar, encoding="ascii") as fh:
-        payload = json.load(fh)
-    return payload.get("variables", {}), payload.get("rows", {})
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{sidecar}: not JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{sidecar}: not a JSON object")
+    maps = {key: payload.get(key, {}) for key in ("variables", "rows")}
+    for key, names in maps.items():
+        if not isinstance(names, dict) or not all(
+                isinstance(name, str) for name in names.values()):
+            raise ParseError(
+                f"{sidecar}: {key!r} is not a string-to-string object")
+    return maps["variables"], maps["rows"]
 
 
 class _VarTable(dict):

@@ -121,6 +121,10 @@ def audit_solution(inputs: DayInputs, sol) -> dict[str, float]:
         note("step_bounds", max(-sol.p_ch[t], sol.p_ch[t] - spec.p_max,
                                 -sol.p_ds[t], sol.p_ds[t] - spec.p_max))
         note("step_excl", min(sol.p_ch[t], sol.p_ds[t]))
+        if spec.p_min > 0.0:
+            for v in (sol.p_ch[t], sol.p_ds[t]):
+                if v > 1e-9:
+                    note("step_min", spec.p_min - v)
         pin = (sol.p_ch[t] - sol.p_ds[t]
                - (ch[h] - ds[h])
                - (cont.frac_nd[t] - cont.frac_nu[t]) * bid["N"][h]

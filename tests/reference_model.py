@@ -54,11 +54,7 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
             b_bid[mk] = [m.add_variable(f"{var}[h={h}]", 0.0, 1.0, binary=True)
                          for h in range(H)]
 
-    if inputs.step_powers:
-        p_ch = [m.add_variable(f"p_ch[t={t}]", 0.0, spec.p_max)
-                for t in range(T)]
-        p_ds = [m.add_variable(f"p_ds[t={t}]", 0.0, spec.p_max)
-                for t in range(T)]
+    if spec.p_min > 0.0:
         b_ch = [m.add_variable(f"b_ch[t={t}]", 0.0, 1.0, binary=True)
                 for t in range(T)]
         b_ds = [m.add_variable(f"b_ds[t={t}]", 0.0, 1.0, binary=True)
@@ -78,9 +74,8 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
                   for j in kinks] for h in range(H)]
         d_cal = [[m.add_variable(f"d_cal[h={h},k={k}]", 0.0, widths[k])
                   for k in range(3)] for h in range(H)]
-        if not inputs.step_powers:
-            cyc = [m.add_variable(f"cyc[h={h}]", 0.0, 6.0 * spH * spec.p_max)
-                   for h in range(H)]
+        cyc = [m.add_variable(f"cyc[h={h}]", 0.0, 6.0 * spH * spec.p_max)
+               for h in range(H)]
 
     # baseline bounds and hourly exclusivity
     for h in range(H):
@@ -96,17 +91,22 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
         add_row(f"bl_excl[h={h}]",
                 [(b_ch_bl[h], 1.0), (b_ds_bl[h], 1.0)], "<=", 1.0)
 
-    # realized power bounds and per-step exclusivity
-    if inputs.step_powers:
+    # realized net power, the baseline at its set point plus each bid at
+    # its activation fraction: in [p_min, p_max] when charging, in
+    # [-p_max, -p_min] when discharging, zero otherwise
+    if spec.p_min > 0.0:
         for t in range(T):
-            add_row(f"st_up_ch[t={t}]",
-                    [(p_ch[t], 1.0), (b_ch[t], -spec.p_max)], "<=", 0.0)
-            add_row(f"st_up_ds[t={t}]",
-                    [(p_ds[t], 1.0), (b_ds[t], -spec.p_max)], "<=", 0.0)
-            add_row(f"st_lo_ch[t={t}]",
-                    [(p_ch[t], 1.0), (b_ch[t], -spec.p_min)], ">=", 0.0)
-            add_row(f"st_lo_ds[t={t}]",
-                    [(p_ds[t], 1.0), (b_ds[t], -spec.p_min)], ">=", 0.0)
+            h = grid.hour_of_step(t)
+            net = [(ch_bl[h], 1.0), (ds_bl[h], -1.0),
+                   (bid["N"][h], cont.frac_nd[t] - cont.frac_nu[t]),
+                   (bid["DD"][h], cont.frac_dd[t]),
+                   (bid["DU"][h], -cont.frac_du[t])]
+            add_row(f"st_ch[t={t}]",
+                    net + [(b_ch[t], -spec.p_max), (b_ds[t], spec.p_min)],
+                    "<=", 0.0)
+            add_row(f"st_ds[t={t}]",
+                    net + [(b_ds[t], spec.p_max), (b_ch[t], -spec.p_min)],
+                    ">=", 0.0)
             add_row(f"st_excl[t={t}]",
                     [(b_ch[t], 1.0), (b_ds[t], 1.0)], "<=", 1.0)
 
@@ -126,19 +126,6 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
         else:
             coeffs.append((soe[t - 1], -1.0))
         add_row(f"soe_rec[t={t}]", coeffs, "==", rhs)
-
-    # realized power pinned to baseline plus droop activation
-    if inputs.step_powers:
-        for t in range(T):
-            h = grid.hour_of_step(t)
-            add_row(
-                f"pin[t={t}]",
-                [(p_ch[t], 1.0), (p_ds[t], -1.0),
-                 (ch_bl[h], -1.0), (ds_bl[h], 1.0),
-                 (bid["N"][h], -(cont.frac_nd[t] - cont.frac_nu[t])),
-                 (bid["DD"][h], -cont.frac_dd[t]),
-                 (bid["DU"][h], cont.frac_du[t])],
-                "==", 0.0)
 
     # minimum-bid linking
     for mk, var in (("N", "bid_n"), ("DU", "bid_du"), ("DD", "bid_dd")):
@@ -226,18 +213,17 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
                                         for i in range(spH)))
                        for col, d in flows],
                     "==", start_const)
-            if not inputs.step_powers:
-                # the hour's throughput bound: the baseline at its set
-                # point in every step, each bid at its activation fraction
-                add_row(
-                    f"cyc_def[h={h}]",
-                    [(cyc[h], 1.0), (ch_bl[h], -float(spH)),
-                     (ds_bl[h], -float(spH)),
-                     (bid["N"][h],
-                      -math.fsum(cont.frac_nd[s] + cont.frac_nu[s])),
-                     (bid["DD"][h], -math.fsum(cont.frac_dd[s])),
-                     (bid["DU"][h], -math.fsum(cont.frac_du[s]))],
-                    "==", 0.0)
+            # the hour's throughput bound: the baseline at its set point in
+            # every step, each bid at its activation fraction
+            add_row(
+                f"cyc_def[h={h}]",
+                [(cyc[h], 1.0), (ch_bl[h], -float(spH)),
+                 (ds_bl[h], -float(spH)),
+                 (bid["N"][h],
+                  -math.fsum(cont.frac_nd[s] + cont.frac_nu[s])),
+                 (bid["DD"][h], -math.fsum(cont.frac_dd[s])),
+                 (bid["DU"][h], -math.fsum(cont.frac_du[s]))],
+                "==", 0.0)
 
     # objective: spot revenue + reserve revenue - charging cost - degradation
     for h in range(H):
@@ -251,14 +237,8 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
         m.set_objective_coeff(bid["DU"][h], prices.fcr_du[h])
         m.set_objective_coeff(bid["DD"][h], prices.fcr_dd[h])
     if inputs.degradation_in_objective:
-        k_cyc = inputs.cyc_lin.k_cyc
-        if inputs.step_powers:
-            for t in range(T):
-                m.set_objective_coeff(p_ch[t], -k_cyc * dt_h)
-                m.set_objective_coeff(p_ds[t], -k_cyc * dt_h)
-        else:
-            for h in range(H):
-                m.set_objective_coeff(cyc[h], -k_cyc * dt_h)
+        for h in range(H):
+            m.set_objective_coeff(cyc[h], -inputs.cyc_lin.k_cyc * dt_h)
         # the per-step secant cost, charged spH times at the hour's mean SoE
         for h in range(H):
             for k in range(3):

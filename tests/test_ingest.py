@@ -205,7 +205,11 @@ def test_config_hash_ignores_file_locations():
     a = RunConfig(outdir="runs/a", frequency_csv="x.csv")
     b = RunConfig(outdir="runs/b", frequency_csv="y.csv", prices_csv="p.csv")
     assert a.config_hash() == b.config_hash()
-    c = RunConfig(case_id="FCR_DU")
+    # checkpoints key the case and the mode themselves
+    for key, value in (("case_id", "FCR_DU"),
+                       ("degradation_in_objective", True)):
+        assert RunConfig(**{key: value}).config_hash() == a.config_hash()
+    c = RunConfig(steps_per_hour=4)
     assert c.config_hash() != a.config_hash()
 
 

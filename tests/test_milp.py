@@ -229,9 +229,13 @@ def test_model_size_formula(case, positive_p_min, deg):
     inp = day_inputs(case=case, hours=3, steps_per_hour=4, spec=spec, deg=deg)
     m = build_day_model(inp)
     assert m.has("b_ch[t=0]") == positive_p_min
-    assert m.has("p_ch[t=0]") == positive_p_min
-    assert ("pin[t=0]" in m.row_names) == positive_p_min
-    assert m.has("cyc[h=2]") == (deg and not positive_p_min)
+    assert ("st_ch[t=0]" in m.row_names) == positive_p_min
+    # realized power is never a column, and cycle aging is priced per hour
+    assert not m.has("p_ch[t=0]") and not m.has("p_ds[t=0]")
+    assert not any(name.startswith(("pin[", "st_up_", "st_lo_"))
+                   for name in m.row_names)
+    assert m.has("cyc[h=2]") == deg
+    assert ("cyc_def[h=2]" in m.row_names) == deg
     assert m.has("d_cal[h=2,k=0]") == deg
     assert m.has("y_cal[h=2,j=2]") == deg
     size = model_size(inp)
@@ -363,15 +367,16 @@ def test_registry_names_unique_and_resolvable():
     assert "cyc_def[h=1]" in m.row_names
     # the default secants fall only at the 0.7 breakpoint
     assert not m.has("y_cal[h=1,j=1]")
-    # per-step powers, with their per-step cycle price, only for a battery
-    # with a positive minimum power
-    assert not m.has("p_ch[t=7]") and "pin[t=7]" not in m.row_names
+    # per-step charge/discharge binaries and their power bounds only for a
+    # battery with a positive minimum power; its cycle price stays hourly
+    assert not m.has("b_ch[t=7]") and "st_ch[t=7]" not in m.row_names
     m = build_day_model(day_inputs(hours=2, deg=True,
                                    spec=BatterySpec(p_min=0.05)))
-    for name in ("p_ch[t=7]", "p_ds[t=7]", "b_ch[t=7]", "soe[t=0]"):
+    for name in ("b_ch[t=7]", "b_ds[t=7]", "soe[t=0]", "cyc[h=1]"):
         assert m.has(name)
-    assert "pin[t=7]" in m.row_names
-    assert not m.has("cyc[h=1]") and "cyc_def[h=1]" not in m.row_names
+    for name in ("st_ch[t=7]", "st_ds[t=7]", "st_excl[t=7]", "cyc_def[h=1]"):
+        assert name in m.row_names
+    assert not m.has("p_ch[t=7]") and "pin[t=7]" not in m.row_names
 
 
 # -- solved-model semantics ---------------------------------------------------
@@ -472,10 +477,13 @@ def priced_cycle_cost(model, res, inp) -> float:
     return -float(model.objective_vector()[cols] @ res.x[cols])
 
 
-@pytest.mark.parametrize("case", ["MULTI", "FCR_N", "FCR_DU", "FCR_DD"])
+@pytest.mark.parametrize("case, p_min", [
+    ("MULTI", 0.0), ("FCR_N", 0.0), ("FCR_DU", 0.0), ("FCR_DD", 0.0),
+    ("MULTI", 0.05)], ids=["MULTI", "FCR_N", "FCR_DU", "FCR_DD", "MULTI_p_min"])
 @pytest.mark.parametrize("deg", [False, True])
-def test_hourly_cycle_price_bounds_the_rebuilt_throughput(case, deg):
-    inp = day_inputs(seed=1, case=case, hours=24, steps_per_hour=4, deg=deg)
+def test_hourly_cycle_price_bounds_the_rebuilt_throughput(case, p_min, deg):
+    inp = day_inputs(seed=1, case=case, hours=24, steps_per_hour=4, deg=deg,
+                     spec=BatterySpec(p_min=p_min))
     model, res, sol = solve_day(inp)
     # no per-step power column bounds the net power: req_up and req_dn do
     assert not model.has("p_ch[t=0]")

@@ -514,6 +514,12 @@ def test_run_matrix_keys_and_reuse(tmp_path, monkeypatch):
     # a second sweep comes entirely from checkpoints
     run_matrix(bundle, cases=("WO_FCR", "FCR_N"), modes=(False,))
     assert len(calls) == 2
+    # and so does one under another default case and mode
+    other = dataclasses.replace(cfg, case_id="FCR_DD",
+                                degradation_in_objective=True)
+    run_matrix(load_bundle(other, synthetic_seed=7),
+               cases=("WO_FCR", "FCR_N"), modes=(False,))
+    assert len(calls) == 2
 
 
 def test_run_matrix_default_grid_covers_all_cases():

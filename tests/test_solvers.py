@@ -12,6 +12,7 @@ import pytest
 
 from fcrsched import (
     BackendError,
+    BatterySpec,
     InvalidParameter,
     MilpModel,
     ParseError,
@@ -199,9 +200,12 @@ def test_roundtrip_tiny(tmp_path, fmt):
     assert_models_equal(m, back)
 
 
-@pytest.mark.parametrize("fmt", ["mps", "mps-fixed", "lp"])
-def test_roundtrip_day_model(tmp_path, fmt):
-    inp = day_inputs(seed=13, hours=2, deg=True)
+@pytest.mark.parametrize("fmt, p_min", [
+    (fmt, p_min) for p_min in (0.0, 0.05)
+    for fmt in ("mps", "mps-fixed", "lp")],
+    ids=["mps", "mps-fixed", "lp", "mps_p_min", "mps-fixed_p_min", "lp_p_min"])
+def test_roundtrip_day_model(tmp_path, fmt, p_min):
+    inp = day_inputs(seed=13, hours=2, deg=True, spec=BatterySpec(p_min=p_min))
     m = build_day_model(inp)
     path = str(tmp_path / "day.txt")
     export_model(m, path, fmt=fmt)
@@ -334,6 +338,21 @@ def test_roundtrip_without_sidecar_keeps_file_names(tmp_path):
     assert back.var_names == [sanitize_name(n) for n in m.var_names]
     assert solve_scipy(back).objective == pytest.approx(
         solve_scipy(m).objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("text, why", [
+    ("{not json", "not JSON"),
+    ("[1, 2]", "not a JSON object"),
+    ('{"variables": ["x"], "rows": {}}',
+     "'variables' is not a string-to-string object"),
+])
+@pytest.mark.parametrize("fmt", ["mps", "lp"])
+def test_damaged_sidecar_names_the_sidecar(tmp_path, fmt, text, why):
+    path = str(tmp_path / f"tiny.{fmt}")
+    sidecar = export_model(tiny_milp(), path, fmt=fmt)
+    Path(sidecar).write_text(text + "\n", encoding="ascii")
+    with pytest.raises(ParseError, match=re.escape(f"{sidecar}: {why}")):
+        parse_lp(path) if fmt == "lp" else parse_mps(path)
 
 
 def test_mps_rejects_ranges_section(tmp_path):
