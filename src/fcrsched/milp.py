@@ -70,6 +70,9 @@ class MilpModel:
         self.rhs: list[float] = []
         self.objective: dict[int, float] = {}
         self.objective_const: float = 0.0
+        # solve_scipy may start from the LP relaxation and enforce only the
+        # binaries whose rounding violates a row; set by the day builder
+        self.relax_binaries_first: bool = False
         self._registry: dict[str, int] = {}
         self._row_names: set[str] = set()
         # (rows, cols, vals) per family, each sorted by row
@@ -588,6 +591,10 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
         # its value at the first breakpoint plus each fill at its slope
         price((d_cal, [-spH * seg.slope_eur_per_mwh for seg in segs]))
         m.objective_const = -H * spH * segs[0].cost_at(segs[0].lo_mwh)
+
+    # with p_min > 0 the per-step binaries make partly relaxed rounds
+    # slower than one full solve (ROADMAP.md, "Settled findings")
+    m.relax_binaries_first = spec.p_min == 0.0
 
     built = model_size(inputs)
     assert (m.n_vars, m.n_binaries, m.n_rows) == (

@@ -387,8 +387,9 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
                                        wall_time=result.wall_time,
                                        nodes=result.nodes)
             log.info("day %d case %s (%s): objective %.2f EUR, gap %.2e, "
-                     "%d nodes in %.2fs", day, case, "deg" if deg else "nodeg",
-                     sol.objective, sol.gap, sol.nodes, result.wall_time)
+                     "%d nodes in %d rounds in %.2fs", day, case,
+                     "deg" if deg else "nodeg", sol.objective, sol.gap,
+                     sol.nodes, result.rounds, result.wall_time)
             cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
                 sol, spec, age_k)
             profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur

@@ -45,7 +45,7 @@ from .errors import (
     TooLarge,
     UnsupportedFormat,
 )
-from .milp import MilpModel
+from .milp import MilpModel, validate_solution
 from .simplex import solve_lp
 
 MICRO_MAX_BINARIES = 24
@@ -69,6 +69,7 @@ class SolveResult:
     message: str = ""
     nodes: int = 0                  # branch-and-bound nodes, where reported
     dual_bound: float = math.nan    # in the model's (maximize) sense
+    rounds: int = 1                 # solver calls; several for lazy binaries
 
     def __post_init__(self):
         if self.status not in _STATUS_WORDS:
@@ -846,35 +847,91 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
     HiGHS runs without presolve. On the day model, presolve left a weaker
     root bound and HiGHS restarted its search, redoing presolve and the
     root; the model as built mostly solves at the root in one pass
-    (measurements in ROADMAP.md, item 6).
+    (ROADMAP.md, "Settled findings").
+
+    A model with `relax_binaries_first` set is solved with lazily enforced
+    binaries. The first round relaxes every binary. After each round the
+    relaxed binaries are rounded up above 1e-9 and down otherwise, the
+    enforced ones to 0/1, and the rounded point is checked against the full
+    model. It is kept when it passes and lies within `mip_gap` of the
+    round's bound; every round relaxes the full model, so that bound holds
+    for the full optimum too. Otherwise every binary in a violated row (or
+    the violated column itself) is enforced and the model solved again; a
+    round that would enforce nothing new enforces every binary, which is
+    the plain full solve. The first round gets `time_limit_s`, later rounds
+    what is left of it.
     """
     import scipy.sparse as sp
     from scipy.optimize import Bounds, LinearConstraint
 
     rows, cols, vals, lo_row, hi_row = model.triplets()
     a = sp.csc_array((vals, (rows, cols)), shape=(model.n_rows, model.n_vars))
+    constraints = LinearConstraint(a, lo_row, hi_row)
     c = -model.objective_vector()
-    integrality = np.array(model.is_binary, dtype=np.uint8)
     bounds = Bounds(np.array(model.lb), np.array(model.ub))
+    binary = np.array(model.is_binary, dtype=bool)
+    enforced = binary & (not model.relax_binaries_first)
+    rounds = nodes = 0
     t0 = time.perf_counter()
-    res = _milp_quiet(c, constraints=LinearConstraint(a, lo_row, hi_row),
-                      integrality=integrality, bounds=bounds,
-                      options={"time_limit": float(time_limit_s),
-                               "mip_rel_gap": float(mip_gap),
-                               "disp": False,
-                               "presolve": False})
-    wall = time.perf_counter() - t0
+    while True:
+        left = time_limit_s if rounds == 0 \
+            else time_limit_s - (time.perf_counter() - t0)
+        if left <= 0.0:
+            return SolveResult("TimeLimit", None, None, math.inf,
+                               time.perf_counter() - t0, "scipy",
+                               f"time limit reached after {rounds} rounds",
+                               nodes=nodes, rounds=rounds)
+        res = _milp_quiet(c, constraints=constraints,
+                          integrality=enforced.astype(np.uint8),
+                          bounds=bounds,
+                          options={"time_limit": float(left),
+                                   "mip_rel_gap": float(mip_gap),
+                                   "disp": False,
+                                   "presolve": False})
+        rounds += 1
+        nodes += int(getattr(res, "mip_node_count", 0) or 0)
+        full = bool(enforced[binary].all())
+        dual = getattr(res, "mip_dual_bound", None)
+        if dual is None and res.status == 0 and not full:
+            dual = res.fun      # an LP round: its optimum is the bound
+        # HiGHS minimizes -objective; report the bound in the maximize sense.
+        dual_bound = math.nan if dual is None else -float(dual) \
+            + model.objective_const
+
+        def result(status, x, obj, gap_, message=str(res.message)):
+            return SolveResult(status, x, obj, gap_,
+                               time.perf_counter() - t0, "scipy", message,
+                               nodes=nodes, dual_bound=dual_bound,
+                               rounds=rounds)
+
+        if full:
+            break
+        if res.status == 2:
+            return result("Infeasible", None, None, math.inf)
+        if res.status not in (0, 1):
+            return result("BackendError", None, None, math.inf,
+                          f"status {res.status}: {res.message}")
+        if res.x is None:       # out of time before a first point
+            return result("TimeLimit", None, None, math.inf)
+        x = np.asarray(res.x, dtype=float)
+        x[binary] = np.where(enforced[binary], np.round(x[binary]),
+                             x[binary] > 1e-9)
+        report = validate_solution(model, x)
+        if report.ok:
+            obj = model.objective_value(x)
+            gap = max(0.0, (dual_bound - obj) / max(abs(obj), 1e-9)) \
+                if math.isfinite(dual_bound) else math.inf
+            if gap <= mip_gap:
+                return result("Optimal", x, obj, gap)
+            if res.status == 1:
+                return result("TimeLimit", x, obj, gap)
+        if res.status == 1:
+            return result("TimeLimit", None, None, math.inf)
+        new = _violated_columns(model, report.violations) & binary \
+            & ~enforced
+        enforced = enforced | new if new.any() else binary
+
     gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
-    nodes = int(getattr(res, "mip_node_count", 0) or 0)
-    dual = getattr(res, "mip_dual_bound", None)
-    # HiGHS minimizes -objective; report the bound in the maximize sense.
-    dual_bound = math.nan if dual is None else -float(dual) \
-        + model.objective_const
-
-    def result(status, x, obj, gap_, message=str(res.message)):
-        return SolveResult(status, x, obj, gap_, wall, "scipy", message,
-                           nodes=nodes, dual_bound=dual_bound)
-
     if res.status == 0:
         return result("Optimal", np.asarray(res.x, dtype=float),
                       model.objective_value(res.x), gap)
@@ -886,6 +943,22 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
         return result("Infeasible", None, None, math.inf)
     return result("BackendError", None, None, math.inf,
                   f"status {res.status}: {res.message}")
+
+
+def _violated_columns(model: MilpModel, violations) -> np.ndarray:
+    """Mask of the columns that `validate_solution` found out of bounds or
+    fractional, or that appear in a row it found violated."""
+    row_index = {name: i for i, name in enumerate(model.row_names)}
+    mask = np.zeros(model.n_vars, dtype=bool)
+    bad_rows = []
+    for v in violations:
+        if v.family in ("bounds", "integrality"):
+            mask[model.col(v.name)] = True
+        else:
+            bad_rows.append(row_index[v.name])
+    rows, cols = model.triplets()[:2]
+    mask[cols[np.isin(rows, bad_rows)]] = True
+    return mask
 
 
 # -- micro branch and bound ---------------------------------------------------

@@ -612,3 +612,51 @@ def test_model_size_of_a_default_multi_deg_day(steps_per_hour, expected):
     inp = day_inputs(hours=24, steps_per_hour=steps_per_hour, deg=True)
     size = model_size(inp)
     assert (size["n_vars"], size["n_binaries"], size["n_rows"]) == expected
+
+
+# -- lazily enforced binaries ------------------------------------------------
+
+@pytest.mark.parametrize("case", ["WO_FCR", "FCR_N", "FCR_DU", "FCR_DD", "MULTI"])
+@pytest.mark.parametrize("deg", [False, True])
+def test_lazy_binaries_agree_with_the_full_solve(case, deg):
+    # seed 1 at 15-minute steps, days 0 and 1: the lazily enforced solve
+    # is within mip_gap of the same model solved with every binary enforced
+    from fcrsched import RunConfig, load_bundle, solve_scipy
+    from fcrsched.orchestrate import day_inputs as horizon_day_inputs
+
+    mip_gap = 1e-6
+    cfg = RunConfig(case_id=case, steps_per_hour=4, days=(0, 1))
+    bundle = load_bundle(cfg, synthetic_seed=1)
+    for day in cfg.days:
+        m = build_day_model(horizon_day_inputs(
+            bundle, day, cfg.initial_soe, cfg.start_age_days + day, case, deg))
+        assert m.relax_binaries_first
+        lazy = solve_scipy(m, mip_gap=mip_gap)
+        assert lazy.ok and validate_solution(m, lazy.x).ok
+        assert lazy.gap <= mip_gap
+        m.relax_binaries_first = False
+        full = solve_scipy(m, mip_gap=mip_gap)
+        assert full.ok and full.rounds == 1
+        assert abs(lazy.objective - full.objective) \
+            <= mip_gap * abs(full.objective) + 1e-9
+
+
+def test_positive_p_min_day_model_is_one_full_solve(monkeypatch):
+    import scipy.optimize
+
+    from fcrsched import solve_scipy
+
+    m = build_day_model(day_inputs(seed=2, case="MULTI", deg=True,
+                                   spec=BatterySpec(p_min=0.05)))
+    assert not m.relax_binaries_first
+    real = scipy.optimize.milp
+    calls = []
+
+    def recording(*args, integrality=None, **kwargs):
+        calls.append(np.array(integrality))
+        return real(*args, integrality=integrality, **kwargs)
+
+    monkeypatch.setattr("scipy.optimize.milp", recording)
+    res = solve_scipy(m)
+    assert res.ok and res.rounds == len(calls) == 1
+    assert calls[0].astype(bool).tolist() == m.is_binary

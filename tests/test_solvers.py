@@ -657,6 +657,130 @@ def test_scipy_runs_highs_without_presolve(monkeypatch):
     assert seen["disp"] is False
 
 
+# -- lazily enforced binaries ----------------------------------------------------
+
+def record_milp(monkeypatch, replies=None):
+    """Record each `scipy.optimize.milp` call's integrality and options.
+
+    Call `i` returns `replies[i](real_result)` when given, else HiGHS's own
+    result."""
+    import scipy.optimize
+
+    real = scipy.optimize.milp
+    calls = []
+
+    def recording(*args, integrality=None, options=None, **kwargs):
+        calls.append({"integrality": np.array(integrality),
+                      "options": dict(options)})
+        res = real(*args, integrality=integrality, options=options, **kwargs)
+        reply = (replies or {}).get(len(calls) - 1)
+        return res if reply is None else reply(res)
+
+    monkeypatch.setattr("scipy.optimize.milp", recording)
+    return calls
+
+
+def bid_below_minimum_model() -> MilpModel:
+    """FCR_N day (seed 2, 4 hours) whose LP relaxation bids FCR-N below its
+    minimum bid, so rounding `b_n` up breaks a `bid_n_lo` row."""
+    m = build_day_model(day_inputs(seed=2, case="FCR_N", hours=4))
+    assert m.relax_binaries_first
+    return m
+
+
+def test_lazy_binaries_enforce_the_violated_minimum_bid(monkeypatch):
+    from fcrsched import validate_solution
+
+    m = bid_below_minimum_model()
+    calls = record_milp(monkeypatch)
+    res = solve_scipy(m, mip_gap=1e-9)
+    assert res.ok and res.rounds == len(calls) >= 2
+    assert not calls[0]["integrality"].any()    # round 1 is the LP
+    second = calls[1]["integrality"].astype(bool)
+    assert second.any() and not second.all()
+    assert {m.var_names[j].split("[")[0] for j in np.flatnonzero(second)} \
+        == {"b_n"}
+    binary = np.array(m.is_binary)
+    assert set(np.unique(res.x[binary])) <= {0.0, 1.0}
+    assert validate_solution(m, res.x).ok
+    m.relax_binaries_first = False
+    full = solve_scipy(m, mip_gap=1e-9)
+    assert len(calls) == res.rounds + 1
+    assert calls[-1]["integrality"].astype(bool).tolist() == m.is_binary
+    assert abs(full.objective - res.objective) <= 1e-9 * abs(full.objective)
+    assert res.gap <= 1e-9
+    assert res.dual_bound >= res.objective
+
+
+def test_lazy_binaries_refuse_a_valid_rounding_outside_the_gap(monkeypatch):
+    # max 3x - b, x <= b, x <= 0.5: the LP sets b = x = 0.5 (bound 1.0);
+    # b rounded up passes every row but is worth 0.5, so the binary must
+    # be enforced and the certificate come from the full solve
+    m = MilpModel("costly_flag")
+    x = m.add_variable("x", 0.0, 0.5)
+    b = m.add_variable("b", 0.0, 1.0, binary=True)
+    m.add_constraint("link", [(x, 1.0), (b, -1.0)], "<=", 0.0)
+    m.set_objective_coeff(x, 3.0)
+    m.set_objective_coeff(b, -1.0)
+    m.relax_binaries_first = True
+    calls = record_milp(monkeypatch)
+    res = solve_scipy(m, mip_gap=1e-6)
+    assert res.ok and res.rounds == len(calls) == 2
+    assert calls[1]["integrality"].tolist() == [0, 1]
+    assert res.objective == pytest.approx(0.5, abs=1e-9)
+    assert res.gap <= 1e-6
+
+
+def test_lazy_binaries_infeasible_relaxation_stops_at_once(monkeypatch):
+    m = MilpModel("bad")
+    v = m.add_variable("x", 0.0, 1.0)
+    b = m.add_variable("b", 0.0, 1.0, binary=True)
+    m.add_constraint("lo", [(v, 1.0), (b, 1.0)], ">=", 3.0)
+    m.relax_binaries_first = True
+    calls = record_milp(monkeypatch)
+    res = solve_scipy(m)
+    assert res.status == "Infeasible" and res.x is None
+    assert res.rounds == len(calls) == 1
+    assert not calls[0]["integrality"].any()
+
+
+def test_lazy_binaries_time_limit_in_round_two(monkeypatch):
+    from types import SimpleNamespace
+
+    m = bid_below_minimum_model()
+    lp_x = {}
+
+    def keep(res):
+        lp_x["x"] = res.x
+        return res
+
+    # round 2 runs out of time holding round 1's point, whose rounding
+    # breaks a minimum bid
+    calls = record_milp(monkeypatch, {
+        0: keep,
+        1: lambda res: SimpleNamespace(
+            status=1, x=lp_x["x"], fun=None, message="fake time limit",
+            mip_gap=None, mip_node_count=7, mip_dual_bound=None)})
+    res = solve_scipy(m, time_limit_s=30.0)
+    assert len(calls) == res.rounds == 2
+    assert calls[0]["options"]["time_limit"] == 30.0
+    assert 0.0 < calls[1]["options"]["time_limit"] < 30.0
+    assert res.status == "TimeLimit"
+    assert res.x is None and res.objective is None
+    assert res.nodes == 7
+
+
+def test_unflagged_model_is_one_full_solve(monkeypatch):
+    m = build_day_model(day_inputs(seed=2, case="FCR_N", hours=4))
+    m.relax_binaries_first = False
+    calls = record_milp(monkeypatch)
+    res = solve_scipy(m, time_limit_s=30.0)
+    assert res.ok and res.rounds == len(calls) == 1
+    assert calls[0]["integrality"].astype(bool).tolist() == m.is_binary
+    assert calls[0]["options"]["time_limit"] == 30.0
+    assert not tiny_milp().relax_binaries_first
+
+
 # -- micro backend --------------------------------------------------------------
 
 def test_micro_matches_scipy_on_knapsack():
