@@ -695,6 +695,7 @@ class DaySolution:
     status: str = "Optimal"
     gap: float = 0.0
     nodes: int = 0
+    rounds: int = 0
     wall_time: float = 0.0
     cal_cost: float = math.nan
     cyc_cost: float = math.nan
@@ -714,8 +715,9 @@ class DaySolution:
         out = {}
         for f in ("day_index", "steps_per_hour", "hours", "dt_seconds", "s0",
                   "r_da", "r_n", "r_du", "r_dd", "c_da", "c_deg_lin",
-                  "objective", "status", "gap", "nodes", "wall_time",
-                  "cal_cost", "cyc_cost", "cal_pct", "cyc_pct", "profit"):
+                  "objective", "status", "gap", "nodes", "rounds",
+                  "wall_time", "cal_cost", "cyc_cost", "cal_pct", "cyc_pct",
+                  "profit"):
             out[f] = getattr(self, f)
         for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd",
                   "p_ch", "p_ds", "soe"):
@@ -743,7 +745,8 @@ class DaySolution:
 def extract_day_solution(model: MilpModel, x: np.ndarray,
                          inputs: DayInputs,
                          status: str = "Optimal", gap: float = 0.0,
-                         wall_time: float = 0.0, nodes: int = 0) -> DaySolution:
+                         wall_time: float = 0.0, nodes: int = 0,
+                         rounds: int = 0) -> DaySolution:
     """Unpack a solution vector into market units, one variable family
     (the registry name before `[`) at a time.
 
@@ -791,4 +794,5 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
         c_deg_lin=cost("d_cal", "cyc")
         - model.objective_const,
         objective=model.objective_value(x),
-        status=status, gap=gap, nodes=nodes, wall_time=wall_time)
+        status=status, gap=gap, nodes=nodes, rounds=rounds,
+        wall_time=wall_time)

@@ -385,11 +385,12 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
             sol = extract_day_solution(model, result.x, inputs,
                                        status=result.status, gap=result.gap,
                                        wall_time=result.wall_time,
-                                       nodes=result.nodes)
+                                       nodes=result.nodes,
+                                       rounds=result.rounds)
             log.info("day %d case %s (%s): objective %.2f EUR, gap %.2e, "
                      "%d nodes in %d rounds in %.2fs", day, case,
                      "deg" if deg else "nodeg", sol.objective, sol.gap,
-                     sol.nodes, result.rounds, result.wall_time)
+                     sol.nodes, sol.rounds, result.wall_time)
             cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
                 sol, spec, age_k)
             profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur
@@ -424,8 +425,9 @@ def _write_failure(run_dir: str, day: int, status: str, message: str) -> None:
 def _write_horizon_summary(run_dir: str, result: HorizonResult,
                            config_hash: str,
                            solved: list[DaySolution]) -> None:
-    """`horizon.json`: the run's aggregates, plus the solver seconds and
-    nodes spent in this call and how many days came from checkpoints."""
+    """`horizon.json`: the run's aggregates, plus the solver seconds, nodes
+    and rounds spent in this call and how many days came from
+    checkpoints."""
     payload = {
         "config_hash": config_hash,
         "case_id": result.case_id,
@@ -438,6 +440,7 @@ def _write_horizon_summary(run_dir: str, result: HorizonResult,
         "market_mix": result.market_mix(),
         "solver_s": sum(sol.wall_time for sol in solved),
         "nodes": sum(sol.nodes for sol in solved),
+        "rounds": sum(sol.rounds for sol in solved),
         "reused_days": result.n_days - len(solved),
     }
     with open(os.path.join(run_dir, "horizon.json"), "w", encoding="ascii") as fh:

@@ -850,16 +850,18 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
     (ROADMAP.md, "Settled findings").
 
     A model with `relax_binaries_first` set is solved with lazily enforced
-    binaries. The first round relaxes every binary. After each round the
-    relaxed binaries are rounded up above 1e-9 and down otherwise, the
-    enforced ones to 0/1, and the rounded point is checked against the full
-    model. It is kept when it passes and lies within `mip_gap` of the
-    round's bound; every round relaxes the full model, so that bound holds
-    for the full optimum too. Otherwise every binary in a violated row (or
-    the violated column itself) is enforced and the model solved again; a
-    round that would enforce nothing new enforces every binary, which is
-    the plain full solve. The first round gets `time_limit_s`, later rounds
-    what is left of it.
+    binaries. The first round relaxes every binary. After each round a
+    relaxed binary is rounded up only when some row needs it above 1e-9 with
+    every other column at its value in the round's point, and down
+    otherwise (`_round_binaries`); the enforced ones are rounded to 0/1.
+    The rounded point is checked against the full model. It is kept when
+    it passes and lies within `mip_gap` of the round's bound; every round
+    relaxes the full model, so that bound holds for the full optimum too.
+    Otherwise every binary in a violated row (or the violated column
+    itself) is enforced and the model solved again; a round that would
+    enforce nothing new enforces every binary, which is the plain full
+    solve. The first round gets `time_limit_s`, later rounds what is left
+    of it.
     """
     import scipy.sparse as sp
     from scipy.optimize import Bounds, LinearConstraint
@@ -913,9 +915,7 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
                           f"status {res.status}: {res.message}")
         if res.x is None:       # out of time before a first point
             return result("TimeLimit", None, None, math.inf)
-        x = np.asarray(res.x, dtype=float)
-        x[binary] = np.where(enforced[binary], np.round(x[binary]),
-                             x[binary] > 1e-9)
+        x = _round_binaries(model, res.x, enforced)
         report = validate_solution(model, x)
         if report.ok:
             obj = model.objective_value(x)
@@ -943,6 +943,33 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
         return result("Infeasible", None, None, math.inf)
     return result("BackendError", None, None, math.inf,
                   f"status {res.status}: {res.message}")
+
+
+def _round_binaries(model: MilpModel, x: np.ndarray,
+                    enforced: np.ndarray) -> np.ndarray:
+    """`x` with every binary at 0 or 1: an enforced one at its nearest
+    integer, a relaxed one at 1 exactly when some row needs it above 1e-9
+    with every other column at its value in `x`, else at 0.
+
+    For an entry `a` of the column in a row whose activity without it is
+    `rest`, a finite upper bound `hi` needs `(rest - hi)/(-a)` when `a < 0`,
+    and a finite lower bound `lo` needs `(lo - rest)/a` when `a > 0`.
+    """
+    x = np.asarray(x, dtype=float)
+    rows, cols, vals, lo, hi = model.triplets()
+    term = vals * x[cols]
+    rest = np.bincount(rows, term, minlength=model.n_rows)[rows] - term
+    need = np.full(vals.shape, -np.inf)
+    neg, pos = vals < 0, vals > 0
+    need[neg] = (rest[neg] - hi[rows[neg]]) / -vals[neg]
+    need[pos] = (lo[rows[pos]] - rest[pos]) / vals[pos]
+    needed = np.zeros(model.n_vars, dtype=bool)
+    needed[cols[need > 1e-9]] = True
+    binary = np.array(model.is_binary, dtype=bool)
+    out = x.copy()
+    out[binary] = np.where(enforced[binary], np.round(x[binary]),
+                           needed[binary])
+    return out
 
 
 def _violated_columns(model: MilpModel, violations) -> np.ndarray:

@@ -168,12 +168,16 @@ def test_day_solution_keeps_highs_node_count(tmp_path, monkeypatch):
     patch_backend(monkeypatch, recording_backend)
     sol = run_case(load_bundle(cfg, synthetic_seed=7)).days[0]
     assert sol.nodes == results[0].nodes
+    assert sol.rounds == results[0].rounds >= 1
     ckpt = tmp_path / "MULTI_deg" / "day_0000.json"
     payload = json.loads(ckpt.read_text())
     assert payload["solution"]["nodes"] == sol.nodes
+    assert payload["solution"]["rounds"] == sol.rounds
     # a checkpoint written before the field existed still loads
     del payload["solution"]["nodes"]
     assert DaySolution.from_dict(payload["solution"]).nodes == 0
+    del payload["solution"]["rounds"]
+    assert DaySolution.from_dict(payload["solution"]).rounds == 0
 
 
 def test_resume_solves_only_missing_days(tmp_path, monkeypatch):
@@ -196,7 +200,7 @@ def test_horizon_summary_counts_solver_work_of_this_call(tmp_path,
 
     def fixed_cost_backend(model, time_limit_s=600.0, mip_gap=1e-6):
         res = solve_scipy(model, time_limit_s=time_limit_s, mip_gap=mip_gap)
-        return dataclasses.replace(res, wall_time=1.25, nodes=3)
+        return dataclasses.replace(res, wall_time=1.25, nodes=3, rounds=2)
 
     patch_backend(monkeypatch, fixed_cost_backend)
     path = os.path.join(str(tmp_path), "MULTI_nodeg", "horizon.json")
@@ -204,15 +208,16 @@ def test_horizon_summary_counts_solver_work_of_this_call(tmp_path,
     def summary():
         with open(path) as fh:
             payload = json.load(fh)
-        return payload["solver_s"], payload["nodes"], payload["reused_days"]
+        return (payload["solver_s"], payload["nodes"], payload["rounds"],
+                payload["reused_days"])
 
     run_case(bundle)                                    # fresh
-    assert summary() == (3.75, 9, 0)
+    assert summary() == (3.75, 9, 6, 0)
     os.remove(os.path.join(str(tmp_path), "MULTI_nodeg", "day_0001.json"))
     run_case(bundle)                                    # resumed
-    assert summary() == (1.25, 3, 2)
+    assert summary() == (1.25, 3, 2, 2)
     run_case(bundle)                                    # nothing to solve
-    assert summary() == (0, 0, 3)
+    assert summary() == (0, 0, 0, 3)
 
 
 def test_resume_disabled_recomputes_everything(tmp_path, monkeypatch):

@@ -781,6 +781,89 @@ def test_unflagged_model_is_one_full_solve(monkeypatch):
     assert not tiny_milp().relax_binaries_first
 
 
+def indicator_pair_model(ds_max: float = 2.0) -> MilpModel:
+    """Charge and discharge flows, each behind an indicator (`flow <= 2 b`),
+    with at most one indicator set."""
+    m = MilpModel("indicators")
+    for side, hi in (("ch", 2.0), ("ds", ds_max)):
+        flow = m.add_variable(side, 0.0, hi)
+        b = m.add_variable(f"b_{side}", 0.0, 1.0, binary=True)
+        m.add_constraint(f"up_{side}", [(flow, 1.0), (b, -2.0)], "<=", 0.0)
+    m.add_constraint("excl", [(m.col("b_ch"), 1.0), (m.col("b_ds"), 1.0)],
+                     "<=", 1.0)
+    return m
+
+
+def test_rounding_sets_a_binary_only_where_a_row_needs_it():
+    from fcrsched.solvers import _round_binaries
+
+    m = indicator_pair_model()
+    bid = m.add_variable("bid", 0.0, 1.0)
+    b_n = m.add_variable("b_n", 0.0, 1.0, binary=True)
+    m.add_constraint("bid_gate", [(b_n, 1.0), (bid, -1.0)], ">=", 0.0)
+    m.add_constraint("bid_lo", [(bid, 1.0), (b_n, -0.5)], ">=", 0.0)
+    b1 = m.add_variable("b1", 0.0, 1.0, binary=True)
+    b2 = m.add_variable("b2", 0.0, 1.0, binary=True)
+    m.add_constraint("pair", [(b1, 1.0), (b2, 1.0)], "<=", 1.0)
+    tiny = m.add_variable("tiny", 0.0, 1.0, binary=True)
+    m.add_constraint("cap", [(tiny, 1.0), (m.col("ch"), 1.0)], "<=", 5.0)
+    relaxed = np.zeros(m.n_vars, dtype=bool)
+
+    def rounded(**values):
+        x = np.zeros(m.n_vars)
+        for name, v in values.items():
+            x[m.col(name)] = v
+        out = _round_binaries(m, x, relaxed)
+        continuous = ~np.array(m.is_binary)
+        assert np.array_equal(out[continuous], x[continuous])
+        return {n: out[m.col(n)] for n in ("b_ch", "b_ds", "b_n", "b1", "b2",
+                                           "tiny")}
+
+    # b_ch's partner is 0, so no row needs it, whatever HiGHS left there
+    point = dict(ch=0.0, b_ch=0.3, ds=1.0, b_ds=0.5, bid=0.6, b_n=0.3,
+                 b1=0.4, b2=0.6, tiny=1e-10)
+    assert rounded(**point) == {"b_ch": 0.0, "b_ds": 1.0, "b_n": 1.0,
+                                "b1": 0.0, "b2": 0.0, "tiny": 0.0}
+    assert rounded(**{**point, "ch": 0.4})["b_ch"] == 1.0
+    assert rounded(**{**point, "bid": 0.0})["b_n"] == 0.0
+    # an enforced binary goes to its nearest integer
+    enforced = relaxed.copy()
+    enforced[b2] = True
+    x = np.zeros(m.n_vars)
+    x[b2] = 1.0 - 1e-8
+    assert _round_binaries(m, x, enforced)[b2] == 1.0
+
+
+def test_lazy_binaries_leave_an_unneeded_indicator_at_zero(monkeypatch):
+    from types import SimpleNamespace
+
+    import fcrsched.solvers as solvers
+
+    # max ds with ds <= 0.5: the first round's point is an optimum of the
+    # relaxation with b_ch at 0.5, where no row needs it; rounding b_ch up
+    # too would break `excl` and cost a second round
+    m = indicator_pair_model(ds_max=0.5)
+    m.set_objective_coeff(m.col("ds"), 1.0)
+    m.relax_binaries_first = True
+    real = solvers._milp_quiet
+    calls = []
+
+    def first_round_point(*args, **kwargs):
+        calls.append(kwargs["integrality"].copy())
+        if len(calls) > 1:
+            return real(*args, **kwargs)
+        return SimpleNamespace(status=0, x=np.array([0.0, 0.5, 0.5, 0.5]),
+                               fun=-0.5, message="fake LP", mip_gap=None,
+                               mip_node_count=None, mip_dual_bound=None)
+
+    monkeypatch.setattr(solvers, "_milp_quiet", first_round_point)
+    res = solve_scipy(m, mip_gap=1e-9)
+    assert res.status == "Optimal" and res.rounds == len(calls) == 1
+    assert not calls[0].any()
+    assert res.x.tolist() == [0.0, 0.0, 0.5, 1.0]
+    assert res.objective == pytest.approx(0.5) and res.gap == 0.0
+
+
 # -- micro backend --------------------------------------------------------------
 
 def test_micro_matches_scipy_on_knapsack():
