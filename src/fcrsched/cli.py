@@ -30,7 +30,6 @@ from .errors import (
     DataError,
     FcrSchedError,
     InfeasibleBounds,
-    SolverError,
 )
 from .ingest import CASES, RunConfig
 from .milp import build_day_model
@@ -211,21 +210,11 @@ def main(argv=None) -> int:
                         level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except InfeasibleBounds as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except FcrSchedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, (ConfigError, InfeasibleBounds)):
+            return 2
+        return 4 if isinstance(exc, DataError) else 3
 
 
 if __name__ == "__main__":

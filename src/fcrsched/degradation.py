@@ -254,26 +254,27 @@ def linearize_cycle(spec: "BatterySpec") -> CycleLinearization:
     return CycleLinearization(k_cyc=k_cyc, max_rel_err=max_rel_err)
 
 
-def post_calculate_aging(solution, spec: "BatterySpec",
+def post_calculate_aging(soe, net, dt_seconds: float, spec: "BatterySpec",
                          age_days: float) -> tuple[float, float, float, float]:
     """Exact nonlinear aging of a solved day: (cal EUR, cyc EUR, cal %, cyc %).
 
-    `solution` must expose per-step arrays `soe`, `p_ch`, `p_ds` and the
-    step length `dt_seconds`. Battery age advances step by step so the
-    square-root-of-time increments telescope across the day.
+    `soe` is the SoE at the end of each step and `net` each step's realized
+    net power (charging positive, `milp.step_net_power`), both per step of
+    `dt_seconds`. The cycle term prices the charge part `max(net, 0)` and
+    the discharge part `max(-net, 0)` of each step. Battery age advances
+    step by step so the square-root-of-time increments telescope across
+    the day.
     """
-    soe = np.asarray(solution.soe, dtype=float)
-    p_ch = np.asarray(solution.p_ch, dtype=float)
-    p_ds = np.asarray(solution.p_ds, dtype=float)
-    if not soe.shape == p_ch.shape == p_ds.shape:
-        raise InvalidParameter("solution arrays must share one length")
-    dt = float(solution.dt_seconds)
+    soe = np.asarray(soe, dtype=float)
+    net = np.asarray(net, dtype=float)
+    if soe.shape != net.shape:
+        raise InvalidParameter("soe and net power must share one length")
+    dt = float(dt_seconds)
     dt_days = dt / 86400.0
     cal_pct = 0.0
     cyc_pct = 0.0
-    for t in range(soe.size):
-        cal_pct += calendar_aging_step(
-            spec, float(soe[t]), age_days + t * dt_days, dt)
-        cyc_pct += cycle_aging_step(spec, float(p_ch[t]), float(p_ds[t]), dt)
+    for t, (s, p) in enumerate(zip(soe.tolist(), net.tolist())):
+        cal_pct += calendar_aging_step(spec, s, age_days + t * dt_days, dt)
+        cyc_pct += cycle_aging_step(spec, max(p, 0.0), max(-p, 0.0), dt)
     scale = eur_per_pct(spec)
     return cal_pct * scale, cyc_pct * scale, cal_pct, cyc_pct

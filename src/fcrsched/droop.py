@@ -124,9 +124,6 @@ class EnergyContentSeries:
     def n_hours(self) -> int:
         return self.eh_ur_n.size
 
-    def hour_slice(self, h: int) -> slice:
-        return slice(h * self.steps_per_hour, (h + 1) * self.steps_per_hour)
-
 
 def energy_content(trace: FrequencyTrace, grid: TimeGrid) -> EnergyContentSeries:
     """Evaluate the droop curves over a trace and integrate per step and hour.

@@ -98,7 +98,7 @@ class AlignmentError(DataError):
     """Series length does not match the time grid."""
 
 
-# -- model construction errors ------------------------------------------------
+# -- model construction errors (InfeasibleBounds exit 2, RegistryMiss exit 3) --
 
 class InfeasibleBounds(FcrSchedError):
     """Variable bounds or initial state make the model trivially infeasible."""

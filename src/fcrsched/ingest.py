@@ -82,11 +82,6 @@ class TimeGrid:
     def dt_hours(self) -> float:
         return self.step_seconds / 3600.0
 
-    def hour_of_step(self, t: int) -> int:
-        if not 0 <= t < self.n_steps:
-            raise AlignmentError(f"step {t} outside grid of {self.n_steps} steps")
-        return t // self.steps_per_hour
-
 
 @dataclass(frozen=True)
 class FrequencyTrace:

@@ -8,8 +8,8 @@ the hour's mean SoE, cycle aging once per hour on an upper bound of the
 hour's throughput. Realized power is never a column: each step's net power
 is an affine expression of the hour's decisions (`step_power_coeffs`). A
 battery with a positive minimum power gets per-step charge/discharge
-binaries that keep that expression out of (-p_min, p_min); extraction
-rebuilds the powers from the hourly decisions.
+binaries that keep that expression out of (-p_min, p_min). A solution
+stores only the hourly decisions; `step_net_power` rebuilds the powers.
 
 Variable registry names follow the `family[index]` pattern, e.g. `soe[t=37]`
 or `bid_n[h=5]`; constraint names follow the same pattern. The exact count of
@@ -20,7 +20,7 @@ variables, binaries and rows for a given configuration is the closed form in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -333,12 +333,26 @@ def step_power_coeffs(contents: EnergyContentSeries) -> dict[str, np.ndarray]:
     The baseline enters at its set point, each bid at its droop activation
     fraction. The builder writes the per-step power bounds of a battery
     with a positive `p_min` on this sum and prices the hourly cycle cost
-    from its absolute values; extraction rebuilds the net power from it.
+    from its absolute values; `step_net_power` rebuilds a solution's net
+    power from it.
     """
     ones = np.ones(contents.n_steps)
     return {"ch_bl": ones, "ds_bl": -ones,
             "bid_n": contents.frac_nd - contents.frac_nu,
             "bid_dd": contents.frac_dd, "bid_du": -contents.frac_du}
+
+
+def step_net_power(solution, contents: EnergyContentSeries) -> np.ndarray:
+    """Each step's realized net power (MW, charging positive) of a day
+    solution, rebuilt from its hourly decisions through `step_power_coeffs`.
+
+    A magnitude below 1e-9 MW is solver noise and reads as 0, so a step
+    either charges, discharges or idles.
+    """
+    hour = np.arange(contents.n_steps) // contents.steps_per_hour
+    net = sum(c * getattr(solution, f)[hour]
+              for f, c in step_power_coeffs(contents).items())
+    return np.where(np.abs(net) < 1e-9, 0.0, net)
 
 
 def soe_step_deltas(contents: EnergyContentSeries, spec: BatterySpec,
@@ -624,10 +638,6 @@ class ViolationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    @property
-    def max_violation(self) -> float:
-        return max((v.amount for v in self.violations), default=0.0)
-
     def worst_by_family(self) -> dict[str, float]:
         out: dict[str, float] = {}
         for v in self.violations:
@@ -668,6 +678,8 @@ def validate_solution(model: MilpModel, x: np.ndarray) -> ViolationReport:
 class DaySolution:
     """Semantically unpacked optimum of one day, plus reporting fields.
 
+    The arrays are the five hourly decisions and the per-step SoE; each
+    step's power is not stored but rebuilt by `step_net_power`.
     Post-calculated aging and profit are attached by the orchestrator via
     `dataclasses.replace`; they default to NaN until then.
     """
@@ -682,8 +694,6 @@ class DaySolution:
     bid_n: np.ndarray
     bid_du: np.ndarray
     bid_dd: np.ndarray
-    p_ch: np.ndarray
-    p_ds: np.ndarray
     soe: np.ndarray
     r_da: float
     r_n: float
@@ -712,16 +722,9 @@ class DaySolution:
         return self.steps_per_hour * self.hours
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in ("day_index", "steps_per_hour", "hours", "dt_seconds", "s0",
-                  "r_da", "r_n", "r_du", "r_dd", "c_da", "c_deg_lin",
-                  "objective", "status", "gap", "nodes", "rounds",
-                  "wall_time", "cal_cost", "cyc_cost", "cal_pct", "cyc_pct",
-                  "profit"):
-            out[f] = getattr(self, f)
-        for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd",
-                  "p_ch", "p_ds", "soe"):
-            out[f] = [float(v) for v in getattr(self, f)]
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for f in _DAY_ARRAYS:
+            out[f] = np.asarray(out[f], dtype=float).tolist()
         return out
 
     @classmethod
@@ -729,17 +732,19 @@ class DaySolution:
         """The inverse of `to_dict`. A missing or unknown key raises
         KeyError or TypeError; an array of the wrong length, ValueError."""
         kw = dict(d)
-        for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd",
-                  "p_ch", "p_ds", "soe"):
+        for f in _DAY_ARRAYS:
             kw[f] = np.asarray(kw[f], dtype=float)
         sol = cls(**kw)
-        for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd"):
-            if getattr(sol, f).shape != (sol.hours,):
-                raise ValueError(f"{f} must hold {sol.hours} hourly values")
-        for f in ("p_ch", "p_ds", "soe"):
-            if getattr(sol, f).shape != (sol.n_steps,):
-                raise ValueError(f"{f} must hold {sol.n_steps} step values")
+        for f in _DAY_ARRAYS:
+            n = sol.n_steps if f == "soe" else sol.hours
+            if getattr(sol, f).shape != (n,):
+                raise ValueError(f"{f} must hold {n} values")
         return sol
+
+
+# the array fields; annotations are strings under `from __future__`
+_DAY_ARRAYS = tuple(f.name for f in fields(DaySolution)
+                    if f.type == "np.ndarray")
 
 
 def extract_day_solution(model: MilpModel, x: np.ndarray,
@@ -753,10 +758,7 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
     Each money part is its families' share of the model's own objective,
     so the parts sum to the solver objective; the objective's constant,
     the calendar cost at the first breakpoint, goes to `c_deg_lin`.
-    Tiny negative values are clamped to zero. Each step's realized net
-    power is rebuilt from the reported hourly decisions through
-    `step_power_coeffs` and split into charge or discharge, so that
-    reported throughput is minimal.
+    Tiny negative values are clamped to zero.
     """
     x = np.asarray(x, dtype=float)
     grid = inputs.grid
@@ -780,14 +782,10 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
 
     hourly = {f: clean(values(f))
               for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd")}
-    hour = np.arange(grid.n_steps) // grid.steps_per_hour
-    net = sum(c * hourly[f][hour]
-              for f, c in step_power_coeffs(inputs.contents).items())
     return DaySolution(
         day_index=grid.day_index, steps_per_hour=grid.steps_per_hour,
         hours=grid.hours, dt_seconds=float(grid.step_seconds), s0=inputs.s0,
         **hourly,
-        p_ch=clean(np.maximum(net, 0.0)), p_ds=clean(np.maximum(-net, 0.0)),
         soe=np.clip(values("soe"), inputs.spec.soe_min, inputs.spec.soe_max),
         r_da=share("ds_bl"), r_n=share("bid_n"), r_du=share("bid_du"),
         r_dd=share("bid_dd"), c_da=cost("ch_bl"),

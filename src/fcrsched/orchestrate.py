@@ -53,6 +53,7 @@ from .milp import (
     DaySolution,
     build_day_model,
     extract_day_solution,
+    step_net_power,
     validate_solution,
 )
 from .solvers import get_backend
@@ -392,7 +393,8 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
                      "deg" if deg else "nodeg", sol.objective, sol.gap,
                      sol.nodes, sol.rounds, result.wall_time)
             cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
-                sol, spec, age_k)
+                sol.soe, step_net_power(sol, inputs.contents),
+                sol.dt_seconds, spec, age_k)
             profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur
             sol = dataclasses.replace(sol, cal_cost=cal_eur, cyc_cost=cyc_eur,
                                       cal_pct=cal_pct, cyc_pct=cyc_pct,

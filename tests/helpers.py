@@ -14,6 +14,7 @@ from fcrsched import (
     load_bundle,
 )
 from fcrsched import orchestrate
+from fcrsched.milp import step_net_power
 
 
 def toy_config(outdir, **overrides) -> RunConfig:
@@ -68,7 +69,9 @@ def audit_solution(inputs: DayInputs, sol) -> dict[str, float]:
     Recomputes every physical requirement directly from the extracted arrays
     and the raw inputs (never through the model rows) and returns the worst
     violation magnitude per family; all zeros (up to float noise) means the
-    schedule is physically consistent.
+    schedule is physically consistent. Each step's net power comes from the
+    activation fractions here; `activation_pin` is its distance to the
+    package's own rebuild, `step_net_power`.
     """
     spec, grid, cont = inputs.spec, inputs.grid, inputs.contents
     sph, dt = grid.steps_per_hour, grid.dt_hours
@@ -115,22 +118,19 @@ def audit_solution(inputs: DayInputs, sol) -> dict[str, float]:
             note("endurance", max(spec.soe_min - (start + off),
                                   (start + off) - spec.soe_max))
 
+    rebuilt = step_net_power(sol, cont)
     prev = inputs.s0
     for t in range(grid.n_steps):
         h = t // sph
-        note("step_bounds", max(-sol.p_ch[t], sol.p_ch[t] - spec.p_max,
-                                -sol.p_ds[t], sol.p_ds[t] - spec.p_max))
-        note("step_excl", min(sol.p_ch[t], sol.p_ds[t]))
-        if spec.p_min > 0.0:
-            for v in (sol.p_ch[t], sol.p_ds[t]):
-                if v > 1e-9:
-                    note("step_min", spec.p_min - v)
-        pin = (sol.p_ch[t] - sol.p_ds[t]
-               - (ch[h] - ds[h])
-               - (cont.frac_nd[t] - cont.frac_nu[t]) * bid["N"][h]
-               - cont.frac_dd[t] * bid["DD"][h]
-               + cont.frac_du[t] * bid["DU"][h])
-        note("activation_pin", abs(pin))
+        # the realized net power: baseline plus droop activation of the bids
+        net = (ch[h] - ds[h]
+               + (cont.frac_nd[t] - cont.frac_nu[t]) * bid["N"][h]
+               + cont.frac_dd[t] * bid["DD"][h]
+               - cont.frac_du[t] * bid["DU"][h])
+        note("step_bounds", abs(net) - spec.p_max)
+        if spec.p_min > 0.0 and abs(net) > 1e-9:
+            note("step_min", spec.p_min - abs(net))
+        note("activation_pin", abs(rebuilt[t] - net))
         flow = (spec.eta_ch * ch[h] - ds[h] / spec.eta_ds) * dt \
             + (cont.e_dr_n[t] - cont.e_ur_n[t]) * bid["N"][h] \
             + cont.e_dr_dd[t] * bid["DD"][h] \

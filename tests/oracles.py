@@ -63,7 +63,7 @@ def _hour_tables(inputs, h: int) -> _Hour:
           & (1.34 * n + dd + 0.2 * du + net <= pmax))
     net, n, du, dd, ch, ds = (a[ok] for a in (net, n, du, dd, ch, ds))
 
-    sl = cont.hour_slice(h)
+    sl = slice(h * cont.steps_per_hour, (h + 1) * cont.steps_per_hour)
     e_ur_n = cont.e_ur_n[sl]
     e_dr_n = cont.e_dr_n[sl]
     e_ur_du = cont.e_ur_du[sl]

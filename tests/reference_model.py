@@ -96,7 +96,7 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
     # [-p_max, -p_min] when discharging, zero otherwise
     if spec.p_min > 0.0:
         for t in range(T):
-            h = grid.hour_of_step(t)
+            h = t // spH
             net = [(ch_bl[h], 1.0), (ds_bl[h], -1.0),
                    (bid["N"][h], cont.frac_nd[t] - cont.frac_nu[t]),
                    (bid["DD"][h], cont.frac_dd[t]),
@@ -113,7 +113,7 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
     # state-of-energy recursion; efficiencies act on the baseline flows only,
     # activation energy enters unscaled
     for t in range(T):
-        h = grid.hour_of_step(t)
+        h = t // spH
         coeffs = [(soe[t], 1.0),
                   (ch_bl[h], -spec.eta_ch * dt_h),
                   (ds_bl[h], dt_h / spec.eta_ds),

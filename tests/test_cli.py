@@ -19,6 +19,17 @@ from fcrsched import (
     load_bundle,
 )
 from fcrsched.cli import main
+from fcrsched.errors import (
+    ConfigError,
+    DataError,
+    FcrSchedError,
+    FitToleranceExceeded,
+    InfeasibleBounds,
+    InvalidParameter,
+    MissingFile,
+    RegistryMiss,
+    SolverError,
+)
 from fcrsched.orchestrate import day_inputs
 from fcrsched.solvers import SolveResult, parse_mps
 
@@ -136,6 +147,23 @@ def test_run_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "day 0" in err
     assert (tmp_path / "out" / "FCR_N_nodeg" / "failure.json").exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError, 2), (InvalidParameter, 2), (InfeasibleBounds, 2),
+    (SolverError, 3), (FitToleranceExceeded, 3), (RegistryMiss, 3),
+    (FcrSchedError, 3), (DataError, 4), (MissingFile, 4)],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_error_class_sets_the_exit_code(tmp_path, capsys, monkeypatch,
+                                        error, code):
+    cfg = write_config(tmp_path)
+
+    def fail(config, synthetic_seed=None):
+        raise error("stubbed failure")
+
+    monkeypatch.setattr("fcrsched.cli.load_bundle", fail)
+    assert main(["run", "--config", cfg, "--synthetic-seed", "3"]) == code
+    assert capsys.readouterr().err == "error: stubbed failure\n"
 
 
 @pytest.mark.parametrize("battery", [{"interest_rate": 0.0},

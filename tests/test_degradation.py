@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -186,10 +185,8 @@ def test_post_calculated_aging_matches_manual_loop():
     n = 16
     soe = rng.uniform(0.1, 0.9, n)
     p = rng.uniform(-1.0, 1.0, n)
-    sol = SimpleNamespace(soe=soe, p_ch=np.maximum(p, 0.0),
-                          p_ds=np.maximum(-p, 0.0), dt_seconds=900.0)
     cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
-        sol, SPEC, 40.0)
+        soe, p, 900.0, SPEC, 40.0)
     want_cal = sum(
         calendar_aging_step(SPEC, float(soe[t]), 40.0 + t * 900.0 / 86400.0,
                             900.0) for t in range(n))
@@ -227,11 +224,11 @@ def test_aging_reads_capacity_temperature_and_npv_from_the_spec():
         assert seg.slope_eur_per_mwh == pytest.approx(
             ratio * ref.slope_eur_per_mwh, rel=1e-12)
     n = 96
-    sol = SimpleNamespace(soe=np.full(n, 0.6 * spec.capacity),
-                          p_ch=np.zeros(n), p_ds=np.zeros(n),
-                          dt_seconds=900.0)
-    cal_eur, _, cal_pct, _ = post_calculate_aging(sol, spec, 40.0)
-    _, _, ref_pct, _ = post_calculate_aging(sol, at_ref, 40.0)
+    soe = np.full(n, 0.6 * spec.capacity)
+    cal_eur, _, cal_pct, _ = post_calculate_aging(soe, np.zeros(n), 900.0,
+                                                  spec, 40.0)
+    _, _, ref_pct, _ = post_calculate_aging(soe, np.zeros(n), 900.0, at_ref,
+                                            40.0)
     assert cal_pct == pytest.approx(ratio * ref_pct, rel=1e-12)
     assert cal_eur == pytest.approx(scale * cal_pct, rel=1e-12)
 

@@ -125,7 +125,7 @@ def test_hourly_content_is_exact_fsum_of_steps():
     grid = TimeGrid(0, 72, 6)
     cont = energy_content(make_trace(f), grid)
     for h in range(6):
-        s = cont.hour_slice(h)
+        s = slice(h * grid.steps_per_hour, (h + 1) * grid.steps_per_hour)
         assert cont.eh_ur_n[h] == math.fsum(cont.e_ur_n[s])
         assert cont.eh_dr_n[h] == math.fsum(cont.e_dr_n[s])
 

@@ -36,6 +36,7 @@ from fcrsched.errors import (
     SolverFailure,
 )
 from fcrsched import orchestrate
+from fcrsched.milp import step_net_power
 from fcrsched.orchestrate import calendar_age
 from fcrsched.solvers import SolveResult
 
@@ -324,6 +325,42 @@ def test_damaged_checkpoint_is_resolved_on_resume_and_refused_by_load(
         first.totals())
 
 
+def test_checkpoint_with_stored_step_powers_is_solved_again(tmp_path,
+                                                            monkeypatch):
+    """Day solutions once stored each step's charge and discharge power as
+    `p_ch` and `p_ds`. A checkpoint that still holds them is recomputed
+    once: `run_case` solves its day again and rewrites it without them,
+    and `load_horizon` refuses it."""
+    cfg = toy_config(tmp_path, degradation_in_objective=True)
+    bundle = load_bundle(cfg, synthetic_seed=7)
+    calls: list = []
+    patch_backend(monkeypatch, counting_backend(calls))
+    first = run_case(bundle)
+    run_dir = os.path.join(str(tmp_path), "MULTI_deg")
+    path = os.path.join(run_dir, "day_0000.json")
+    with open(path) as fh:
+        assert set(json.load(fh)["solution"]) == {
+            f.name for f in dataclasses.fields(DaySolution)}
+    inputs = orchestrate.day_inputs(bundle, 0, cfg.initial_soe,
+                                    calendar_age(cfg, 0), "MULTI", True)
+    net = step_net_power(first.days[0], inputs.contents)
+    edit_checkpoint(path, lambda payload: payload["solution"].update(
+        p_ch=np.maximum(net, 0.0).tolist(),
+        p_ds=np.maximum(-net, 0.0).tolist()))
+
+    with pytest.raises(DataError, match=r"day_0000\.json.* day 0 is damaged"):
+        load_horizon(cfg, "MULTI", True)
+    second = run_case(bundle)
+    assert len(calls) == 2
+    with open(os.path.join(run_dir, "horizon.json")) as fh:
+        assert json.load(fh)["reused_days"] == 0
+    with open(path) as fh:
+        solution = json.load(fh)["solution"]
+    assert "p_ch" not in solution and "p_ds" not in solution
+    assert second.totals()["profit"] == first.totals()["profit"]
+    assert load_horizon(cfg, "MULTI", True).totals() == second.totals()
+
+
 def test_solver_failure_keeps_completed_days(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path, days=(0, 1))
     bundle = load_bundle(cfg, synthetic_seed=7)
@@ -585,7 +622,7 @@ def pinned_solution(day_index, profit, cal_pct, cyc_pct, bid_n_val):
     return DaySolution(
         day_index=day_index, steps_per_hour=1, hours=4, dt_seconds=3600.0,
         s0=0.5, ch_bl=z, ds_bl=z, bid_n=np.full(4, bid_n_val), bid_du=z,
-        bid_dd=z, p_ch=z, p_ds=z, soe=np.full(4, 0.5),
+        bid_dd=z, soe=np.full(4, 0.5),
         r_da=10.0, r_n=5.0, r_du=2.0, r_dd=1.0, c_da=4.0, c_deg_lin=0.5,
         objective=13.5, cal_cost=1.0, cyc_cost=0.5, cal_pct=cal_pct,
         cyc_pct=cyc_pct, profit=profit)

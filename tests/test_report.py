@@ -107,8 +107,7 @@ def make_solution(day_index, *, bid_n=0.0, bid_du=0.0, bid_dd=0.0,
         day_index=day_index, steps_per_hour=1, hours=hours, dt_seconds=3600.0,
         s0=0.5, ch_bl=z, ds_bl=z,
         bid_n=np.full(hours, bid_n), bid_du=np.full(hours, bid_du),
-        bid_dd=np.full(hours, bid_dd), p_ch=z, p_ds=z,
-        soe=np.full(hours, 0.5),
+        bid_dd=np.full(hours, bid_dd), soe=np.full(hours, 0.5),
         r_da=r_da, r_n=r_n, r_du=r_du, r_dd=r_dd, c_da=c_da, c_deg_lin=0.5,
         objective=13.5, cal_cost=1.0, cyc_cost=0.5, cal_pct=cal_pct,
         cyc_pct=cyc_pct, profit=profit)
