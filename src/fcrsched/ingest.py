@@ -281,7 +281,7 @@ class RunConfig:
     hours_per_day: int = 24
     solver: str = "scipy"              # "scipy" | "micro" | "external:<template>"
     time_limit_s: float = 600.0
-    mip_gap: float = 1e-6
+    mip_gap: float = 1e-6              # of the objective with its constant
     outdir: str = "runs"
     start_age_days: float = 0.0
     grid_tariff: float = 0.0           # EUR/MWh on charged energy

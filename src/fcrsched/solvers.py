@@ -849,6 +849,11 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
     root; the model as built mostly solves at the root in one pass
     (ROADMAP.md, "Settled findings").
 
+    `milp` takes no objective offset, so a nonzero `objective_const` is
+    the cost of one more continuous column fixed at 1, left out of the
+    returned `x`. HiGHS's `mip_rel_gap`, the bound of every round and
+    `SolveResult.gap` are then relative to one objective, the model's own.
+
     A model with `relax_binaries_first` set is solved with lazily enforced
     binaries. The first round relaxes every binary. After each round a
     relaxed binary is rounded up only when some row needs it above 1e-9 with
@@ -862,17 +867,28 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
     enforce nothing new enforces every binary, which is the plain full
     solve. The first round gets `time_limit_s`, later rounds what is left
     of it.
+
+    A round hands HiGHS the relaxed binaries projected out where that
+    takes no more rows (`_RelaxedProjection`): each component of relaxed
+    binaries with no enforced member has its rows replaced by their
+    Fourier-Motzkin projection and its binaries fixed at 0. Afterwards each
+    eliminated binary is restored to the smallest value its rows allow at
+    the round's point, so rounding, validation and the gap test see the
+    full model's columns.
     """
     import scipy.sparse as sp
     from scipy.optimize import Bounds, LinearConstraint
 
-    rows, cols, vals, lo_row, hi_row = model.triplets()
-    a = sp.csc_array((vals, (rows, cols)), shape=(model.n_rows, model.n_vars))
-    constraints = LinearConstraint(a, lo_row, hi_row)
+    n = model.n_vars
     c = -model.objective_vector()
-    bounds = Bounds(np.array(model.lb), np.array(model.ub))
+    lb, ub = np.array(model.lb), np.array(model.ub)
     binary = np.array(model.is_binary, dtype=bool)
+    if model.objective_const != 0.0:
+        c = np.append(c, -model.objective_const)
+        lb, ub = np.append(lb, 1.0), np.append(ub, 1.0)
     enforced = binary & (not model.relax_binaries_first)
+    projection = _RelaxedProjection(model) if model.relax_binaries_first \
+        else None
     rounds = nodes = 0
     t0 = time.perf_counter()
     while True:
@@ -883,9 +899,20 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
                                time.perf_counter() - t0, "scipy",
                                f"time limit reached after {rounds} rounds",
                                nodes=nodes, rounds=rounds)
-        res = _milp_quiet(c, constraints=constraints,
-                          integrality=enforced.astype(np.uint8),
-                          bounds=bounds,
+        fixed = np.zeros(c.size, dtype=bool)
+        if projection is None:
+            rows, cols, vals, lo_row, hi_row = model.triplets()
+        else:
+            active = projection.active(enforced)
+            rows, cols, vals, lo_row, hi_row = projection.rows(active)
+            fixed[:n] = projection.fixed(active)
+        a = sp.csc_array((vals, (rows, cols)), shape=(lo_row.size, c.size))
+        integrality = np.zeros(c.size, dtype=np.uint8)
+        integrality[:n] = enforced
+        res = _milp_quiet(c, constraints=LinearConstraint(a, lo_row, hi_row),
+                          integrality=integrality,
+                          bounds=Bounds(np.where(fixed, 0.0, lb),
+                                        np.where(fixed, 0.0, ub)),
                           options={"time_limit": float(left),
                                    "mip_rel_gap": float(mip_gap),
                                    "disp": False,
@@ -897,8 +924,8 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
         if dual is None and res.status == 0 and not full:
             dual = res.fun      # an LP round: its optimum is the bound
         # HiGHS minimizes -objective; report the bound in the maximize sense.
-        dual_bound = math.nan if dual is None else -float(dual) \
-            + model.objective_const
+        dual_bound = math.nan if dual is None else -float(dual)
+        x = None if res.x is None else np.asarray(res.x[:n], dtype=float)
 
         def result(status, x, obj, gap_, message=str(res.message)):
             return SolveResult(status, x, obj, gap_,
@@ -913,9 +940,9 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
         if res.status not in (0, 1):
             return result("BackendError", None, None, math.inf,
                           f"status {res.status}: {res.message}")
-        if res.x is None:       # out of time before a first point
+        if x is None:       # out of time before a first point
             return result("TimeLimit", None, None, math.inf)
-        x = _round_binaries(model, res.x, enforced)
+        x = _round_binaries(model, projection.restore(x, active), enforced)
         report = validate_solution(model, x)
         if report.ok:
             obj = model.objective_value(x)
@@ -933,16 +960,266 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
 
     gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
     if res.status == 0:
-        return result("Optimal", np.asarray(res.x, dtype=float),
-                      model.objective_value(res.x), gap)
+        return result("Optimal", x, model.objective_value(x), gap)
     if res.status == 1:
-        x = None if res.x is None else np.asarray(res.x, dtype=float)
         obj = None if x is None else model.objective_value(x)
         return result("TimeLimit", x, obj, gap if x is not None else math.inf)
     if res.status == 2:
         return result("Infeasible", None, None, math.inf)
     return result("BackendError", None, None, math.inf,
                   f"status {res.status}: {res.message}")
+
+
+# A generated row whose largest activity over the column bounds exceeds its
+# right-hand side by at most this share of it is left out as implied.
+_IMPLIED_TOL = 1e-9
+
+
+class _RelaxedProjection:
+    """The relaxable binaries of a model projected out of their rows.
+
+    A binary is relaxable when it has no cost and sits only in one-sided
+    rows. Relaxable binaries that share a row form one component; the rows
+    that hold them are the component's rows. Fourier-Motzkin elimination of
+    the component's binaries, bounds included, gives rows over the other
+    columns that hold exactly where some values of those binaries within
+    their bounds meet every row of the component (the column elimination
+    of presolve, Achterberg, *Constraint Integer Programming*, 2007,
+    ch. 10). A generated row that the column bounds imply is left out, and
+    a projection is kept only where it has no more rows than its
+    component.
+
+    Rows are `coeffs @ x <= hi` throughout: a `>=` row is negated.
+    """
+
+    def __init__(self, model: MilpModel):
+        n = model.n_vars
+        rows, cols, vals, lo, hi = model.triplets()
+        lb, ub = model.lb, model.ub
+        starts = _starts(rows, model.n_rows)
+        row_cols, row_vals = cols.tolist(), vals.tolist()
+        # components that read alike once their columns are numbered
+        # locally, binaries first (each hour's baseline pair, say), are
+        # eliminated once
+        alike: dict[tuple, list[tuple[list[int], list[int]]]] = {}
+        for bins, crows in _relaxable_components(model):
+            local = dict(zip(bins, range(len(bins))))
+            system = []
+            for r in crows:
+                a, b = starts[r], starts[r + 1]
+                sign = 1.0 if math.isinf(lo[r]) else -1.0
+                system.append((tuple(
+                    (local.setdefault(col, len(local)), sign * v)
+                    for col, v in zip(row_cols[a:b], row_vals[a:b])),
+                    sign * (hi[r] if sign > 0 else lo[r])))
+            sig = (len(bins), tuple(system), tuple(lb[c] for c in local),
+                   tuple(ub[c] for c in local))
+            alike.setdefault(sig, []).append((list(local), crows))
+
+        self.comp_of_col = np.full(n, -1)
+        self.comp_of_row = np.full(model.n_rows, -1)
+        self.n_components = 0
+        anchors = [np.zeros(0, np.intp)]
+        # projected rows and the rows bounding each eliminated binary
+        # below, as blocks of one row per component of a kind
+        proj = _Blocks()
+        low = _Blocks()
+        for sig, members in alike.items():
+            eliminated = _fourier_motzkin(*sig)
+            n_rows = len(sig[1])
+            if eliminated is None or len(eliminated[1]) > n_rows:
+                continue
+            lower, projected = eliminated
+            # column `k` of a member's local numbering is `glob[:, k]`
+            glob = np.array([local for local, _ in members], dtype=np.intp)
+            comps = self.n_components + np.arange(len(members))
+            self.n_components += len(members)
+            self.comp_of_col[glob[:, :sig[0]]] = comps[:, None]
+            if n_rows:
+                crows = np.array([r for _, r in members], dtype=np.intp)
+                self.comp_of_row[crows] = comps[:, None]
+                anchors.append(crows[:, 0])
+            else:
+                anchors.append(np.zeros(len(members), np.intp))
+            for j, (coeffs, rhs) in enumerate(projected):
+                proj.add(comps, glob[:, list(coeffs)], list(coeffs.values()),
+                         rhs, sub=j)
+            for k, below in enumerate(lower):
+                for coeffs, rhs in below:
+                    rest = [i for i in coeffs if i != k]
+                    low.add(comps, glob[:, rest], [coeffs[i] for i in rest],
+                            rhs, sub=k, col=glob[:, k], coef=coeffs[k])
+        self.anchor = np.concatenate(anchors)
+        (self.p_comp, self.p_sub, self.p_hi, self.p_entries, _,
+         _) = proj.arrays()
+        (self.l_comp, self.l_level, self.l_hi, self.l_entries, self.l_col,
+         self.l_coef) = low.arrays()
+        self._model = model
+
+    def active(self, enforced: np.ndarray) -> np.ndarray:
+        """Mask of the components with no enforced binary, plus a last
+        entry, False, which the index -1 (no component) reads."""
+        hit = self.comp_of_col[(self.comp_of_col >= 0) & enforced]
+        return np.append(
+            np.bincount(hit, minlength=self.n_components) == 0, False)
+
+    def fixed(self, active: np.ndarray) -> np.ndarray:
+        """Mask of the columns that the `active` components eliminate."""
+        return active[self.comp_of_col]
+
+    def rows(self, active: np.ndarray) -> tuple[np.ndarray, ...]:
+        """`triplets()` of the model with the rows of the `active`
+        components replaced by their projections, each at the position of
+        its component's first row."""
+        rows, cols, vals, lo, hi = self._model.triplets()
+        dropped = active[self.comp_of_row]
+        kept = np.flatnonzero(~dropped)
+        used = np.flatnonzero(active[self.p_comp])
+        order = np.lexsort((
+            np.concatenate((np.zeros(kept.size, np.intp), self.p_sub[used])),
+            np.concatenate((kept, self.anchor[self.p_comp[used]]))))
+        index = np.empty(order.size, dtype=np.intp)
+        index[order] = np.arange(order.size)
+        old = np.full(self._model.n_rows, -1)
+        old[kept] = index[:kept.size]
+        new = np.full(self.p_comp.size, -1)
+        new[used] = index[kept.size:]
+        p_rows, p_cols, p_vals = self.p_entries
+        keep, use = ~dropped[rows], active[self.p_comp[p_rows]]
+        return (np.concatenate((old[rows[keep]], new[p_rows[use]])),
+                np.concatenate((cols[keep], p_cols[use])),
+                np.concatenate((vals[keep], p_vals[use])),
+                np.concatenate((lo[kept], np.full(used.size, -np.inf)))[order],
+                np.concatenate((hi[kept], self.p_hi[used]))[order])
+
+    def restore(self, x: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """`x` with each binary of the `active` components at the smallest
+        value its rows allow, the last eliminated first."""
+        x = x.copy()
+        l_rows, l_cols, l_vals = self.l_entries
+        for level in range(int(self.l_level.max(initial=-1)), -1, -1):
+            sel = np.flatnonzero((self.l_level == level)
+                                 & active[self.l_comp])
+            rest = np.bincount(l_rows, l_vals * x[l_cols],
+                               minlength=self.l_hi.size)
+            need = np.full(x.size, -np.inf)
+            np.maximum.at(need, self.l_col[sel],
+                          (self.l_hi[sel] - rest[sel]) / self.l_coef[sel])
+            x[self.l_col[sel]] = need[self.l_col[sel]]
+        return x
+
+
+def _relaxable_components(model: MilpModel) -> list[tuple[list[int],
+                                                           list[int]]]:
+    """`(binaries, rows)` of each component of relaxable binaries: those
+    with no cost and in no equality row, joined where they share a row;
+    the rows are every row that holds one of them."""
+    n = model.n_vars
+    rows, cols, _, lo, hi = model.triplets()
+    in_equality = np.zeros(n, dtype=bool)
+    in_equality[cols[(lo == hi)[rows]]] = True
+    relaxable = np.array(model.is_binary, dtype=bool) \
+        & (model.objective_vector() == 0.0) & ~in_equality
+    # label each column with the smallest relaxable column it reaches
+    # through shared rows, spreading until nothing changes
+    mine = relaxable[cols]
+    e_rows, e_cols = rows[mine], cols[mine]
+    label = np.arange(n)
+    while True:
+        row_label = np.full(model.n_rows, n)
+        np.minimum.at(row_label, e_rows, label[e_cols])
+        spread = label.copy()
+        np.minimum.at(spread, e_cols, row_label[e_rows])
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    comps: dict[int, tuple[list[int], list[int]]] = {
+        int(label[col]): ([], []) for col in np.flatnonzero(relaxable)}
+    for col in np.flatnonzero(relaxable).tolist():
+        comps[int(label[col])][0].append(col)
+    for r in np.flatnonzero(row_label < n).tolist():
+        comps[int(row_label[r])][1].append(r)
+    return list(comps.values())
+
+
+class _Blocks:
+    """Rows `coeffs @ x <= hi` gathered in blocks, one row per component
+    of a kind, then joined into arrays."""
+
+    def __init__(self):
+        self.parts: list[tuple] = []
+        self.n = 0
+
+    def add(self, comps: np.ndarray, cols: np.ndarray, coeffs: list[float],
+            hi: float, sub: int, col=None, coef: float = math.nan) -> None:
+        """One row per component in `comps`: its columns are a row of
+        `cols`, its coefficients `coeffs`; `sub` numbers the row within the
+        component, and `col`, `coef` name the binary a lower-bound row
+        bounds."""
+        m = comps.size
+        index = self.n + np.arange(m)
+        self.n += m
+        self.parts.append((
+            comps, np.full(m, sub), np.full(m, hi),
+            np.repeat(index, cols.shape[1]), cols.ravel(),
+            np.tile(np.array(coeffs, dtype=float), m),
+            np.full(m, -1) if col is None else col, np.full(m, coef)))
+
+    def arrays(self) -> tuple:
+        """`(comp, sub, hi, (rows, cols, vals), col, coef)`, one entry per
+        row and one of `(rows, cols, vals)` per entry."""
+        if not self.parts:
+            empty = np.zeros(0, np.intp)
+            return (empty, empty, np.zeros(0), (empty, empty, np.zeros(0)),
+                    empty, np.zeros(0))
+        comp, sub, hi, rows, cols, vals, col, coef = map(
+            np.concatenate, zip(*self.parts))
+        return comp, sub, hi, (rows, cols, vals), col, coef
+
+
+def _fourier_motzkin(n_bins: int, rows: tuple, lb: tuple,
+                     ub: tuple) -> tuple[list, list] | None:
+    """Eliminate columns `0 .. n_bins-1` from `rows`, each
+    `((col, coeff), ...), hi` for `coeffs @ x <= hi`, and from their bounds;
+    columns are bounded by `lb` and `ub`.
+
+    Returns the rows that bound each column below when it is eliminated,
+    one list per column in order, and the projected rows; rows are
+    `({col: coeff}, hi)`. None when a row without columns is violated, so
+    that the rows go to the solver as they are.
+    """
+    system = []
+    for coeffs, hi in rows:
+        row: dict[int, float] = {}
+        for col, v in coeffs:
+            row[col] = row.get(col, 0.0) + v
+        system.append((row, hi))
+    system += [({col: 1.0}, ub[col]) for col in range(n_bins)] \
+        + [({col: -1.0}, -lb[col]) for col in range(n_bins)]
+    lower: list[list] = []
+    for col in range(n_bins):
+        above, below, rest = [], [], []
+        for row in system:
+            v = row[0].get(col, 0.0)
+            (above if v > 0.0 else below if v < 0.0 else rest).append(row)
+        system = rest
+        for (up, up_hi), (down, down_hi) in itertools.product(above, below):
+            s, t = 1.0 / up[col], -1.0 / down[col]
+            coeffs = {k: s * v for k, v in up.items() if k != col}
+            for k, v in down.items():
+                if k != col:
+                    coeffs[k] = coeffs.get(k, 0.0) + t * v
+            coeffs = {k: v for k, v in coeffs.items() if v != 0.0}
+            hi = s * up_hi + t * down_hi
+            top = sum(v * (ub[k] if v > 0.0 else lb[k])
+                      for k, v in coeffs.items())
+            if top <= hi + _IMPLIED_TOL * max(1.0, abs(hi)):
+                continue
+            if not coeffs:
+                return None
+            system.append((coeffs, hi))
+        lower.append(below)
+    return lower, system
 
 
 def _round_binaries(model: MilpModel, x: np.ndarray,
