@@ -862,11 +862,22 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
     The rounded point is checked against the full model. It is kept when
     it passes and lies within `mip_gap` of the round's bound; every round
     relaxes the full model, so that bound holds for the full optimum too.
+
+    When the round ended optimal and every row the rounded point breaks is
+    a `<=` row of binaries with positive entries (the baseline's hour
+    exclusivity on the day model), one repair LP runs first
+    (`_repair_rounding`): in each such row the binaries of largest relaxed
+    value are kept up to the row's bound and the others set to 0, every
+    binary is fixed at its value, and HiGHS solves the full model's rows
+    for the continuous columns. Its point is kept when it passes
+    `validate_solution` and lies within `mip_gap` of the round's bound; the
+    repair's own optimum is a restriction, never a bound.
+
     Otherwise every binary in a violated row (or the violated column
     itself) is enforced and the model solved again; a round that would
     enforce nothing new enforces every binary, which is the plain full
-    solve. The first round gets `time_limit_s`, later rounds what is left
-    of it.
+    solve. The first round gets `time_limit_s`, later rounds and repairs
+    what is left of it, and `SolveResult.rounds` counts every HiGHS call.
 
     A round hands HiGHS the relaxed binaries projected out where that
     takes no more rows (`_RelaxedProjection`): each component of relaxed
@@ -875,10 +886,15 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
     eliminated binary is restored to the smallest value its rows allow at
     the round's point, so rounding, validation and the gap test see the
     full model's columns.
+
+    Each HiGHS call is logged at debug level: its kind, seconds and status,
+    and the row families its point breaks or the gap of a point that
+    passes.
     """
     import scipy.sparse as sp
     from scipy.optimize import Bounds, LinearConstraint
 
+    t0 = time.perf_counter()
     n = model.n_vars
     c = -model.objective_vector()
     lb, ub = np.array(model.lb), np.array(model.ub)
@@ -889,8 +905,38 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
     enforced = binary & (not model.relax_binaries_first)
     projection = _RelaxedProjection(model) if model.relax_binaries_first \
         else None
+    options = {"mip_rel_gap": float(mip_gap), "disp": False,
+               "presolve": False}
     rounds = nodes = 0
-    t0 = time.perf_counter()
+
+    def call(kind, a, lo_row, hi_row, integrality, low, high, left):
+        """One HiGHS call, and the start of its debug log line."""
+        nonlocal rounds, nodes
+        start = time.perf_counter()
+        res = _milp_quiet(c, constraints=LinearConstraint(a, lo_row, hi_row),
+                          integrality=integrality, bounds=Bounds(low, high),
+                          options={**options, "time_limit": float(left)})
+        rounds += 1
+        nodes += int(getattr(res, "mip_node_count", 0) or 0)
+        return res, f"HiGHS call {rounds}, {kind}: " \
+            f"{time.perf_counter() - start:.3f} s, status {res.status}"
+
+    def check(text, x, bound):
+        """`validate_solution` of `x` on the full model, its objective and
+        its gap to `bound` (inf without one); logs the call that gave it."""
+        report = validate_solution(model, x)
+        obj = gap = math.inf
+        if report.ok:
+            obj = model.objective_value(x)
+            if math.isfinite(bound):
+                gap = max(0.0, (bound - obj) / max(abs(obj), 1e-9))
+            text += f"; point passes, gap {gap:.2e}"
+        else:
+            text += "; point breaks " + ", ".join(
+                sorted({v.family for v in report.violations}))
+        log.debug("%s", text)
+        return report, obj, gap
+
     while True:
         left = time_limit_s if rounds == 0 \
             else time_limit_s - (time.perf_counter() - t0)
@@ -909,16 +955,10 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
         a = sp.csc_array((vals, (rows, cols)), shape=(lo_row.size, c.size))
         integrality = np.zeros(c.size, dtype=np.uint8)
         integrality[:n] = enforced
-        res = _milp_quiet(c, constraints=LinearConstraint(a, lo_row, hi_row),
-                          integrality=integrality,
-                          bounds=Bounds(np.where(fixed, 0.0, lb),
-                                        np.where(fixed, 0.0, ub)),
-                          options={"time_limit": float(left),
-                                   "mip_rel_gap": float(mip_gap),
-                                   "disp": False,
-                                   "presolve": False})
-        rounds += 1
-        nodes += int(getattr(res, "mip_node_count", 0) or 0)
+        k = int(enforced.sum())
+        res, text = call(f"MIP with {k} enforced binaries" if k else "LP", a,
+                         lo_row, hi_row, integrality, np.where(fixed, 0.0, lb),
+                         np.where(fixed, 0.0, ub), left)
         full = bool(enforced[binary].all())
         dual = getattr(res, "mip_dual_bound", None)
         if dual is None and res.status == 0 and not full:
@@ -933,6 +973,8 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
                                nodes=nodes, dual_bound=dual_bound,
                                rounds=rounds)
 
+        if full or x is None or res.status not in (0, 1):
+            log.debug("%s", text)
         if full:
             break
         if res.status == 2:
@@ -942,18 +984,37 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
                           f"status {res.status}: {res.message}")
         if x is None:       # out of time before a first point
             return result("TimeLimit", None, None, math.inf)
-        x = _round_binaries(model, projection.restore(x, active), enforced)
-        report = validate_solution(model, x)
-        if report.ok:
-            obj = model.objective_value(x)
-            gap = max(0.0, (dual_bound - obj) / max(abs(obj), 1e-9)) \
-                if math.isfinite(dual_bound) else math.inf
-            if gap <= mip_gap:
-                return result("Optimal", x, obj, gap)
-            if res.status == 1:
-                return result("TimeLimit", x, obj, gap)
+        relaxed = projection.restore(x, active)
+        x = _round_binaries(model, relaxed, enforced)
+        report, obj, gap = check(text, x, dual_bound)
+        if gap <= mip_gap:
+            return result("Optimal", x, obj, gap)
+        if res.status == 1 and report.ok:
+            return result("TimeLimit", x, obj, gap)
         if res.status == 1:
             return result("TimeLimit", None, None, math.inf)
+        repaired = None if report.ok \
+            else _repair_rounding(model, relaxed, x, report.violations)
+        left = time_limit_s - (time.perf_counter() - t0)
+        if repaired is not None and left > 0.0:
+            low, high = lb.copy(), ub.copy()
+            low[:n][binary] = high[:n][binary] = repaired[binary]
+            rows, cols, vals, lo_row, hi_row = model.triplets()
+            fix, text = call(
+                "repair LP",
+                sp.csc_array((vals, (rows, cols)), shape=(lo_row.size, c.size)),
+                lo_row, hi_row, np.zeros(c.size, dtype=np.uint8), low, high,
+                left)
+            if fix.status == 0 and fix.x is not None:
+                y = np.asarray(fix.x[:n], dtype=float)
+                y[binary] = repaired[binary]
+                # the repair's own optimum restricts the model: the gap is
+                # to the round's bound
+                _, obj, gap = check(text, y, dual_bound)
+                if gap <= mip_gap:
+                    return result("Optimal", y, obj, gap)
+            else:
+                log.debug("%s", text)
         new = _violated_columns(model, report.violations) & binary \
             & ~enforced
         enforced = enforced | new if new.any() else binary
@@ -1249,19 +1310,55 @@ def _round_binaries(model: MilpModel, x: np.ndarray,
     return out
 
 
+def _repair_rounding(model: MilpModel, relaxed: np.ndarray, x: np.ndarray,
+                     violations) -> np.ndarray | None:
+    """`x` with every violated row brought back within its bound by setting
+    binaries to 0, or None unless each violation is a `<=` row that holds
+    binaries alone, with positive entries.
+
+    In each such row the binaries at 1 are kept in order of their `relaxed`
+    value, largest first, while the row's bound allows them; the others go
+    to 0. For an exclusivity row this keeps the larger flow's direction.
+    """
+    bad = _violated_rows(model, violations)
+    if len(bad) < len(violations):      # a column out of bounds or fractional
+        return None
+    rows, cols, vals, lo, hi = model.triplets()
+    starts = _starts(rows, model.n_rows)
+    binary = np.array(model.is_binary, dtype=bool)
+    entries = [(cols[starts[r]:starts[r + 1]], vals[starts[r]:starts[r + 1]])
+               for r in bad]
+    if any(np.isfinite(lo[r]) or not (binary[rc].all() and (rv > 0.0).all())
+           for r, (rc, rv) in zip(bad, entries)):
+        return None
+    x = x.copy()
+    for r, (rc, rv) in zip(bad, entries):
+        room = hi[r]
+        for col, v in sorted(zip(rc.tolist(), rv.tolist()),
+                             key=lambda e: -relaxed[e[0]]):
+            if x[col] == 1.0 and v <= room:
+                room -= v
+            else:
+                x[col] = 0.0
+    return x
+
+
+def _violated_rows(model: MilpModel, violations) -> list[int]:
+    """Indices of the rows that `validate_solution` found violated."""
+    row_index = {name: i for i, name in enumerate(model.row_names)}
+    return [row_index[v.name] for v in violations
+            if v.family not in ("bounds", "integrality")]
+
+
 def _violated_columns(model: MilpModel, violations) -> np.ndarray:
     """Mask of the columns that `validate_solution` found out of bounds or
     fractional, or that appear in a row it found violated."""
-    row_index = {name: i for i, name in enumerate(model.row_names)}
     mask = np.zeros(model.n_vars, dtype=bool)
-    bad_rows = []
     for v in violations:
         if v.family in ("bounds", "integrality"):
             mask[model.col(v.name)] = True
-        else:
-            bad_rows.append(row_index[v.name])
     rows, cols = model.triplets()[:2]
-    mask[cols[np.isin(rows, bad_rows)]] = True
+    mask[cols[np.isin(rows, _violated_rows(model, violations))]] = True
     return mask
 
 

@@ -660,7 +660,8 @@ def test_scipy_runs_highs_without_presolve(monkeypatch):
 # -- lazily enforced binaries ----------------------------------------------------
 
 def record_milp(monkeypatch, replies=None):
-    """Record each `scipy.optimize.milp` call's integrality and options.
+    """Record each `scipy.optimize.milp` call's integrality, options, column
+    bounds and the status it returned.
 
     Call `i` returns `replies[i](real_result)` when given, else HiGHS's own
     result."""
@@ -669,12 +670,18 @@ def record_milp(monkeypatch, replies=None):
     real = scipy.optimize.milp
     calls = []
 
-    def recording(*args, integrality=None, options=None, **kwargs):
-        calls.append({"integrality": np.array(integrality),
-                      "options": dict(options)})
-        res = real(*args, integrality=integrality, options=options, **kwargs)
+    def recording(*args, integrality=None, options=None, bounds=None,
+                  **kwargs):
+        call = {"integrality": np.array(integrality),
+                "options": dict(options), "lb": np.array(bounds.lb),
+                "ub": np.array(bounds.ub)}
+        calls.append(call)
+        res = real(*args, integrality=integrality, options=options,
+                   bounds=bounds, **kwargs)
         reply = (replies or {}).get(len(calls) - 1)
-        return res if reply is None else reply(res)
+        res = res if reply is None else reply(res)
+        call["status"] = res.status
+        return res
 
     monkeypatch.setattr("scipy.optimize.milp", recording)
     return calls
@@ -781,11 +788,12 @@ def test_unflagged_model_is_one_full_solve(monkeypatch):
     assert not tiny_milp().relax_binaries_first
 
 
-def indicator_pair_model(ds_max: float = 2.0) -> MilpModel:
+def indicator_pair_model(ds_max: float = 2.0,
+                         ch_max: float = 2.0) -> MilpModel:
     """Charge and discharge flows, each behind an indicator (`flow <= 2 b`),
     with at most one indicator set."""
     m = MilpModel("indicators")
-    for side, hi in (("ch", 2.0), ("ds", ds_max)):
+    for side, hi in (("ch", ch_max), ("ds", ds_max)):
         flow = m.add_variable(side, 0.0, hi)
         b = m.add_variable(f"b_{side}", 0.0, 1.0, binary=True)
         m.add_constraint(f"up_{side}", [(flow, 1.0), (b, -2.0)], "<=", 0.0)
@@ -862,6 +870,144 @@ def test_lazy_binaries_leave_an_unneeded_indicator_at_zero(monkeypatch):
     assert not calls[0].any()
     assert res.x.tolist() == [0.0, 0.0, 0.5, 1.0]
     assert res.objective == pytest.approx(0.5) and res.gap == 0.0
+
+
+def test_wall_time_covers_the_projection(monkeypatch):
+    import time
+
+    import fcrsched.solvers as solvers
+
+    build = solvers._RelaxedProjection.__init__
+
+    def slow_build(self, model):
+        time.sleep(0.2)
+        build(self, model)
+
+    monkeypatch.setattr(solvers._RelaxedProjection, "__init__", slow_build)
+    m = bid_below_minimum_model()
+    calls = record_milp(monkeypatch)
+    res = solve_scipy(m, time_limit_s=30.0)
+    assert res.ok and res.wall_time >= 0.2
+    # the first round still gets the whole time limit
+    assert calls[0]["options"]["time_limit"] == 30.0
+
+
+# -- repairing a rounding that breaks only binary rows ---------------------------
+
+def test_repair_resolves_a_tied_indicator_pair_without_a_mip_round(
+        monkeypatch):
+    from types import SimpleNamespace
+
+    from fcrsched import validate_solution
+
+    # max ds with ds <= 1: every ch in [0, 1] ties, and the LP point given
+    # here charges and discharges at once, so rounding both indicators up
+    # breaks only `excl`
+    m = indicator_pair_model(ds_max=1.0)
+    m.set_objective_coeff(m.col("ds"), 1.0)
+    m.relax_binaries_first = True
+    calls = record_milp(monkeypatch, {0: lambda res: SimpleNamespace(
+        status=0, x=np.array([0.5, 0.0, 1.0, 0.0]), fun=-1.0,
+        message="tied LP point", mip_gap=None, mip_node_count=None,
+        mip_dual_bound=None)})
+    res = solve_scipy(m, mip_gap=1e-9)
+    assert res.status == "Optimal" and res.rounds == len(calls) == 2
+    assert not any(call["integrality"].any() for call in calls)
+    # the repair keeps the larger flow's indicator and fixes every binary
+    assert calls[1]["lb"].tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert calls[1]["ub"].tolist() == [2.0, 0.0, 1.0, 1.0]
+    assert res.x.tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert validate_solution(m, res.x).ok
+    assert res.dual_bound == 1.0 and res.gap == 0.0
+    m.relax_binaries_first = False
+    assert res.objective == pytest.approx(solve_scipy(m).objective, abs=1e-12)
+
+
+def wide_indicator_pair() -> MilpModel:
+    """max ch + ds, each flow at most 1.5: the relaxation's optimum 2 needs
+    both flows, the model's own is 1.5."""
+    m = indicator_pair_model(ds_max=1.5, ch_max=1.5)
+    m.set_objective_coeff(m.col("ch"), 1.0)
+    m.set_objective_coeff(m.col("ds"), 1.0)
+    m.relax_binaries_first = True
+    return m
+
+
+def test_repair_outside_the_gap_enforces_the_rows_binaries(monkeypatch):
+    m = wide_indicator_pair()
+    calls = record_milp(monkeypatch)
+    res = solve_scipy(m, mip_gap=1e-6)
+    # LP, then a repair worth 1.5 against the bound 2, then the binaries
+    # of `excl` enforced
+    assert res.ok and res.rounds == len(calls) == 3
+    assert not calls[0]["integrality"].any()
+    assert not calls[1]["integrality"].any() and calls[1]["status"] == 0
+    assert calls[2]["integrality"].tolist() == [0, 1, 0, 1]
+    assert res.objective == pytest.approx(1.5, abs=1e-9)
+    assert res.gap <= 1e-6
+
+
+def test_infeasible_repair_enforces_the_rows_binaries(monkeypatch):
+    # with ch worth more, the LP point leans to charging, so the repair
+    # keeps b_ch; the floor on ds then leaves its LP no point
+    m = wide_indicator_pair()
+    m.set_objective_coeff(m.col("ch"), 1.01)
+    m.add_constraint("ds_floor", [(m.col("ds"), 1.0)], ">=", 0.3)
+    calls = record_milp(monkeypatch)
+    res = solve_scipy(m, mip_gap=1e-6)
+    assert res.ok and res.rounds == len(calls) == 3
+    assert calls[1]["lb"][m.col("b_ch")] == 1.0
+    assert calls[1]["ub"][m.col("b_ds")] == 0.0
+    assert not calls[1]["integrality"].any() and calls[1]["status"] == 2
+    assert calls[2]["integrality"].tolist() == [0, 1, 0, 1]
+    assert res.x[m.col("b_ds")] == 1.0
+    assert res.objective == pytest.approx(1.5, abs=1e-9)
+
+
+def test_each_highs_call_is_logged_with_its_kind_and_broken_rows(
+        monkeypatch, caplog):
+    import logging
+
+    calls = record_milp(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="fcrsched"):
+        res = solve_scipy(wide_indicator_pair(), mip_gap=1e-6)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("HiGHS call")]
+    assert res.ok and len(lines) == len(calls) == 3
+    patterns = [r"HiGHS call 1, LP: \d+\.\d{3} s, status 0; point breaks excl",
+                r"HiGHS call 2, repair LP: \d+\.\d{3} s, status 0; point "
+                r"passes, gap 3\.33e-01",
+                r"HiGHS call 3, MIP with 2 enforced binaries: \d+\.\d{3} s, "
+                r"status 0"]
+    for pattern, line in zip(patterns, lines):
+        assert re.fullmatch(pattern, line), line
+
+
+def test_a_nodeg_day_tied_in_its_last_hour_takes_no_mip_round(
+        tmp_path, monkeypatch):
+    from fcrsched import RunConfig, load_bundle, validate_solution
+    from fcrsched.orchestrate import calendar_age
+    from fcrsched.orchestrate import day_inputs as horizon_day_inputs
+
+    # acceptance test 8's seed 6, nodeg, day 5 from s0 = 0.1: the LP
+    # charges and discharges in hour 23 at no cost, which breaks only
+    # `bl_excl[h=23]` once both indicators are rounded up
+    cfg = RunConfig(case_id="MULTI", days=tuple(range(7)), steps_per_hour=4,
+                    hours_per_day=24, solver="scipy", mip_gap=1e-4,
+                    outdir=str(tmp_path))
+    bundle = load_bundle(cfg, synthetic_seed=6)
+    m = build_day_model(horizon_day_inputs(bundle, 5, 0.1,
+                                           calendar_age(cfg, 5), "MULTI",
+                                           False))
+    calls = record_milp(monkeypatch)
+    res = solve_scipy(m, mip_gap=1e-4)
+    assert res.ok and res.rounds == len(calls) == 2
+    assert not any(call["integrality"].any() for call in calls)
+    assert validate_solution(m, res.x).ok
+    assert res.gap <= 1e-4
+    m.relax_binaries_first = False
+    full = solve_scipy(m, mip_gap=1e-4)
+    assert abs(full.objective - res.objective) <= 1e-4 * abs(full.objective)
 
 
 # -- relaxed binaries projected out --------------------------------------------------
