@@ -866,8 +866,8 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
     When the round ended optimal and every row the rounded point breaks is
     a `<=` row of binaries with positive entries (the baseline's hour
     exclusivity on the day model), one repair LP runs first
-    (`_repair_rounding`): in each such row the binaries of largest relaxed
-    value are kept up to the row's bound and the others set to 0, every
+    (`_repair_rounding`): in each such row the binaries whose rows need
+    them most are kept up to the row's bound and the others set to 0, every
     binary is fixed at its value, and HiGHS solves the full model's rows
     for the continuous columns. Its point is kept when it passes
     `validate_solution` and lies within `mip_gap` of the round's bound; the
@@ -876,16 +876,19 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
     Otherwise every binary in a violated row (or the violated column
     itself) is enforced and the model solved again; a round that would
     enforce nothing new enforces every binary, which is the plain full
-    solve. The first round gets `time_limit_s`, later rounds and repairs
-    what is left of it, and `SolveResult.rounds` counts every HiGHS call.
+    solve, whose own point and gap HiGHS returns. The first round gets
+    `time_limit_s`, later rounds and repairs what is left of it, and
+    `SolveResult.rounds` counts every HiGHS call. A solve that runs out of
+    time returns the best point any check passed, at its gap to the
+    smallest round bound, unless HiGHS's own point in a full solve is
+    better.
 
     A round hands HiGHS the relaxed binaries projected out where that
     takes no more rows (`_RelaxedProjection`): each component of relaxed
     binaries with no enforced member has its rows replaced by their
-    Fourier-Motzkin projection and its binaries fixed at 0. Afterwards each
-    eliminated binary is restored to the smallest value its rows allow at
-    the round's point, so rounding, validation and the gap test see the
-    full model's columns.
+    Fourier-Motzkin projection and its binaries fixed at 0. The rounding
+    then reads each eliminated binary at the smallest value its rows allow
+    at the round's point, which is the need it is rounded up by.
 
     Each HiGHS call is logged at debug level: its kind, seconds and status,
     and the row families its point breaks or the gap of a point that
@@ -908,6 +911,27 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
     options = {"mip_rel_gap": float(mip_gap), "disp": False,
                "presolve": False}
     rounds = nodes = 0
+    res, dual_bound = None, math.nan    # the last round's
+    best_x, best_obj = None, -math.inf  # the best point a check passed
+    best_bound = math.nan               # the smallest round bound
+
+    def result(status, x=None, obj=None, gap=math.inf, message=None,
+               bound=None):
+        """The solve's result; the message and the bound default to the
+        last round's."""
+        return SolveResult(
+            status, x, obj, gap, time.perf_counter() - t0, "scipy",
+            str(res.message) if message is None else message, nodes=nodes,
+            dual_bound=dual_bound if bound is None else bound, rounds=rounds)
+
+    def timed_out(x=None, obj=-math.inf, gap=math.inf, message=None):
+        """TimeLimit with `x`, or with the best point a check passed where
+        that is better, at its gap to the smallest round bound."""
+        if best_obj > obj:
+            return result("TimeLimit", best_x, best_obj,
+                          _gap(best_bound, best_obj), message, best_bound)
+        return result("TimeLimit", x, None if x is None else obj, gap,
+                      message)
 
     def call(kind, a, lo_row, hi_row, integrality, low, high, left):
         """One HiGHS call, and the start of its debug log line."""
@@ -923,13 +947,16 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
 
     def check(text, x, bound):
         """`validate_solution` of `x` on the full model, its objective and
-        its gap to `bound` (inf without one); logs the call that gave it."""
+        its gap to `bound` (inf without one); logs the call that gave it
+        and keeps `x` when it is the best point that passed."""
+        nonlocal best_x, best_obj
         report = validate_solution(model, x)
         obj = gap = math.inf
         if report.ok:
             obj = model.objective_value(x)
-            if math.isfinite(bound):
-                gap = max(0.0, (bound - obj) / max(abs(obj), 1e-9))
+            gap = _gap(bound, obj)
+            if obj > best_obj:
+                best_x, best_obj = x, obj
             text += f"; point passes, gap {gap:.2e}"
         else:
             text += "; point breaks " + ", ".join(
@@ -941,10 +968,8 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
         left = time_limit_s if rounds == 0 \
             else time_limit_s - (time.perf_counter() - t0)
         if left <= 0.0:
-            return SolveResult("TimeLimit", None, None, math.inf,
-                               time.perf_counter() - t0, "scipy",
-                               f"time limit reached after {rounds} rounds",
-                               nodes=nodes, rounds=rounds)
+            return timed_out(
+                message=f"time limit reached after {rounds} rounds")
         fixed = np.zeros(c.size, dtype=bool)
         if projection is None:
             rows, cols, vals, lo_row, hi_row = model.triplets()
@@ -965,36 +990,30 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
             dual = res.fun      # an LP round: its optimum is the bound
         # HiGHS minimizes -objective; report the bound in the maximize sense.
         dual_bound = math.nan if dual is None else -float(dual)
+        best_bound = float(np.fmin(best_bound, dual_bound))
         x = None if res.x is None else np.asarray(res.x[:n], dtype=float)
-
-        def result(status, x, obj, gap_, message=str(res.message)):
-            return SolveResult(status, x, obj, gap_,
-                               time.perf_counter() - t0, "scipy", message,
-                               nodes=nodes, dual_bound=dual_bound,
-                               rounds=rounds)
-
         if full or x is None or res.status not in (0, 1):
             log.debug("%s", text)
-        if full:
-            break
         if res.status == 2:
-            return result("Infeasible", None, None, math.inf)
+            return result("Infeasible")
         if res.status not in (0, 1):
-            return result("BackendError", None, None, math.inf,
-                          f"status {res.status}: {res.message}")
+            return result("BackendError",
+                          message=f"status {res.status}: {res.message}")
         if x is None:       # out of time before a first point
-            return result("TimeLimit", None, None, math.inf)
-        relaxed = projection.restore(x, active)
-        x = _round_binaries(model, relaxed, enforced)
+            return timed_out()
+        if full:            # HiGHS's own point and gap
+            obj = model.objective_value(x)
+            gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
+            return result("Optimal", x, obj, gap) if res.status == 0 \
+                else timed_out(x, obj, gap)
+        x, least = _round_binaries(model, x, enforced)
         report, obj, gap = check(text, x, dual_bound)
         if gap <= mip_gap:
             return result("Optimal", x, obj, gap)
-        if res.status == 1 and report.ok:
-            return result("TimeLimit", x, obj, gap)
         if res.status == 1:
-            return result("TimeLimit", None, None, math.inf)
+            return timed_out()
         repaired = None if report.ok \
-            else _repair_rounding(model, relaxed, x, report.violations)
+            else _repair_rounding(model, least, x, report.violations)
         left = time_limit_s - (time.perf_counter() - t0)
         if repaired is not None and left > 0.0:
             low, high = lb.copy(), ub.copy()
@@ -1019,16 +1038,13 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
             & ~enforced
         enforced = enforced | new if new.any() else binary
 
-    gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
-    if res.status == 0:
-        return result("Optimal", x, model.objective_value(x), gap)
-    if res.status == 1:
-        obj = None if x is None else model.objective_value(x)
-        return result("TimeLimit", x, obj, gap if x is not None else math.inf)
-    if res.status == 2:
-        return result("Infeasible", None, None, math.inf)
-    return result("BackendError", None, None, math.inf,
-                  f"status {res.status}: {res.message}")
+
+def _gap(bound: float, obj: float) -> float:
+    """Gap of the objective value `obj` to the upper bound `bound`, relative
+    to `obj`; inf without a finite bound."""
+    if not math.isfinite(bound):
+        return math.inf
+    return max(0.0, (bound - obj) / max(abs(obj), 1e-9))
 
 
 # A generated row whose largest activity over the column bounds exceeds its
@@ -1081,40 +1097,39 @@ class _RelaxedProjection:
         self.comp_of_row = np.full(model.n_rows, -1)
         self.n_components = 0
         anchors = [np.zeros(0, np.intp)]
-        # projected rows and the rows bounding each eliminated binary
-        # below, as blocks of one row per component of a kind
-        proj = _Blocks()
-        low = _Blocks()
+        # projected rows in blocks, one row per component of a kind: the
+        # component, the row's number within it, its bound, and its
+        # entries' rows, columns and coefficients
+        empty = np.zeros(0, np.intp)
+        blocks = [(empty, empty, np.zeros(0), empty, empty, np.zeros(0))]
+        n_proj = 0
         for sig, members in alike.items():
-            eliminated = _fourier_motzkin(*sig)
+            projected = _fourier_motzkin(*sig)
             n_rows = len(sig[1])
-            if eliminated is None or len(eliminated[1]) > n_rows:
+            if projected is None or len(projected) > n_rows:
                 continue
-            lower, projected = eliminated
             # column `k` of a member's local numbering is `glob[:, k]`
             glob = np.array([local for local, _ in members], dtype=np.intp)
-            comps = self.n_components + np.arange(len(members))
-            self.n_components += len(members)
+            m = len(members)
+            comps = self.n_components + np.arange(m)
+            self.n_components += m
             self.comp_of_col[glob[:, :sig[0]]] = comps[:, None]
             if n_rows:
                 crows = np.array([r for _, r in members], dtype=np.intp)
                 self.comp_of_row[crows] = comps[:, None]
                 anchors.append(crows[:, 0])
             else:
-                anchors.append(np.zeros(len(members), np.intp))
+                anchors.append(np.zeros(m, np.intp))
             for j, (coeffs, rhs) in enumerate(projected):
-                proj.add(comps, glob[:, list(coeffs)], list(coeffs.values()),
-                         rhs, sub=j)
-            for k, below in enumerate(lower):
-                for coeffs, rhs in below:
-                    rest = [i for i in coeffs if i != k]
-                    low.add(comps, glob[:, rest], [coeffs[i] for i in rest],
-                            rhs, sub=k, col=glob[:, k], coef=coeffs[k])
+                blocks.append((
+                    comps, np.full(m, j), np.full(m, rhs),
+                    np.repeat(n_proj + np.arange(m), len(coeffs)),
+                    glob[:, list(coeffs)].ravel(),
+                    np.tile(np.array(list(coeffs.values()), dtype=float), m)))
+                n_proj += m
         self.anchor = np.concatenate(anchors)
-        (self.p_comp, self.p_sub, self.p_hi, self.p_entries, _,
-         _) = proj.arrays()
-        (self.l_comp, self.l_level, self.l_hi, self.l_entries, self.l_col,
-         self.l_coef) = low.arrays()
+        (self.p_comp, self.p_sub, self.p_hi, *self.p_entries) = map(
+            np.concatenate, zip(*blocks))
         self._model = model
 
     def active(self, enforced: np.ndarray) -> np.ndarray:
@@ -1132,6 +1147,9 @@ class _RelaxedProjection:
         """`triplets()` of the model with the rows of the `active`
         components replaced by their projections, each at the position of
         its component's first row."""
+        # HiGHS returns the same points with the projected rows after the
+        # kept ones, but took twice as long on some days (ROADMAP.md,
+        # "Settled findings")
         rows, cols, vals, lo, hi = self._model.triplets()
         dropped = active[self.comp_of_row]
         kept = np.flatnonzero(~dropped)
@@ -1152,22 +1170,6 @@ class _RelaxedProjection:
                 np.concatenate((vals[keep], p_vals[use])),
                 np.concatenate((lo[kept], np.full(used.size, -np.inf)))[order],
                 np.concatenate((hi[kept], self.p_hi[used]))[order])
-
-    def restore(self, x: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """`x` with each binary of the `active` components at the smallest
-        value its rows allow, the last eliminated first."""
-        x = x.copy()
-        l_rows, l_cols, l_vals = self.l_entries
-        for level in range(int(self.l_level.max(initial=-1)), -1, -1):
-            sel = np.flatnonzero((self.l_level == level)
-                                 & active[self.l_comp])
-            rest = np.bincount(l_rows, l_vals * x[l_cols],
-                               minlength=self.l_hi.size)
-            need = np.full(x.size, -np.inf)
-            np.maximum.at(need, self.l_col[sel],
-                          (self.l_hi[sel] - rest[sel]) / self.l_coef[sel])
-            x[self.l_col[sel]] = need[self.l_col[sel]]
-        return x
 
 
 def _relaxable_components(model: MilpModel) -> list[tuple[list[int],
@@ -1203,51 +1205,15 @@ def _relaxable_components(model: MilpModel) -> list[tuple[list[int],
     return list(comps.values())
 
 
-class _Blocks:
-    """Rows `coeffs @ x <= hi` gathered in blocks, one row per component
-    of a kind, then joined into arrays."""
-
-    def __init__(self):
-        self.parts: list[tuple] = []
-        self.n = 0
-
-    def add(self, comps: np.ndarray, cols: np.ndarray, coeffs: list[float],
-            hi: float, sub: int, col=None, coef: float = math.nan) -> None:
-        """One row per component in `comps`: its columns are a row of
-        `cols`, its coefficients `coeffs`; `sub` numbers the row within the
-        component, and `col`, `coef` name the binary a lower-bound row
-        bounds."""
-        m = comps.size
-        index = self.n + np.arange(m)
-        self.n += m
-        self.parts.append((
-            comps, np.full(m, sub), np.full(m, hi),
-            np.repeat(index, cols.shape[1]), cols.ravel(),
-            np.tile(np.array(coeffs, dtype=float), m),
-            np.full(m, -1) if col is None else col, np.full(m, coef)))
-
-    def arrays(self) -> tuple:
-        """`(comp, sub, hi, (rows, cols, vals), col, coef)`, one entry per
-        row and one of `(rows, cols, vals)` per entry."""
-        if not self.parts:
-            empty = np.zeros(0, np.intp)
-            return (empty, empty, np.zeros(0), (empty, empty, np.zeros(0)),
-                    empty, np.zeros(0))
-        comp, sub, hi, rows, cols, vals, col, coef = map(
-            np.concatenate, zip(*self.parts))
-        return comp, sub, hi, (rows, cols, vals), col, coef
-
-
 def _fourier_motzkin(n_bins: int, rows: tuple, lb: tuple,
-                     ub: tuple) -> tuple[list, list] | None:
+                     ub: tuple) -> list | None:
     """Eliminate columns `0 .. n_bins-1` from `rows`, each
     `((col, coeff), ...), hi` for `coeffs @ x <= hi`, and from their bounds;
     columns are bounded by `lb` and `ub`.
 
-    Returns the rows that bound each column below when it is eliminated,
-    one list per column in order, and the projected rows; rows are
-    `({col: coeff}, hi)`. None when a row without columns is violated, so
-    that the rows go to the solver as they are.
+    Returns the projected rows, each `({col: coeff}, hi)`. None when a row
+    without columns is violated, so that the rows go to the solver as they
+    are.
     """
     system = []
     for coeffs, hi in rows:
@@ -1257,7 +1223,6 @@ def _fourier_motzkin(n_bins: int, rows: tuple, lb: tuple,
         system.append((row, hi))
     system += [({col: 1.0}, ub[col]) for col in range(n_bins)] \
         + [({col: -1.0}, -lb[col]) for col in range(n_bins)]
-    lower: list[list] = []
     for col in range(n_bins):
         above, below, rest = [], [], []
         for row in system:
@@ -1279,19 +1244,21 @@ def _fourier_motzkin(n_bins: int, rows: tuple, lb: tuple,
             if not coeffs:
                 return None
             system.append((coeffs, hi))
-        lower.append(below)
-    return lower, system
+    return system
 
 
 def _round_binaries(model: MilpModel, x: np.ndarray,
-                    enforced: np.ndarray) -> np.ndarray:
-    """`x` with every binary at 0 or 1: an enforced one at its nearest
-    integer, a relaxed one at 1 exactly when some row needs it above 1e-9
-    with every other column at its value in `x`, else at 0.
+                    enforced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`x` with every binary at 0 or 1, and each column's `least`: the
+    smallest value its rows allow with every other column at its value in
+    `x`, -inf where no row bounds it below. An enforced binary goes to its
+    nearest integer, a relaxed one to 1 exactly when its `least` is above
+    1e-9, else to 0.
 
     For an entry `a` of the column in a row whose activity without it is
     `rest`, a finite upper bound `hi` needs `(rest - hi)/(-a)` when `a < 0`,
-    and a finite lower bound `lo` needs `(lo - rest)/a` when `a > 0`.
+    and a finite lower bound `lo` needs `(lo - rest)/a` when `a > 0`;
+    `least` is the largest need over the column's entries.
     """
     x = np.asarray(x, dtype=float)
     rows, cols, vals, lo, hi = model.triplets()
@@ -1301,24 +1268,25 @@ def _round_binaries(model: MilpModel, x: np.ndarray,
     neg, pos = vals < 0, vals > 0
     need[neg] = (rest[neg] - hi[rows[neg]]) / -vals[neg]
     need[pos] = (lo[rows[pos]] - rest[pos]) / vals[pos]
-    needed = np.zeros(model.n_vars, dtype=bool)
-    needed[cols[need > 1e-9]] = True
+    least = np.full(model.n_vars, -np.inf)
+    np.maximum.at(least, cols, need)
     binary = np.array(model.is_binary, dtype=bool)
     out = x.copy()
     out[binary] = np.where(enforced[binary], np.round(x[binary]),
-                           needed[binary])
-    return out
+                           least[binary] > 1e-9)
+    return out, least
 
 
-def _repair_rounding(model: MilpModel, relaxed: np.ndarray, x: np.ndarray,
+def _repair_rounding(model: MilpModel, least: np.ndarray, x: np.ndarray,
                      violations) -> np.ndarray | None:
     """`x` with every violated row brought back within its bound by setting
     binaries to 0, or None unless each violation is a `<=` row that holds
     binaries alone, with positive entries.
 
-    In each such row the binaries at 1 are kept in order of their `relaxed`
-    value, largest first, while the row's bound allows them; the others go
-    to 0. For an exclusivity row this keeps the larger flow's direction.
+    In each such row the binaries at 1 are kept in order of their `least`
+    value (`_round_binaries`), largest first, while the row's bound allows
+    them; the others go to 0. For an exclusivity row this keeps the larger
+    flow's direction.
     """
     bad = _violated_rows(model, violations)
     if len(bad) < len(violations):      # a column out of bounds or fractional
@@ -1335,7 +1303,7 @@ def _repair_rounding(model: MilpModel, relaxed: np.ndarray, x: np.ndarray,
     for r, (rc, rv) in zip(bad, entries):
         room = hi[r]
         for col, v in sorted(zip(rc.tolist(), rv.tolist()),
-                             key=lambda e: -relaxed[e[0]]):
+                             key=lambda e: -least[e[0]]):
             if x[col] == 1.0 and v <= room:
                 room -= v
             else:
@@ -1443,17 +1411,15 @@ def solve_micro(model: MilpModel, time_limit_s: float = 600.0,
 
     wall = time.perf_counter() - t0
     note = f"nodes={nodes}"
-    if timed_out:
-        if best_x is None:
-            return SolveResult("TimeLimit", None, None, math.inf, wall,
-                               "micro", note)
-        gap = max(0.0, (open_bound - best_val) / max(1.0, abs(best_val)))
-        return SolveResult("TimeLimit", best_x, best_val, gap, wall, "micro",
-                           note)
     if best_x is None:
-        return SolveResult("Infeasible", None, None, math.inf, wall, "micro",
-                           note)
-    return SolveResult("Optimal", best_x, best_val, 0.0, wall, "micro", note)
+        return SolveResult("TimeLimit" if timed_out else "Infeasible", None,
+                           None, math.inf, wall, "micro", note)
+    # the bounds leave out the objective's constant; the result does not
+    obj = model.objective_value(best_x)
+    if timed_out:
+        gap = _gap(open_bound + model.objective_const, obj)
+        return SolveResult("TimeLimit", best_x, obj, gap, wall, "micro", note)
+    return SolveResult("Optimal", best_x, obj, 0.0, wall, "micro", note)
 
 
 # -- registry ---------------------------------------------------------------

@@ -719,10 +719,9 @@ def test_lazy_binaries_enforce_the_violated_minimum_bid(monkeypatch):
     assert res.dual_bound >= res.objective
 
 
-def test_lazy_binaries_refuse_a_valid_rounding_outside_the_gap(monkeypatch):
-    # max 3x - b, x <= b, x <= 0.5: the LP sets b = x = 0.5 (bound 1.0);
-    # b rounded up passes every row but is worth 0.5, so the binary must
-    # be enforced and the certificate come from the full solve
+def costly_flag_model() -> MilpModel:
+    """max 3x - b, x <= b, x <= 0.5: the LP sets b = x = 0.5 (bound 1.0);
+    b rounded up passes every row but is worth 0.5."""
     m = MilpModel("costly_flag")
     x = m.add_variable("x", 0.0, 0.5)
     b = m.add_variable("b", 0.0, 1.0, binary=True)
@@ -730,6 +729,13 @@ def test_lazy_binaries_refuse_a_valid_rounding_outside_the_gap(monkeypatch):
     m.set_objective_coeff(x, 3.0)
     m.set_objective_coeff(b, -1.0)
     m.relax_binaries_first = True
+    return m
+
+
+def test_lazy_binaries_refuse_a_valid_rounding_outside_the_gap(monkeypatch):
+    # the rounding is outside the gap, so the binary must be enforced and
+    # the certificate come from the full solve
+    m = costly_flag_model()
     calls = record_milp(monkeypatch)
     res = solve_scipy(m, mip_gap=1e-6)
     assert res.ok and res.rounds == len(calls) == 2
@@ -777,6 +783,27 @@ def test_lazy_binaries_time_limit_in_round_two(monkeypatch):
     assert res.nodes == 7
 
 
+def test_lazy_binaries_out_of_time_keep_the_rounding_that_passed(
+        monkeypatch):
+    from types import SimpleNamespace
+
+    # round 1's rounding passes every row but lies outside the gap; the
+    # full solve then runs out of time before a point of its own
+    m = costly_flag_model()
+    calls = record_milp(monkeypatch, {1: lambda res: SimpleNamespace(
+        status=1, x=None, fun=None, message="fake time limit", mip_gap=None,
+        mip_node_count=3, mip_dual_bound=None)})
+    res = solve_scipy(m, mip_gap=1e-6)
+    assert len(calls) == res.rounds == 2
+    assert calls[1]["integrality"].tolist() == [0, 1]
+    assert res.status == "TimeLimit"
+    assert res.x.tolist() == [0.5, 1.0]
+    assert res.objective == pytest.approx(0.5, abs=1e-12)
+    # the gap is to round 1's bound, the smallest either round gave
+    assert res.dual_bound == pytest.approx(1.0, abs=1e-12)
+    assert res.gap == pytest.approx(1.0, abs=1e-12)
+
+
 def test_unflagged_model_is_one_full_solve(monkeypatch):
     m = build_day_model(day_inputs(seed=2, case="FCR_N", hours=4))
     m.relax_binaries_first = False
@@ -821,7 +848,7 @@ def test_rounding_sets_a_binary_only_where_a_row_needs_it():
         x = np.zeros(m.n_vars)
         for name, v in values.items():
             x[m.col(name)] = v
-        out = _round_binaries(m, x, relaxed)
+        out, _ = _round_binaries(m, x, relaxed)
         continuous = ~np.array(m.is_binary)
         assert np.array_equal(out[continuous], x[continuous])
         return {n: out[m.col(n)] for n in ("b_ch", "b_ds", "b_n", "b1", "b2",
@@ -839,7 +866,7 @@ def test_rounding_sets_a_binary_only_where_a_row_needs_it():
     enforced[b2] = True
     x = np.zeros(m.n_vars)
     x[b2] = 1.0 - 1e-8
-    assert _round_binaries(m, x, enforced)[b2] == 1.0
+    assert _round_binaries(m, x, enforced)[0][b2] == 1.0
 
 
 def test_lazy_binaries_leave_an_unneeded_indicator_at_zero(monkeypatch):
@@ -1132,30 +1159,29 @@ def test_restored_point_meets_every_row_of_the_full_model(model):
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     from fcrsched import validate_solution
-    from fcrsched.solvers import _RelaxedProjection
+    from fcrsched.solvers import _round_binaries
 
     if model == "indicators":
         m = indicator_pair_model()
         x = np.array([1.0, 0.0, 0.5, 0.0])     # the projection's point
-        projection = _RelaxedProjection(m)
-        active = projection.active(np.zeros(m.n_vars, dtype=bool))
     else:
         m = build_day_model(day_inputs(seed=3, hours=6, deg=True))
-        projection, active, (rows, cols, vals, lo, hi), fixed = first_round(m)
+        _, _, (rows, cols, vals, lo, hi), fixed = first_round(m)
         lb, ub = np.array(m.lb), np.array(m.ub)
         lb[fixed] = ub[fixed] = 0.0
         a = sp.csc_array((vals, (rows, cols)), shape=(lo.size, m.n_vars))
         x = milp(-m.objective_vector(),
                  constraints=LinearConstraint(a, lo, hi),
                  bounds=Bounds(lb, ub)).x
-    restored = projection.restore(x, active)
     binary = np.array(m.is_binary)
-    assert np.array_equal(restored[~binary], x[~binary])
+    _, least = _round_binaries(m, x, np.zeros(m.n_vars, dtype=bool))
+    # each relaxed binary raised to the smallest value its rows allow
+    restored = x.copy()
+    restored[binary] = np.maximum(x[binary], least[binary])
     assert ((restored[binary] >= 0.0) & (restored[binary] <= 1.0)).all()
     report = validate_solution(m, restored)
     assert {v.family for v in report.violations} <= {"integrality"}
     if model == "indicators":
-        # each indicator at the smallest value its rows allow
         assert restored.tolist() == [1.0, 0.5, 0.5, 0.25]
 
 
@@ -1250,14 +1276,18 @@ def test_micro_matches_scipy_on_knapsack():
     assert "nodes=" in a.message
 
 
-def test_micro_matches_scipy_on_day_model():
-    inp = day_inputs(seed=15, hours=2, case="FCR_N")
+@pytest.mark.parametrize("deg", [False, True], ids=["nodeg", "deg"])
+def test_micro_matches_scipy_on_day_model(deg):
+    # in deg mode the objective has a constant (the calendar aging)
+    inp = day_inputs(seed=15, hours=2, case="FCR_N", deg=deg)
     m = build_day_model(inp)
     assert m.n_binaries <= MICRO_MAX_BINARIES
+    assert (m.objective_const != 0.0) == deg
     a = solve_micro(m)
     b = solve_scipy(m, mip_gap=1e-9)
     assert a.ok and b.ok
     assert a.objective == pytest.approx(b.objective, rel=1e-8)
+    assert a.objective == pytest.approx(m.objective_value(a.x), rel=1e-12)
 
 
 def test_micro_too_large():
