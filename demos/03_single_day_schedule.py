@@ -22,6 +22,7 @@ from fcrsched import (
     synth_frequency,
     synth_prices,
 )
+from fcrsched.milp import step_soe
 
 # Inputs: a 24-hour day at 15-minute resolution, synthetic frequency and
 # prices, all three reserve markets allowed ("MULTI"). No aging
@@ -54,12 +55,12 @@ print(f"solved in {result.wall_time:.2f} s, objective "
       f"{sol.objective:,.2f} EUR\n")
 
 # The hourly plan: negative baseline = discharging into the spot market.
+# A solution stores the SoE at the end of each hour.
 print("hour  baseline[MW]  bid N  bid DU  bid DD   SoE end[MWh]")
-sph = grid.steps_per_hour
 for h in range(grid.hours):
     net = sol.ch_bl[h] - sol.ds_bl[h]
     print(f"{h:4d}  {net:+12.2f}  {sol.bid_n[h]:5.2f}  {sol.bid_du[h]:6.2f}"
-          f"  {sol.bid_dd[h]:6.2f}  {sol.soe[(h + 1) * sph - 1]:13.3f}")
+          f"  {sol.bid_dd[h]:6.2f}  {sol.soe[h]:13.3f}")
 
 print(f"\nrevenue: spot {sol.r_da:,.2f}  FCR-N {sol.r_n:,.2f}  "
       f"FCR-D up {sol.r_du:,.2f}  FCR-D down {sol.r_dd:,.2f} EUR")
@@ -67,8 +68,10 @@ print(f"cost: charged energy {sol.c_da:,.2f} EUR")
 
 # The state of energy always stays inside the usable window, including
 # under the worst-case activation scenarios the constraints guard against.
-assert np.all(sol.soe >= spec.soe_min - 1e-9)
-assert np.all(sol.soe <= spec.soe_max + 1e-9)
-print(f"SoE window respected: "
-      f"{sol.soe.min():.3f}..{sol.soe.max():.3f} MWh inside "
+# Each step's SoE is rebuilt from the stored hourly SoE and decisions.
+soe = step_soe(sol, inputs.contents, spec)
+assert np.all(soe >= spec.soe_min - 1e-9)
+assert np.all(soe <= spec.soe_max + 1e-9)
+print(f"SoE window respected over all {soe.size} steps: "
+      f"{soe.min():.3f}..{soe.max():.3f} MWh inside "
       f"[{spec.soe_min:.1f}, {spec.soe_max:.1f}]")

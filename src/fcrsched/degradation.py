@@ -145,6 +145,12 @@ def _arrhenius(spec: "BatterySpec") -> float:
     return math.exp(-co.Ea / (co.R_gas * spec.temperature))
 
 
+# G jumps at the span breakpoints (50 and 70 % SoC), and the LP puts the SoE
+# exactly on them; an SoE this close (MWh) to one reads as that breakpoint,
+# so float noise cannot pick the upper span.
+BREAKPOINT_TOL_MWH = 1e-9
+
+
 def calendar_aging_step(spec: "BatterySpec", soe: float, age_days: float,
                         dt_seconds: float) -> float:
     """Percent capacity lost to calendar aging over one step.
@@ -152,6 +158,8 @@ def calendar_aging_step(spec: "BatterySpec", soe: float, age_days: float,
     Uses the incremental square-root-of-time form
     G(SoC%) * exp(-Ea/(R K)) * (sqrt(age + dt) - sqrt(age)), which
     telescopes to the cumulative law over consecutive steps at constant SoC.
+    An SoE within `BREAKPOINT_TOL_MWH` of 0.5 or 0.7 of capacity is priced
+    at that breakpoint, which belongs to the lower span.
     """
     if not 0.0 <= soe <= spec.capacity:
         raise InvalidParameter(f"soe {soe} outside [0, {spec.capacity}]")
@@ -159,7 +167,11 @@ def calendar_aging_step(spec: "BatterySpec", soe: float, age_days: float,
         raise InvalidParameter("age_days must be >= 0")
     if dt_seconds < 0:
         raise InvalidParameter("dt_seconds must be >= 0")
-    g = spec.aging.g_of_soc(100.0 * soe / spec.capacity)
+    soc_pct = 100.0 * soe / spec.capacity
+    for pct in (50.0, 70.0):
+        if abs(soe - pct / 100.0 * spec.capacity) <= BREAKPOINT_TOL_MWH:
+            soc_pct = pct
+    g = spec.aging.g_of_soc(soc_pct)
     dt_days = dt_seconds / 86400.0
     return g * _arrhenius(spec) \
         * (math.sqrt(age_days + dt_days) - math.sqrt(age_days))
@@ -258,12 +270,12 @@ def post_calculate_aging(soe, net, dt_seconds: float, spec: "BatterySpec",
                          age_days: float) -> tuple[float, float, float, float]:
     """Exact nonlinear aging of a solved day: (cal EUR, cyc EUR, cal %, cyc %).
 
-    `soe` is the SoE at the end of each step and `net` each step's realized
-    net power (charging positive, `milp.step_net_power`), both per step of
-    `dt_seconds`. The cycle term prices the charge part `max(net, 0)` and
-    the discharge part `max(-net, 0)` of each step. Battery age advances
-    step by step so the square-root-of-time increments telescope across
-    the day.
+    `soe` is the SoE at the end of each step (`milp.step_soe`) and `net`
+    each step's realized net power (charging positive,
+    `milp.step_net_power`), both per step of `dt_seconds`. The cycle term
+    prices the charge part `max(net, 0)` and the discharge part
+    `max(-net, 0)` of each step. Battery age advances step by step so the
+    square-root-of-time increments telescope across the day.
     """
     soe = np.asarray(soe, dtype=float)
     net = np.asarray(net, dtype=float)

@@ -139,7 +139,7 @@ class PriceSeries:
 
     def __post_init__(self):
         n = None
-        for name in ("spot", "fcr_n", "fcr_du", "fcr_dd", "up_reg", "down_reg"):
+        for name in PRICE_HEADER[1:]:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -168,9 +168,7 @@ class PriceSeries:
             raise AlignmentError(
                 f"day {day} needs hours {lo}..{hi - 1}, series has {self.n_hours}")
         return PriceSeries(
-            spot=self.spot[lo:hi], fcr_n=self.fcr_n[lo:hi],
-            fcr_du=self.fcr_du[lo:hi], fcr_dd=self.fcr_dd[lo:hi],
-            up_reg=self.up_reg[lo:hi], down_reg=self.down_reg[lo:hi],
+            **{name: getattr(self, name)[lo:hi] for name in PRICE_HEADER[1:]},
             grid_tariff=self.grid_tariff, tax=self.tax)
 
 
@@ -504,10 +502,7 @@ def load_prices(path: str | Path, horizon_hours: int,
     for name in ("fcr_n", "fcr_du", "fcr_dd"):
         if np.any(cols[name] < 0.0):
             raise SchemaMismatch(f"{path}: negative capacity price in {name}")
-    return PriceSeries(spot=cols["spot"], fcr_n=cols["fcr_n"],
-                       fcr_du=cols["fcr_du"], fcr_dd=cols["fcr_dd"],
-                       up_reg=cols["up_reg"], down_reg=cols["down_reg"],
-                       grid_tariff=grid_tariff, tax=tax)
+    return PriceSeries(**cols, grid_tariff=grid_tariff, tax=tax)
 
 
 def write_prices(prices: PriceSeries, path: str | Path,

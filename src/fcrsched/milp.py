@@ -9,7 +9,9 @@ hour's throughput. Realized power is never a column: each step's net power
 is an affine expression of the hour's decisions (`step_power_coeffs`). A
 battery with a positive minimum power gets per-step charge/discharge
 binaries that keep that expression out of (-p_min, p_min). A solution
-stores only the hourly decisions; `step_net_power` rebuilds the powers.
+stores only hourly arrays: the five decisions and the SoE at each hour's
+end. `step_net_power` rebuilds each step's power from the decisions, and
+`step_soe` each step's SoE from the hourly SoE and the decisions.
 
 Variable registry names follow the `family[index]` pattern, e.g. `soe[t=37]`
 or `bid_n[h=5]`; constraint names follow the same pattern. The exact count of
@@ -342,6 +344,14 @@ def step_power_coeffs(contents: EnergyContentSeries) -> dict[str, np.ndarray]:
             "bid_dd": contents.frac_dd, "bid_du": -contents.frac_du}
 
 
+def _per_step(solution, coeffs: dict[str, np.ndarray],
+              contents: EnergyContentSeries) -> np.ndarray:
+    """`sum over families f of coeffs[f][t] * f[h(t)]` for each step t of a
+    day solution's hourly decisions."""
+    hour = np.arange(contents.n_steps) // contents.steps_per_hour
+    return sum(c * getattr(solution, f)[hour] for f, c in coeffs.items())
+
+
 def step_net_power(solution, contents: EnergyContentSeries) -> np.ndarray:
     """Each step's realized net power (MW, charging positive) of a day
     solution, rebuilt from its hourly decisions through `step_power_coeffs`.
@@ -349,9 +359,7 @@ def step_net_power(solution, contents: EnergyContentSeries) -> np.ndarray:
     A magnitude below 1e-9 MW is solver noise and reads as 0, so a step
     either charges, discharges or idles.
     """
-    hour = np.arange(contents.n_steps) // contents.steps_per_hour
-    net = sum(c * getattr(solution, f)[hour]
-              for f, c in step_power_coeffs(contents).items())
+    net = _per_step(solution, step_power_coeffs(contents), contents)
     return np.where(np.abs(net) < 1e-9, 0.0, net)
 
 
@@ -362,13 +370,35 @@ def soe_step_deltas(contents: EnergyContentSeries, spec: BatterySpec,
 
     Efficiencies act on the baseline flows only; activation energy enters
     unscaled. The builder writes the SoE recursion and each hour's mean
-    SoE from these deltas.
+    SoE from these deltas; `step_soe` rebuilds a solution's per-step SoE
+    from them.
     """
     n = contents.n_steps
     return {"ch_bl": np.full(n, spec.eta_ch * dt_h),
             "ds_bl": np.full(n, -dt_h / spec.eta_ds),
             "bid_n": contents.e_dr_n - contents.e_ur_n,
             "bid_dd": contents.e_dr_dd, "bid_du": -contents.e_ur_du}
+
+
+def step_soe(solution, contents: EnergyContentSeries,
+             spec: BatterySpec) -> np.ndarray:
+    """The SoE at the end of each step (MWh) of a day solution, clipped to
+    the spec's window as extraction clips the hour ends.
+
+    Each hour rolls forward through `soe_step_deltas` from the SoE it
+    starts from (`s0`, then the stored end of the hour before). Where that
+    misses the hour's stored end, because extraction clamped a decision
+    the solver left a little below 0 or clipped the end to the window, the
+    miss is spread over the hour's steps in proportion to the share of the
+    hour they close, so every hour ends at its stored state.
+    """
+    sph = contents.steps_per_hour
+    deltas = soe_step_deltas(contents, spec, solution.dt_seconds / 3600.0)
+    flow = _per_step(solution, deltas, contents).reshape(solution.hours, sph)
+    start = np.concatenate(([solution.s0], solution.soe[:-1]))
+    soe = start[:, None] + np.cumsum(flow, axis=1)
+    soe += (solution.soe - soe[:, -1])[:, None] * np.arange(1, sph + 1) / sph
+    return np.clip(soe.ravel(), spec.soe_min, spec.soe_max)
 
 
 def _add_row_group(m: MilpModel, n: int, families: list[tuple]) -> None:
@@ -678,8 +708,10 @@ def validate_solution(model: MilpModel, x: np.ndarray) -> ViolationReport:
 class DaySolution:
     """Semantically unpacked optimum of one day, plus reporting fields.
 
-    The arrays are the five hourly decisions and the per-step SoE; each
-    step's power is not stored but rebuilt by `step_net_power`.
+    Every array holds one value per hour: the five hourly decisions and
+    `soe`, the SoE at the end of each hour, so `soe[-1]` is the SoE the
+    next day starts from. Each step's power and SoE are not stored but
+    rebuilt by `step_net_power` and `step_soe`.
     Post-calculated aging and profit are attached by the orchestrator via
     `dataclasses.replace`; they default to NaN until then.
     """
@@ -717,10 +749,6 @@ class DaySolution:
     def r_fcr(self) -> float:
         return self.r_n + self.r_du + self.r_dd
 
-    @property
-    def n_steps(self) -> int:
-        return self.steps_per_hour * self.hours
-
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         for f in _DAY_ARRAYS:
@@ -736,9 +764,8 @@ class DaySolution:
             kw[f] = np.asarray(kw[f], dtype=float)
         sol = cls(**kw)
         for f in _DAY_ARRAYS:
-            n = sol.n_steps if f == "soe" else sol.hours
-            if getattr(sol, f).shape != (n,):
-                raise ValueError(f"{f} must hold {n} values")
+            if getattr(sol, f).shape != (sol.hours,):
+                raise ValueError(f"{f} must hold {sol.hours} values")
         return sol
 
 
@@ -758,10 +785,12 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
     Each money part is its families' share of the model's own objective,
     so the parts sum to the solver objective; the objective's constant,
     the calendar cost at the first breakpoint, goes to `c_deg_lin`.
-    Tiny negative values are clamped to zero.
+    Tiny negative decisions are clamped to zero. Of the per-step `soe`
+    columns only each hour's last is read, clipped to the SoE window.
     """
     x = np.asarray(x, dtype=float)
     grid = inputs.grid
+    sph = grid.steps_per_hour
     family_cols: dict[str, list[int]] = {}
     for col, name in enumerate(model.var_names):
         family_cols.setdefault(name.split("[", 1)[0], []).append(col)
@@ -783,10 +812,11 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
     hourly = {f: clean(values(f))
               for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd")}
     return DaySolution(
-        day_index=grid.day_index, steps_per_hour=grid.steps_per_hour,
+        day_index=grid.day_index, steps_per_hour=sph,
         hours=grid.hours, dt_seconds=float(grid.step_seconds), s0=inputs.s0,
         **hourly,
-        soe=np.clip(values("soe"), inputs.spec.soe_min, inputs.spec.soe_max),
+        soe=np.clip(values("soe")[sph - 1::sph],     # each hour's last step
+                    inputs.spec.soe_min, inputs.spec.soe_max),
         r_da=share("ds_bl"), r_n=share("bid_n"), r_du=share("bid_du"),
         r_dd=share("bid_dd"), c_da=cost("ch_bl"),
         c_deg_lin=cost("d_cal", "cyc")

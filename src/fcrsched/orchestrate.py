@@ -40,6 +40,7 @@ from .errors import (
 )
 from .ingest import (
     CASES,
+    PRICE_HEADER,
     FrequencyTrace,
     PriceSeries,
     RunConfig,
@@ -54,6 +55,7 @@ from .milp import (
     build_day_model,
     extract_day_solution,
     step_net_power,
+    step_soe,
     validate_solution,
 )
 from .solvers import get_backend
@@ -93,9 +95,8 @@ class DataBundle:
         """Digest of the actual numeric inputs (frequency and prices)."""
         h = hashlib.sha256()
         h.update(self.frequency.values.tobytes())
-        for arr in (self.prices.spot, self.prices.fcr_n, self.prices.fcr_du,
-                    self.prices.fcr_dd, self.prices.up_reg,
-                    self.prices.down_reg):
+        for name in PRICE_HEADER[1:]:
+            arr = getattr(self.prices, name)
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()[:16]
 
@@ -393,7 +394,8 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
                      "deg" if deg else "nodeg", sol.objective, sol.gap,
                      sol.nodes, sol.rounds, result.wall_time)
             cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
-                sol.soe, step_net_power(sol, inputs.contents),
+                step_soe(sol, inputs.contents, spec),
+                step_net_power(sol, inputs.contents),
                 sol.dt_seconds, spec, age_k)
             profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur
             sol = dataclasses.replace(sol, cal_cost=cal_eur, cyc_cost=cyc_eur,

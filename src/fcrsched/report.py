@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .ingest import CASES
+from .ingest import CASES, PRICE_HEADER
 from .orchestrate import BID_ACTIVE_MW, MIX_LABELS, DataBundle, HorizonResult
 
 MONETARY_COLUMNS = ("case", "mode", "profit_eur_yr", "r_da_eur_yr",
@@ -251,9 +251,8 @@ def write_csv(path: str, rows: list[dict], columns) -> None:
 def data_hashes(bundle: DataBundle) -> dict[str, str]:
     freq = hashlib.sha256(bundle.frequency.values.tobytes()).hexdigest()[:16]
     h = hashlib.sha256()
-    for arr in (bundle.prices.spot, bundle.prices.fcr_n, bundle.prices.fcr_du,
-                bundle.prices.fcr_dd, bundle.prices.up_reg,
-                bundle.prices.down_reg):
+    for name in PRICE_HEADER[1:]:
+        arr = getattr(bundle.prices, name)
         h.update(np.ascontiguousarray(arr).tobytes())
     return {"frequency": freq, "prices": h.hexdigest()[:16]}
 

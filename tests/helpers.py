@@ -69,9 +69,12 @@ def audit_solution(inputs: DayInputs, sol) -> dict[str, float]:
     Recomputes every physical requirement directly from the extracted arrays
     and the raw inputs (never through the model rows) and returns the worst
     violation magnitude per family; all zeros (up to float noise) means the
-    schedule is physically consistent. Each step's net power comes from the
-    activation fractions here; `activation_pin` is its distance to the
-    package's own rebuild, `step_net_power`.
+    schedule is physically consistent. Each step's net power and SoE come
+    from the activation fractions and energies here, the SoE rolled forward
+    from `s0` unclipped; `activation_pin` is the power's distance to the
+    package's own rebuild, `step_net_power`, and `soe_hour_end` each hour's
+    final SoE, clipped to the window as extraction clips it, against the
+    stored `sol.soe[h]`.
     """
     spec, grid, cont = inputs.spec, inputs.grid, inputs.contents
     sph, dt = grid.steps_per_hour, grid.dt_hours
@@ -86,7 +89,30 @@ def audit_solution(inputs: DayInputs, sol) -> dict[str, float]:
     from fcrsched.ingest import CASE_MARKETS
     allowed = CASE_MARKETS[inputs.case_id]
 
+    rebuilt = step_net_power(sol, cont)
+    soe = [inputs.s0]           # soe[t + 1]: the SoE at the end of step t
+    for t in range(grid.n_steps):
+        h = t // sph
+        # the realized net power: baseline plus droop activation of the bids
+        net = (ch[h] - ds[h]
+               + (cont.frac_nd[t] - cont.frac_nu[t]) * bid["N"][h]
+               + cont.frac_dd[t] * bid["DD"][h]
+               - cont.frac_du[t] * bid["DU"][h])
+        note("step_bounds", abs(net) - spec.p_max)
+        if spec.p_min > 0.0 and abs(net) > 1e-9:
+            note("step_min", spec.p_min - abs(net))
+        note("activation_pin", abs(rebuilt[t] - net))
+        flow = (spec.eta_ch * ch[h] - ds[h] / spec.eta_ds) * dt \
+            + (cont.e_dr_n[t] - cont.e_ur_n[t]) * bid["N"][h] \
+            + cont.e_dr_dd[t] * bid["DD"][h] \
+            - cont.e_ur_du[t] * bid["DU"][h]
+        soe.append(soe[-1] + flow)
+        note("soe_window", max(spec.soe_min - soe[-1],
+                               soe[-1] - spec.soe_max))
+
     for h in range(grid.hours):
+        end = min(max(soe[(h + 1) * sph], spec.soe_min), spec.soe_max)
+        note("soe_hour_end", abs(end - sol.soe[h]))
         note("baseline_bounds", max(-ch[h], ch[h] - spec.p_max,
                                     -ds[h], ds[h] - spec.p_max))
         note("baseline_excl", min(ch[h], ds[h]))
@@ -109,7 +135,7 @@ def audit_solution(inputs: DayInputs, sol) -> dict[str, float]:
              + 0.2 * bid["DD"][h] - net - spec.p_max)
         note("req_dn", 1.34 * bid["N"][h] + bid["DD"][h]
              + 0.2 * bid["DU"][h] + net - spec.p_max)
-        start = inputs.s0 if h == 0 else sol.soe[h * sph - 1]
+        start = soe[h * sph]
         for off in (net,
                     (net + bid["N"][h] + bid["DD"][h]) / 3.0,
                     (net - bid["N"][h] - bid["DU"][h]) / 3.0,
@@ -117,28 +143,6 @@ def audit_solution(inputs: DayInputs, sol) -> dict[str, float]:
                     net - bid["N"][h] - bid["DU"][h] / 3.0):
             note("endurance", max(spec.soe_min - (start + off),
                                   (start + off) - spec.soe_max))
-
-    rebuilt = step_net_power(sol, cont)
-    prev = inputs.s0
-    for t in range(grid.n_steps):
-        h = t // sph
-        # the realized net power: baseline plus droop activation of the bids
-        net = (ch[h] - ds[h]
-               + (cont.frac_nd[t] - cont.frac_nu[t]) * bid["N"][h]
-               + cont.frac_dd[t] * bid["DD"][h]
-               - cont.frac_du[t] * bid["DU"][h])
-        note("step_bounds", abs(net) - spec.p_max)
-        if spec.p_min > 0.0 and abs(net) > 1e-9:
-            note("step_min", spec.p_min - abs(net))
-        note("activation_pin", abs(rebuilt[t] - net))
-        flow = (spec.eta_ch * ch[h] - ds[h] / spec.eta_ds) * dt \
-            + (cont.e_dr_n[t] - cont.e_ur_n[t]) * bid["N"][h] \
-            + cont.e_dr_dd[t] * bid["DD"][h] \
-            - cont.e_ur_du[t] * bid["DU"][h]
-        note("soe_recursion", abs(sol.soe[t] - prev - flow))
-        note("soe_window", max(spec.soe_min - sol.soe[t],
-                               sol.soe[t] - spec.soe_max))
-        prev = sol.soe[t]
     return viol
 
 

@@ -202,9 +202,8 @@ def test_zero_baseline_fcrn_bid_capped_by_endurance_at_0p4_mw():
         inputs = day_inputs(seed=11, case="FCR_N", s0=s0, prices=fat,
                             force_zero_baseline=True)
         _, _, sol = solve_day(inputs)
-        sph = inputs.grid.steps_per_hour
         for h in range(inputs.grid.hours):
-            start = s0 if h == 0 else sol.soe[h * sph - 1]
+            start = s0 if h == 0 else sol.soe[h - 1]
             cap = min(start - spec.soe_min, spec.soe_max - start) / 1.0
             assert sol.bid_n[h] <= cap + 1e-6, (s0, h)
 

@@ -200,6 +200,24 @@ def test_post_calculated_aging_matches_manual_loop():
     assert cyc_eur == pytest.approx(want_cyc * scale, rel=1e-12)
 
 
+@pytest.mark.parametrize("frac", [0.5, 0.7])
+def test_realized_calendar_cost_reads_noise_at_a_breakpoint_as_the_breakpoint(
+        frac):
+    # G jumps +1.9 % above 50 % SoC and +0.7 % above 70 %; the LP puts the
+    # SoE on those breakpoints, so solver noise must not pick the upper span
+    n = 96
+    zeros = np.zeros(n)
+
+    def cal_pct(soe: float) -> float:
+        return post_calculate_aging(np.full(n, soe), zeros, 900.0, SPEC,
+                                    40.0)[2]
+
+    at = cal_pct(frac * SPEC.capacity)
+    assert cal_pct(frac * SPEC.capacity + 1e-12) == at
+    assert cal_pct(frac * SPEC.capacity - 1e-12) == at
+    assert cal_pct(frac * SPEC.capacity + 1e-6) > 1.005 * at
+
+
 def test_aging_reads_capacity_temperature_and_npv_from_the_spec():
     # every other aging test runs on the default spec, where a function that
     # read a default in place of the spec's field would still pass

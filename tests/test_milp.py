@@ -21,7 +21,12 @@ from fcrsched import (
     energy_content,
     model_size,
 )
-from fcrsched.milp import soe_step_deltas, step_net_power, validate_solution
+from fcrsched.milp import (
+    soe_step_deltas,
+    step_net_power,
+    step_soe,
+    validate_solution,
+)
 
 from helpers import (
     audit_solution,
@@ -396,6 +401,7 @@ def test_audit_clean_on_solved_days():
             _, _, sol = solve_day(inp)
             worst = audit_solution(inp, sol)
             assert max(worst.values()) <= 1e-6, worst
+            assert worst["soe_hour_end"] <= 1e-9, worst
 
 
 def test_validator_flags_injected_violation():
@@ -447,6 +453,12 @@ def test_min_bid_semantics():
         assert np.all(nz >= 0.1 - 1e-9)
 
 
+def soe_columns(model, x) -> np.ndarray:
+    """The solved model's per-step `soe[t]` columns."""
+    return x[[c for c, name in enumerate(model.var_names)
+              if name.startswith("soe[")]]
+
+
 def test_degradation_term_in_objective():
     inp = day_inputs(seed=9, hours=2, deg=True)
     model, res, sol = solve_day(inp)
@@ -454,7 +466,8 @@ def test_degradation_term_in_objective():
     dt_h, sph = inp.grid.dt_hours, inp.grid.steps_per_hour
     cyc = inp.cyc_lin.k_cyc * dt_h * float(np.sum(
         hourly_cycle_bound(inp, sol)))
-    hour_means = sol.soe.reshape(inp.grid.hours, sph).mean(axis=1)
+    hour_means = soe_columns(model, res.x).reshape(
+        inp.grid.hours, sph).mean(axis=1)
     cal = sum(sph * inp.cal_lin.cost_at(float(s)) for s in hour_means)
     assert sol.c_deg_lin == pytest.approx(cyc + cal, abs=1e-6)
     assert sol.c_deg_lin >= 0.0
@@ -531,11 +544,12 @@ def test_calendar_pieces_select_correct_segment():
     segs = inp.cal_lin.segments
     sph = inp.grid.steps_per_hour
     assert inp.cal_lin.falling_kinks == (2,)
+    soe = step_soe(sol, inp.contents, inp.spec)
     picks = set()
     for h in range(inp.grid.hours):
         d = [res.x[model.col(f"d_cal[h={h},k={k}]")] for k in range(3)]
         y = res.x[model.col(f"y_cal[h={h},j=2]")]
-        mean_soe = float(np.mean(sol.soe[h * sph:(h + 1) * sph]))
+        mean_soe = float(np.mean(soe[h * sph:(h + 1) * sph]))
         assert sum(d) == pytest.approx(mean_soe, abs=1e-6)
         # segments fill in order: full below the mean, empty above it
         for k, seg in enumerate(segs):
@@ -576,7 +590,8 @@ def test_calendar_cost_exact_over_kink_patterns(pattern):
     dt_h, sph = inp.grid.dt_hours, inp.grid.steps_per_hour
     cyc = inp.cyc_lin.k_cyc * dt_h * float(np.sum(
         hourly_cycle_bound(inp, sol)))
-    hour_means = sol.soe.reshape(inp.grid.hours, sph).mean(axis=1)
+    hour_means = step_soe(sol, inp.contents, inp.spec).reshape(
+        inp.grid.hours, sph).mean(axis=1)
     assert hour_means.max() > inp.cal_lin.segments[2].lo_mwh
     cal = sum(sph * inp.cal_lin.cost_at(float(s)) for s in hour_means)
     assert sol.c_deg_lin == pytest.approx(cyc + cal, abs=1e-6)
@@ -585,14 +600,47 @@ def test_calendar_cost_exact_over_kink_patterns(pattern):
 
 
 def test_extract_roundtrip_to_dict():
-    inp = day_inputs(seed=11, hours=2)
+    inp = day_inputs(seed=11, hours=2, steps_per_hour=4)
     _, _, sol = solve_day(inp)
     from fcrsched import DaySolution
+    # every stored array is hourly
+    arrays = {k: len(v) for k, v in sol.to_dict().items()
+              if isinstance(v, list)}
+    assert arrays == dict.fromkeys(
+        ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd", "soe"), 2)
     clone = DaySolution.from_dict(sol.to_dict())
     np.testing.assert_array_equal(clone.soe, sol.soe)
     np.testing.assert_array_equal(clone.bid_n, sol.bid_n)
     assert clone.objective == sol.objective
     assert clone.status == sol.status
+
+
+@pytest.mark.parametrize("deg", [False, True], ids=["nodeg", "deg"])
+def test_step_soe_is_the_solved_soe_columns(deg):
+    inp = day_inputs(seed=3, hours=24, steps_per_hour=4, deg=deg)
+    model, res, sol = solve_day(inp)
+    rebuilt = step_soe(sol, inp.contents, inp.spec)
+    columns = soe_columns(model, res.x)
+    assert rebuilt.shape == (inp.grid.n_steps,)
+    np.testing.assert_allclose(rebuilt, columns, rtol=0.0, atol=1e-9)
+    # the stored SoE is each hour's last column, clipped to the window
+    np.testing.assert_array_equal(sol.soe, np.clip(
+        columns[3::4], inp.spec.soe_min, inp.spec.soe_max))
+    np.testing.assert_allclose(rebuilt[3::4], sol.soe, rtol=0.0, atol=1e-15)
+
+
+def test_step_soe_spreads_a_missed_hour_end_over_the_hour():
+    # an hour whose decisions do not reach its stored end, as when
+    # extraction clamps a solver value a little below 0: its steps move by
+    # their share of the miss, and the next hour starts from the stored end
+    inp = day_inputs(seed=3, hours=4, steps_per_hour=4, s0=0.5)
+    _, _, sol = solve_day(inp)
+    exact = step_soe(sol, inp.contents, inp.spec)
+    moved = dataclasses.replace(sol, soe=sol.soe + [0.0, 4e-8, 0.0, 0.0])
+    np.testing.assert_allclose(
+        step_soe(moved, inp.contents, inp.spec) - exact,
+        1e-8 * np.array([0, 0, 0, 0, 1, 2, 3, 4, 3, 2, 1, 0, 0, 0, 0, 0]),
+        rtol=0.0, atol=1e-15)
 
 
 def test_validate_rejects_wrong_length():

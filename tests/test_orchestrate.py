@@ -105,6 +105,7 @@ def test_run_case_solutions_pass_physical_audit(tmp_path):
             cfg.degradation_in_objective)
         worst = audit_solution(inputs, sol)
         assert max(worst.values()) <= 1e-6, worst
+        assert worst["soe_hour_end"] <= 1e-9, worst
         s0 = float(sol.soe[-1])
 
 
@@ -293,6 +294,9 @@ CHECKPOINT_DAMAGE = {
     "field_missing": lambda payload: payload["solution"].pop("soe"),
     "unknown_key": lambda payload: payload["solution"].update(extra=1.0),
     "soe_empty": lambda payload: payload["solution"].update(soe=[]),
+    # the format that stored the SoE of every step, T = 4 hours x 4 steps
+    "soe_per_step": lambda payload: payload["solution"].update(
+        soe=np.repeat(payload["solution"]["soe"], 4).tolist()),
 }
 
 

@@ -301,6 +301,15 @@ def test_write_report_empty_raises(tmp_path):
         write_report({}, str(tmp_path))
 
 
+def test_data_digests_are_pinned(tmp_path):
+    # every checkpoint records the bundle's data hash, so digests that
+    # change their bytes make every checkpoint stale
+    bundle = load_bundle(toy_config(tmp_path, days=(0, 1)), synthetic_seed=7)
+    assert bundle.data_hash() == "a58108da23e20617"
+    assert data_hashes(bundle) == {"frequency": "9f9d6fea547445fc",
+                                   "prices": "49aac38d820da915"}
+
+
 def test_data_hashes_sensitivity(tmp_path):
     cfg = toy_config(tmp_path)
     a = data_hashes(load_bundle(cfg, synthetic_seed=7))
