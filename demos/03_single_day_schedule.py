@@ -49,8 +49,7 @@ print(f"model: {size['n_vars']} variables "
 model = build_day_model(inputs)
 result = solve_scipy(model, mip_gap=1e-6)
 assert result.ok, result.status
-sol = extract_day_solution(model, result.x, inputs,
-                           result.status, result.gap, result.wall_time)
+sol = extract_day_solution(model, result, inputs)
 print(f"solved in {result.wall_time:.2f} s, objective "
       f"{sol.objective:,.2f} EUR\n")
 
@@ -68,7 +67,8 @@ print(f"cost: charged energy {sol.c_da:,.2f} EUR")
 
 # The state of energy always stays inside the usable window, including
 # under the worst-case activation scenarios the constraints guard against.
-# Each step's SoE is rebuilt from the stored hourly SoE and decisions.
+# Each step's SoE is rebuilt by rolling the start SoE forward through the
+# stored hourly decisions.
 soe = step_soe(sol, inputs.contents, spec)
 assert np.all(soe >= spec.soe_min - 1e-9)
 assert np.all(soe <= spec.soe_max + 1e-9)

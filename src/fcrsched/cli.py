@@ -11,7 +11,8 @@ Subcommands:
 * ``fcr-sched export-model --config cfg.json --day D [--format mps]`` -
   write one day's optimization model to a solver-exchange file: the model
   ``run`` solves for that day, started from day D-1's checkpointed final
-  SoE when a matching checkpoint exists (else from ``initial_soe``).
+  SoE when ``run`` would reuse the checkpoint of every configured day
+  before D (else from ``initial_soe``).
 
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 data error.
 """

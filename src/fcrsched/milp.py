@@ -11,7 +11,7 @@ battery with a positive minimum power gets per-step charge/discharge
 binaries that keep that expression out of (-p_min, p_min). A solution
 stores only hourly arrays: the five decisions and the SoE at each hour's
 end. `step_net_power` rebuilds each step's power from the decisions, and
-`step_soe` each step's SoE from the hourly SoE and the decisions.
+`step_soe` each step's SoE by rolling the start SoE forward through them.
 
 Variable registry names follow the `family[index]` pattern, e.g. `soe[t=37]`
 or `bid_n[h=5]`; constraint names follow the same pattern. The exact count of
@@ -21,8 +21,10 @@ variables, binaries and rows for a given configuration is the closed form in
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +36,9 @@ from .errors import (
     RegistryMiss,
 )
 from .ingest import CASE_MARKETS, BatterySpec, PriceSeries, TimeGrid
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .solvers import SolveResult
 
 REQ_FACTOR_OWN = 1.34   # reserve power required in the bid's own direction
 REQ_FACTOR_OPP = 0.2    # availability required in the opposite direction
@@ -382,23 +387,16 @@ def soe_step_deltas(contents: EnergyContentSeries, spec: BatterySpec,
 
 def step_soe(solution, contents: EnergyContentSeries,
              spec: BatterySpec) -> np.ndarray:
-    """The SoE at the end of each step (MWh) of a day solution, clipped to
-    the spec's window as extraction clips the hour ends.
+    """The SoE at the end of each step (MWh) of a day solution: `s0` rolled
+    forward through `soe_step_deltas` by the hourly decisions, clipped to
+    the spec's window.
 
-    Each hour rolls forward through `soe_step_deltas` from the SoE it
-    starts from (`s0`, then the stored end of the hour before). Where that
-    misses the hour's stored end, because extraction clamped a decision
-    the solver left a little below 0 or clipped the end to the window, the
-    miss is spread over the hour's steps in proportion to the share of the
-    hour they close, so every hour ends at its stored state.
+    Extraction stores this roll-forward's hour ends as the solution's
+    `soe`, so the SoE a day hands on is the one its stored decisions reach.
     """
-    sph = contents.steps_per_hour
     deltas = soe_step_deltas(contents, spec, solution.dt_seconds / 3600.0)
-    flow = _per_step(solution, deltas, contents).reshape(solution.hours, sph)
-    start = np.concatenate(([solution.s0], solution.soe[:-1]))
-    soe = start[:, None] + np.cumsum(flow, axis=1)
-    soe += (solution.soe - soe[:, -1])[:, None] * np.arange(1, sph + 1) / sph
-    return np.clip(soe.ravel(), spec.soe_min, spec.soe_max)
+    soe = solution.s0 + np.cumsum(_per_step(solution, deltas, contents))
+    return np.clip(soe, spec.soe_min, spec.soe_max)
 
 
 def _add_row_group(m: MilpModel, n: int, families: list[tuple]) -> None:
@@ -663,6 +661,8 @@ class Violation:
 class ViolationReport:
     violations: tuple[Violation, ...]
     tolerance: float
+    rows: np.ndarray        # indices of the violated rows
+    columns: np.ndarray     # indices of columns out of bounds or fractional
 
     @property
     def ok(self) -> bool:
@@ -685,8 +685,9 @@ def validate_solution(model: MilpModel, x: np.ndarray) -> ViolationReport:
     bound_gap = np.where(np.isfinite(x), np.maximum(lb - x, x - ub), np.inf)
     frac = np.where(model.is_binary, np.abs(x - np.round(x)), 0.0)
     found: list[Violation] = []
-    for col in np.flatnonzero((bound_gap > VALIDATION_TOL)
-                              | (frac > VALIDATION_TOL)):
+    bad_cols = np.flatnonzero((bound_gap > VALIDATION_TOL)
+                              | (frac > VALIDATION_TOL))
+    for col in bad_cols:
         name = model.var_names[col]
         if bound_gap[col] > VALIDATION_TOL:
             found.append(Violation(name, "bounds", float(bound_gap[col])))
@@ -695,11 +696,13 @@ def validate_solution(model: MilpModel, x: np.ndarray) -> ViolationReport:
     rows, cols, vals, lo, hi = model.triplets()
     lhs = np.bincount(rows, weights=vals * x[cols], minlength=model.n_rows)
     row_gap = np.maximum(lo - lhs, lhs - hi)
-    for r in np.flatnonzero(row_gap > VALIDATION_TOL):
+    bad_rows = np.flatnonzero(row_gap > VALIDATION_TOL)
+    for r in bad_rows:
         name = model.row_names[r]
         found.append(Violation(name, name.split("[", 1)[0],
                                float(row_gap[r])))
-    return ViolationReport(violations=tuple(found), tolerance=VALIDATION_TOL)
+    return ViolationReport(violations=tuple(found), tolerance=VALIDATION_TOL,
+                           rows=bad_rows, columns=bad_cols)
 
 
 # -- extraction --------------------------------------------------------------
@@ -710,8 +713,10 @@ class DaySolution:
 
     Every array holds one value per hour: the five hourly decisions and
     `soe`, the SoE at the end of each hour, so `soe[-1]` is the SoE the
-    next day starts from. Each step's power and SoE are not stored but
-    rebuilt by `step_net_power` and `step_soe`.
+    next day starts from. `soe` is the hour ends of `step_soe`, the
+    decisions rolled forward from `s0`, not a solver column. Each step's
+    power and SoE are not stored but rebuilt by `step_net_power` and
+    `step_soe`.
     Post-calculated aging and profit are attached by the orchestrator via
     `dataclasses.replace`; they default to NaN until then.
     """
@@ -774,21 +779,22 @@ _DAY_ARRAYS = tuple(f.name for f in fields(DaySolution)
                     if f.type == "np.ndarray")
 
 
-def extract_day_solution(model: MilpModel, x: np.ndarray,
-                         inputs: DayInputs,
-                         status: str = "Optimal", gap: float = 0.0,
-                         wall_time: float = 0.0, nodes: int = 0,
-                         rounds: int = 0) -> DaySolution:
-    """Unpack a solution vector into market units, one variable family
-    (the registry name before `[`) at a time.
+def extract_day_solution(model: MilpModel, result: SolveResult,
+                         inputs: DayInputs) -> DaySolution:
+    """Unpack a solve's point into market units, one variable family (the
+    registry name before `[`) at a time; status, gap, wall time, nodes
+    and rounds come from the solve's result.
 
     Each money part is its families' share of the model's own objective,
     so the parts sum to the solver objective; the objective's constant,
     the calendar cost at the first breakpoint, goes to `c_deg_lin`.
-    Tiny negative decisions are clamped to zero. Of the per-step `soe`
-    columns only each hour's last is read, clipped to the SoE window.
+    Tiny negative decisions are clamped to zero. Besides the objective,
+    only the five hourly decision families are read: `soe` is their
+    roll-forward from `s0` (`step_soe`), not the solver's `soe` columns,
+    so the stored SoE telescopes over the stored decisions also where the
+    solver used a decision a little below 0 that extraction clamped.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(result.x, dtype=float)
     grid = inputs.grid
     sph = grid.steps_per_hour
     family_cols: dict[str, list[int]] = {}
@@ -811,16 +817,17 @@ def extract_day_solution(model: MilpModel, x: np.ndarray,
 
     hourly = {f: clean(values(f))
               for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd")}
-    return DaySolution(
+    sol = DaySolution(
         day_index=grid.day_index, steps_per_hour=sph,
         hours=grid.hours, dt_seconds=float(grid.step_seconds), s0=inputs.s0,
-        **hourly,
-        soe=np.clip(values("soe")[sph - 1::sph],     # each hour's last step
-                    inputs.spec.soe_min, inputs.spec.soe_max),
+        **hourly, soe=np.full(grid.hours, math.nan),
         r_da=share("ds_bl"), r_n=share("bid_n"), r_du=share("bid_du"),
         r_dd=share("bid_dd"), c_da=cost("ch_bl"),
         c_deg_lin=cost("d_cal", "cyc")
         - model.objective_const,
         objective=model.objective_value(x),
-        status=status, gap=gap, nodes=nodes, rounds=rounds,
-        wall_time=wall_time)
+        status=result.status, gap=result.gap, nodes=result.nodes,
+        rounds=result.rounds, wall_time=result.wall_time)
+    # the roll-forward reads the solution's own decisions
+    return dataclasses.replace(sol, soe=step_soe(
+        sol, inputs.contents, inputs.spec)[sph - 1::sph])

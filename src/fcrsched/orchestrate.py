@@ -21,6 +21,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,53 +236,71 @@ def _write_checkpoint(path: str, config_hash: str, data_hash: str,
     os.replace(tmp, path)
 
 
-def _load_checkpoint(path: str) -> dict:
-    """A checkpoint's payload; empty when absent. A file that holds no JSON
-    object raises DataError."""
+# `_read_day`'s reason for a day whose checkpoint file does not exist
+_NEVER_SOLVED = "was never solved"
+
+
+class _Checkpoint(NamedTuple):
+    """What one read of a day's checkpoint found."""
+
+    solution: DaySolution | None    # the solution `run_case` would reuse
+    why: str                        # why it would not, when it is None
+    data_hash: str | None           # the data hash the file records
+
+
+def _read_day(config: RunConfig, config_hash: str, data_hash: str | None,
+              case_id: str, deg: bool, k: int, s0: float) -> _Checkpoint:
+    """Read the checkpoint of the k-th configured day once.
+
+    `run_case` reuses it when it records the configuration hash
+    `config_hash`, the data hash `data_hash` (any, when None), the case,
+    the degradation mode and the day, and started from `s0`; otherwise
+    `why` says which of these differs. A file that cannot be read or
+    holds no JSON object, or a matching one whose solution is missing or
+    does not rebuild a `DaySolution`, raises DataError naming the file.
+    """
+    day = config.days[k]
+    path = _checkpoint_path(_run_dir(config, case_id, deg), day)
     try:
         with open(path, encoding="ascii") as fh:
             payload = json.load(fh)
-    except OSError:
-        return {}
+    except FileNotFoundError:
+        return _Checkpoint(None, _NEVER_SOLVED, None)
+    except OSError as exc:
+        raise DataError(f"{path}: not readable ({exc})") from exc
     except ValueError as exc:
         raise DataError(f"{path}: not a JSON checkpoint ({exc})") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{path}: not a JSON checkpoint object")
-    return payload
-
-
-def _mismatch(payload: dict, config_hash: str, data_hash: str, case_id: str,
-              deg: bool, day: int) -> tuple | None:
-    """`(field, recorded, expected)` for the first field of a checkpoint
-    that belongs to another run; None when all match."""
-    expected = {"config_hash": config_hash, "data_hash": data_hash,
+    recorded = payload.get("data_hash")
+    expected = {"config_hash": config_hash,
+                "data_hash": recorded if data_hash is None else data_hash,
                 "case_id": case_id, "degradation_in_objective": deg,
                 "day": day}
-    return next(((k, payload.get(k), v) for k, v in expected.items()
-                 if payload.get(k) != v), None)
-
-
-def _read_checkpoint(path: str, config_hash: str, data_hash: str,
-                     case_id: str, deg: bool, day: int,
-                     s0: float | None) -> DaySolution | None:
-    """Load a matching checkpoint; None when absent or stale.
-
-    With `s0` given, a checkpoint that started from another SoE is stale.
-    A checkpoint that holds no JSON object, or a matching one whose
-    solution is missing or does not rebuild a `DaySolution`, raises
-    DataError naming the file.
-    """
-    payload = _load_checkpoint(path)
-    if _mismatch(payload, config_hash, data_hash, case_id, deg, day):
-        return None
+    for field, want in expected.items():
+        got = payload.get(field)
+        if got == want:
+            continue
+        if field == "config_hash":
+            why = (f"was produced under a different configuration "
+                   f"(configuration hash {got}, not {want})")
+        elif field == "data_hash":
+            why = (f"was solved on a different data set than day "
+                   f"{config.days[0]} (data hash {got}, not {want})")
+        else:
+            why = f"records {field} {got!r}, not {want!r}"
+        return _Checkpoint(None, why, recorded)
     try:
         sol = DaySolution.from_dict(payload["solution"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: the checkpoint of day {day} is damaged "
                         f"({type(exc).__name__}: {exc})") from exc
-    if s0 is not None and abs(sol.s0 - s0) > 1e-9:
-        return None  # carry-over changed upstream; recompute
-    return sol
+    if abs(sol.s0 - s0) > 1e-9:     # carry-over changed upstream
+        start = "the configured initial SoE" if k == 0 \
+            else f"the final SoE of day {config.days[k - 1]}"
+        return _Checkpoint(None, f"started from SoE {sol.s0!r}, but {start} "
+                                 f"is {s0!r}", recorded)
+    return _Checkpoint(sol, "", recorded)
 
 
 # -- one day's model inputs ------------------------------------------------------
@@ -317,21 +336,21 @@ def day_inputs(bundle: DataBundle, day: int, s0: float, age: float,
 
 
 def carried_soe(bundle: DataBundle, case_id: str, deg: bool, k: int) -> float:
-    """Start SoE of the k-th configured day: the final SoE of day k-1's
-    checkpoint when it matches this configuration and data, else
-    `initial_soe`."""
+    """Start SoE of the k-th configured day: the final SoE of day k-1 when,
+    walking the days before it from `initial_soe`, `run_case` would reuse
+    the checkpoint of every one of them; else `initial_soe`."""
     cfg = bundle.config
-    if k > 0:
-        prev = cfg.days[k - 1]
-        path = _checkpoint_path(_run_dir(cfg, case_id, deg), prev)
-        sol = None
-        with contextlib.suppress(DataError):    # damaged: as if absent
-            sol = _read_checkpoint(path, cfg.config_hash(),
-                                   bundle.data_hash(), case_id, deg, prev,
-                                   None)
-        if sol is not None:
-            return float(sol.soe[-1])
-    return cfg.initial_soe
+    chash, dhash = cfg.config_hash(), bundle.data_hash()
+    s0 = cfg.initial_soe
+    for j in range(k):
+        try:
+            sol = _read_day(cfg, chash, dhash, case_id, deg, j, s0).solution
+        except DataError:
+            sol = None
+        if sol is None:
+            return cfg.initial_soe
+        s0 = float(sol.soe[-1])
+    return s0
 
 
 # -- the horizon loop ---------------------------------------------------------
@@ -366,7 +385,7 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
         sol = None
         if resume:
             try:
-                sol = _read_checkpoint(ckpt, chash, dhash, case, deg, day, s0)
+                sol = _read_day(cfg, chash, dhash, case, deg, k, s0).solution
             except DataError as exc:
                 log.warning("%s; solving the day again", exc)
         if sol is None:
@@ -384,11 +403,7 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
                 worst = report.worst_by_family()
                 _write_failure(run_dir, day, "InvalidSolution", str(worst))
                 raise SolverFailure(day, f"solution violates {worst}")
-            sol = extract_day_solution(model, result.x, inputs,
-                                       status=result.status, gap=result.gap,
-                                       wall_time=result.wall_time,
-                                       nodes=result.nodes,
-                                       rounds=result.rounds)
+            sol = extract_day_solution(model, result, inputs)
             log.info("day %d case %s (%s): objective %.2f EUR, gap %.2e, "
                      "%d nodes in %d rounds in %.2fs", day, case,
                      "deg" if deg else "nodeg", sol.objective, sol.gap,
@@ -464,37 +479,17 @@ def load_horizon(config: RunConfig, case_id: str,
     chash = config.config_hash()
     dhash = None
     s0 = config.initial_soe
-    start = "the configured initial SoE"
     solutions = []
-    for day in config.days:
+    for k, day in enumerate(config.days):
+        sol, why, dhash = _read_day(config, chash, dhash, case_id,
+                                    degradation_in_objective, k, s0)
         path = _checkpoint_path(run_dir, day)
-        if not os.path.exists(path):
-            raise MissingFile(f"{path} (day {day} was never solved)")
-        if dhash is None:
-            dhash = _load_checkpoint(path).get("data_hash")
-        sol = _read_checkpoint(path, chash, dhash, case_id,
-                               degradation_in_objective, day, s0)
+        if why == _NEVER_SOLVED:
+            raise MissingFile(f"{path} (day {day} {why})")
         if sol is None:
-            payload = _load_checkpoint(path)
-            field, recorded, expected = _mismatch(
-                payload, chash, dhash, case_id, degradation_in_objective,
-                day) or (None, None, None)
-            if field == "config_hash":
-                why = (f"was produced under a different configuration "
-                       f"(configuration hash {recorded}, not {expected})")
-            elif field == "data_hash":
-                why = (f"was solved on a different data set than day "
-                       f"{config.days[0]} (data hash {recorded}, not "
-                       f"{expected})")
-            elif field is not None:
-                why = f"records {field} {recorded!r}, not {expected!r}"
-            else:
-                why = (f"started from SoE {payload['solution']['s0']!r}, "
-                       f"but {start} is {s0!r}")
             raise ConfigError(f"{path}: day {day} {why}")
         solutions.append(sol)
         s0 = float(sol.soe[-1])
-        start = f"the final SoE of day {day}"
     return HorizonResult(case_id=case_id,
                          degradation_in_objective=degradation_in_objective,
                          config=config, days=tuple(solutions))

@@ -31,6 +31,11 @@ BID_STAT_COLUMNS = ("case", "mode", "market", "hours_active", "share_active",
 DELTA_COLUMNS = ("case", "aging_pct_yr_deg", "aging_pct_yr_nodeg",
                  "aging_delta_pct_yr", "profit_eur_yr_deg",
                  "profit_eur_yr_nodeg", "profit_delta_eur_yr")
+DAY_COLUMNS = ("case", "mode", "day", "profit_eur", "r_da_eur", "r_n_eur",
+               "r_du_eur", "r_dd_eur", "c_da_eur", "cal_pct", "cyc_pct",
+               "soe_end_mwh", "objective_eur", "status")
+HISTOGRAM_COLUMNS = ("case", "mode", "market", "bin_lo_mw", "bin_hi_mw",
+                     "count")
 
 
 def quartiles(values) -> tuple[float, float, float, float, float]:
@@ -272,11 +277,7 @@ def write_report(results: dict[tuple[str, str], HorizonResult], outdir: str,
         "market_mix.csv": (market_mix_table(results), MIX_COLUMNS),
         "bid_stats.csv": (bid_stats_table(results), BID_STAT_COLUMNS),
         "aging_delta.csv": (aging_delta_table(results), DELTA_COLUMNS),
-        "days.csv": (day_table(results), ("case", "mode", "day", "profit_eur",
-                                          "r_da_eur", "r_n_eur", "r_du_eur",
-                                          "r_dd_eur", "c_da_eur", "cal_pct",
-                                          "cyc_pct", "soe_end_mwh",
-                                          "objective_eur", "status")),
+        "days.csv": (day_table(results), DAY_COLUMNS),
     }
     hist_rows = []
     for (case, mode), res in _sorted_results(results):
@@ -290,8 +291,7 @@ def write_report(results: dict[tuple[str, str], HorizonResult], outdir: str,
                     "bin_hi_mw": float(edges[k + 1]),
                     "count": int(counts[k]),
                 })
-    files["bid_histogram.csv"] = (
-        hist_rows, ("case", "mode", "market", "bin_lo_mw", "bin_hi_mw", "count"))
+    files["bid_histogram.csv"] = (hist_rows, HISTOGRAM_COLUMNS)
 
     digests = {}
     for name, (rows, columns) in sorted(files.items()):

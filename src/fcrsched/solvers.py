@@ -45,7 +45,7 @@ from .errors import (
     TooLarge,
     UnsupportedFormat,
 )
-from .milp import MilpModel, validate_solution
+from .milp import MilpModel, ViolationReport, validate_solution
 from .simplex import solve_lp
 
 MICRO_MAX_BINARIES = 24
@@ -1013,7 +1013,7 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
         if res.status == 1:
             return timed_out()
         repaired = None if report.ok \
-            else _repair_rounding(model, least, x, report.violations)
+            else _repair_rounding(model, least, x, report)
         left = time_limit_s - (time.perf_counter() - t0)
         if repaired is not None and left > 0.0:
             low, high = lb.copy(), ub.copy()
@@ -1034,8 +1034,12 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
                     return result("Optimal", y, obj, gap)
             else:
                 log.debug("%s", text)
-        new = _violated_columns(model, report.violations) & binary \
-            & ~enforced
+        # enforce the binaries out of bounds, fractional or in a broken row
+        rows, cols = model.triplets()[:2]
+        new = np.zeros(n, dtype=bool)
+        new[report.columns] = True
+        new[cols[np.isin(rows, report.rows)]] = True
+        new &= binary & ~enforced
         enforced = enforced | new if new.any() else binary
 
 
@@ -1278,7 +1282,7 @@ def _round_binaries(model: MilpModel, x: np.ndarray,
 
 
 def _repair_rounding(model: MilpModel, least: np.ndarray, x: np.ndarray,
-                     violations) -> np.ndarray | None:
+                     report: ViolationReport) -> np.ndarray | None:
     """`x` with every violated row brought back within its bound by setting
     binaries to 0, or None unless each violation is a `<=` row that holds
     binaries alone, with positive entries.
@@ -1288,9 +1292,9 @@ def _repair_rounding(model: MilpModel, least: np.ndarray, x: np.ndarray,
     them; the others go to 0. For an exclusivity row this keeps the larger
     flow's direction.
     """
-    bad = _violated_rows(model, violations)
-    if len(bad) < len(violations):      # a column out of bounds or fractional
+    if report.columns.size:     # a column out of bounds or fractional
         return None
+    bad = report.rows
     rows, cols, vals, lo, hi = model.triplets()
     starts = _starts(rows, model.n_rows)
     binary = np.array(model.is_binary, dtype=bool)
@@ -1309,25 +1313,6 @@ def _repair_rounding(model: MilpModel, least: np.ndarray, x: np.ndarray,
             else:
                 x[col] = 0.0
     return x
-
-
-def _violated_rows(model: MilpModel, violations) -> list[int]:
-    """Indices of the rows that `validate_solution` found violated."""
-    row_index = {name: i for i, name in enumerate(model.row_names)}
-    return [row_index[v.name] for v in violations
-            if v.family not in ("bounds", "integrality")]
-
-
-def _violated_columns(model: MilpModel, violations) -> np.ndarray:
-    """Mask of the columns that `validate_solution` found out of bounds or
-    fractional, or that appear in a row it found violated."""
-    mask = np.zeros(model.n_vars, dtype=bool)
-    for v in violations:
-        if v.family in ("bounds", "integrality"):
-            mask[model.col(v.name)] = True
-    rows, cols = model.triplets()[:2]
-    mask[cols[np.isin(rows, _violated_rows(model, violations))]] = True
-    return mask
 
 
 # -- micro branch and bound ---------------------------------------------------

@@ -171,6 +171,5 @@ def solve_day(inputs: DayInputs, backend=None):
     assert res.ok, res.status
     report = validate_solution(model, res.x)
     assert report.ok, report.worst_by_family()
-    sol = extract_day_solution(model, res.x, inputs, res.status, res.gap,
-                               res.wall_time)
+    sol = extract_day_solution(model, res, inputs)
     return model, res, sol

@@ -354,6 +354,24 @@ def test_export_model_without_checkpoint_starts_from_initial_soe(tmp_path):
     assert rows["soe_rec[t=0]"] == 0.5   # initial_soe of the 1 MWh default
 
 
+def test_export_model_after_a_stale_checkpoint_starts_from_initial_soe(
+        tmp_path):
+    """Day 0's checkpoint started from another SoE, so `run` would solve
+    day 0 again: its final SoE is not day 1's start."""
+    cfg_path = write_config(tmp_path, days=[0, 1])
+    assert main(["run", "--config", cfg_path, "--synthetic-seed", "3"]) == 0
+    path = tmp_path / "out" / "FCR_N_nodeg" / "day_0000.json"
+    payload = json.loads(path.read_text())
+    assert payload["solution"]["soe"][-1] != 0.5
+    payload["solution"]["s0"] = 0.3
+    path.write_text(json.dumps(payload))
+    out_path = str(tmp_path / "day1.mps")
+    assert main(["export-model", "--config", cfg_path, "--day", "1",
+                 "--synthetic-seed", "3", "--out", out_path]) == 0
+    rows = {name: rhs for name, _, _, rhs in parse_mps(out_path).rows}
+    assert rows["soe_rec[t=0]"] == 0.5
+
+
 # -- declared entry point -----------------------------------------------------------
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")

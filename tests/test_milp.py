@@ -19,6 +19,7 @@ from fcrsched import (
     RegistryMiss,
     build_day_model,
     energy_content,
+    extract_day_solution,
     model_size,
 )
 from fcrsched.milp import (
@@ -623,24 +624,37 @@ def test_step_soe_is_the_solved_soe_columns(deg):
     columns = soe_columns(model, res.x)
     assert rebuilt.shape == (inp.grid.n_steps,)
     np.testing.assert_allclose(rebuilt, columns, rtol=0.0, atol=1e-9)
-    # the stored SoE is each hour's last column, clipped to the window
-    np.testing.assert_array_equal(sol.soe, np.clip(
-        columns[3::4], inp.spec.soe_min, inp.spec.soe_max))
-    np.testing.assert_allclose(rebuilt[3::4], sol.soe, rtol=0.0, atol=1e-15)
+    # the stored SoE is the roll-forward's hour ends
+    np.testing.assert_array_equal(sol.soe, rebuilt[3::4])
 
 
-def test_step_soe_spreads_a_missed_hour_end_over_the_hour():
-    # an hour whose decisions do not reach its stored end, as when
-    # extraction clamps a solver value a little below 0: its steps move by
-    # their share of the miss, and the next hour starts from the stored end
+def test_extracted_soe_rolls_the_clamped_decisions_forward():
+    # a solver value a little below 0, as HiGHS once left a `ds_bl`:
+    # extraction clamps it to 0, while the solver's `soe[t]` columns roll
+    # forward from the raw value; the stored SoE must be the clamped
+    # decisions' own roll-forward
     inp = day_inputs(seed=3, hours=4, steps_per_hour=4, s0=0.5)
-    _, _, sol = solve_day(inp)
-    exact = step_soe(sol, inp.contents, inp.spec)
-    moved = dataclasses.replace(sol, soe=sol.soe + [0.0, 4e-8, 0.0, 0.0])
-    np.testing.assert_allclose(
-        step_soe(moved, inp.contents, inp.spec) - exact,
-        1e-8 * np.array([0, 0, 0, 0, 1, 2, 3, 4, 3, 2, 1, 0, 0, 0, 0, 0]),
-        rtol=0.0, atol=1e-15)
+    model, res, _ = solve_day(inp)
+    grid, spec, cont = inp.grid, inp.spec, inp.contents
+    sph = grid.steps_per_hour
+    x = res.x.copy()
+    h = next(h for h in range(grid.hours)
+             if x[model.col(f"ds_bl[h={h}]")] == 0.0)
+    x[model.col(f"ds_bl[h={h}]")] = -3.3e-7
+    per_step = 3.3e-7 * grid.dt_hours / spec.eta_ds
+    for t in range(h * sph, grid.n_steps):
+        x[model.col(f"soe[t={t}]")] += per_step * min(t - h * sph + 1, sph)
+    sol = extract_day_solution(model, dataclasses.replace(res, x=x), inp)
+    assert sol.ds_bl[h] == 0.0
+    hour = np.arange(grid.n_steps) // sph
+    flows = ((spec.eta_ch * sol.ch_bl[hour] - sol.ds_bl[hour] / spec.eta_ds)
+             * grid.dt_hours
+             + (cont.e_dr_n - cont.e_ur_n) * sol.bid_n[hour]
+             + cont.e_dr_dd * sol.bid_dd[hour]
+             - cont.e_ur_du * sol.bid_du[hour])
+    # acceptance test 3's telescoping identity and the re-audit's hour ends
+    assert abs((sol.soe[-1] - inp.s0) - math.fsum(flows)) <= 1e-9
+    assert audit_solution(inp, sol)["soe_hour_end"] <= 1e-9
 
 
 def test_validate_rejects_wrong_length():

@@ -451,6 +451,17 @@ def test_load_horizon_roundtrip(tmp_path):
         assert a.profit == pytest.approx(b.profit)
 
 
+def test_load_horizon_opens_each_checkpoint_once(tmp_path, monkeypatch):
+    cfg = toy_config(tmp_path, days=(0, 1))
+    run_case(load_bundle(cfg, synthetic_seed=7), resume=False)
+    opened: list = []
+    monkeypatch.setattr(orchestrate, "open", lambda path, *a, **kw:
+                        opened.append(os.path.basename(path))
+                        or open(path, *a, **kw), raising=False)
+    load_horizon(cfg, "MULTI", False)
+    assert opened == ["day_0000.json", "day_0001.json"]
+
+
 def test_load_horizon_missing_day(tmp_path):
     cfg = toy_config(tmp_path, days=(0, 1))
     run_case(load_bundle(cfg, synthetic_seed=7), resume=False)

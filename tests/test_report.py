@@ -25,6 +25,7 @@ from fcrsched import (
 from fcrsched.errors import InvalidParameter
 from fcrsched.report import (
     BID_STAT_COLUMNS,
+    DAY_COLUMNS,
     MONETARY_COLUMNS,
     aging_delta_table,
     bid_stats_table,
@@ -211,6 +212,7 @@ def test_day_table(tmp_path):
     cfg = toy_config(tmp_path)
     res = make_result(cfg, days=(make_solution(0), make_solution(3)))
     rows = day_table({("MULTI", "nodeg"): res})
+    assert list(rows[0]) == list(DAY_COLUMNS)
     assert [r["day"] for r in rows] == [0, 3]
     assert rows[0]["profit_eur"] == pytest.approx(12.5)
     assert rows[0]["status"] == "Optimal"
