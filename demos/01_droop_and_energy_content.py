@@ -35,8 +35,9 @@ print(f"\ntrace: {trace.values.size} samples, "
       f"{trace.values.min():.3f}..{trace.values.max():.3f} Hz")
 
 # energy_content integrates the droop response per step and per hour.
-# e_* arrays are MWh of activation energy per MW of bid; eh_* are the
-# hourly sums used by the endurance constraints (bounded by 1.0 h).
+# e_* arrays are MWh of activation energy per MW of bid; eh_* are their
+# hourly sums (at most 1.0 h), which price the FCR-N activation energy in
+# the objective's bid_n term.
 cont = energy_content(trace, grid)
 print("\nhour  eh_ur_n [h]  eh_dr_n [h]")
 for h in range(grid.hours):

@@ -213,10 +213,11 @@ class BatterySpec:
             raise InvalidParameter("efficiencies must lie in (0, 1]")
         if not 0.0 < self.eol_retained < 1.0:
             raise InvalidParameter("eol_retained must lie in (0, 1)")
-        for name in ("min_bid_n", "min_bid_du", "min_bid_dd"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 2.0 * self.p_max:
-                raise InvalidParameter(f"{name} must lie in [0, 2*p_max]")
+        for market in ("N", "DU", "DD"):
+            if not 0.0 <= self.min_bid(market) <= self.bid_cap(market):
+                raise InvalidParameter(
+                    f"min_bid_{market.lower()} must lie in "
+                    f"[0, {self.bid_cap(market)}] MW, the market's bid cap")
         if self.lifetime_years < 1:
             raise InvalidParameter("lifetime_years must be >= 1")
         # `not x > 0` also refuses NaN, which would turn every cost into NaN
@@ -246,6 +247,11 @@ class BatterySpec:
 
     def min_bid(self, market: str) -> float:
         return {"N": self.min_bid_n, "DU": self.min_bid_du, "DD": self.min_bid_dd}[market]
+
+    def bid_cap(self, market: str) -> float:
+        """The largest bid of a market, MW: p_max for FCR-N, 2*p_max for
+        FCR-D up and down."""
+        return self.p_max if market == "N" else 2.0 * self.p_max
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -319,10 +325,6 @@ class RunConfig:
                      "start_age_days", "grid_tariff", "tax"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameter(f"{name} must be finite")
-
-    @property
-    def degmode(self) -> str:
-        return "deg" if self.degradation_in_objective else "nodeg"
 
     def grid_for(self, day_index: int) -> TimeGrid:
         return TimeGrid(day_index, self.steps_per_hour, self.hours_per_day)

@@ -458,10 +458,9 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     ch_bl = hourly("ch_bl", 0.0, bl_hi)
     ds_bl = hourly("ds_bl", 0.0, bl_hi)
 
-    bid_caps = {"N": spec.p_max, "DU": 2.0 * spec.p_max, "DD": 2.0 * spec.p_max}
     bid = {}
     for mk, var in (("N", "bid_n"), ("DU", "bid_du"), ("DD", "bid_dd")):
-        bid[mk] = hourly(var, 0.0, bid_caps[mk] if mk in allowed else 0.0)
+        bid[mk] = hourly(var, 0.0, spec.bid_cap(mk) if mk in allowed else 0.0)
 
     b_ch_bl = hourly("b_ch_bl", 0.0, 1.0, binary=True)
     b_ds_bl = hourly("b_ds_bl", 0.0, 1.0, binary=True)
@@ -536,7 +535,7 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
                 (var + "_lo[h={}]",
                  [(bid[mk], 1.0), (b_bid[mk], -spec.min_bid(mk))], ">=", 0.0),
                 (var + "_up[h={}]",
-                 [(bid[mk], 1.0), (b_bid[mk], -bid_caps[mk])], "<=", 0.0)])
+                 [(bid[mk], 1.0), (b_bid[mk], -spec.bid_cap(mk))], "<=", 0.0)])
 
     # reserve power requirements around the baseline (load convention)
     _add_row_group(m, H, [
@@ -660,7 +659,6 @@ class Violation:
 @dataclass(frozen=True)
 class ViolationReport:
     violations: tuple[Violation, ...]
-    tolerance: float
     rows: np.ndarray        # indices of the violated rows
     columns: np.ndarray     # indices of columns out of bounds or fractional
 
@@ -701,8 +699,8 @@ def validate_solution(model: MilpModel, x: np.ndarray) -> ViolationReport:
         name = model.row_names[r]
         found.append(Violation(name, name.split("[", 1)[0],
                                float(row_gap[r])))
-    return ViolationReport(violations=tuple(found), tolerance=VALIDATION_TOL,
-                           rows=bad_rows, columns=bad_cols)
+    return ViolationReport(violations=tuple(found), rows=bad_rows,
+                           columns=bad_cols)
 
 
 # -- extraction --------------------------------------------------------------

@@ -85,8 +85,7 @@ def bid_histogram(result: HorizonResult,
                   market: str) -> tuple[HistogramSpec, np.ndarray]:
     """Histogram of active awarded bids of one market over the horizon, in
     ten bins up to the market's bid cap."""
-    cap = result.config.battery.p_max
-    spec = HistogramSpec(0.0, cap if market == "N" else 2.0 * cap, 10)
+    spec = HistogramSpec(0.0, result.config.battery.bid_cap(market), 10)
     bids = result.bid_series(market)
     return spec, histogram(bids[bids > BID_ACTIVE_MW], spec)
 

@@ -933,9 +933,12 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
         return result("TimeLimit", x, None if x is None else obj, gap,
                       message)
 
-    def call(kind, a, lo_row, hi_row, integrality, low, high, left):
-        """One HiGHS call, and the start of its debug log line."""
+    def call(kind, triplets, integrality, low, high, left):
+        """One HiGHS call on the rows `triplets`, laid out as
+        `model.triplets()`, and the start of its debug log line."""
         nonlocal rounds, nodes
+        rows, cols, vals, lo_row, hi_row = triplets
+        a = sp.csc_array((vals, (rows, cols)), shape=(lo_row.size, c.size))
         start = time.perf_counter()
         res = _milp_quiet(c, constraints=LinearConstraint(a, lo_row, hi_row),
                           integrality=integrality, bounds=Bounds(low, high),
@@ -972,17 +975,16 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
                 message=f"time limit reached after {rounds} rounds")
         fixed = np.zeros(c.size, dtype=bool)
         if projection is None:
-            rows, cols, vals, lo_row, hi_row = model.triplets()
+            triplets = model.triplets()
         else:
             active = projection.active(enforced)
-            rows, cols, vals, lo_row, hi_row = projection.rows(active)
+            triplets = projection.rows(active)
             fixed[:n] = projection.fixed(active)
-        a = sp.csc_array((vals, (rows, cols)), shape=(lo_row.size, c.size))
         integrality = np.zeros(c.size, dtype=np.uint8)
         integrality[:n] = enforced
         k = int(enforced.sum())
-        res, text = call(f"MIP with {k} enforced binaries" if k else "LP", a,
-                         lo_row, hi_row, integrality, np.where(fixed, 0.0, lb),
+        res, text = call(f"MIP with {k} enforced binaries" if k else "LP",
+                         triplets, integrality, np.where(fixed, 0.0, lb),
                          np.where(fixed, 0.0, ub), left)
         full = bool(enforced[binary].all())
         dual = getattr(res, "mip_dual_bound", None)
@@ -1018,12 +1020,8 @@ def solve_scipy(model: MilpModel, time_limit_s: float = 600.0,
         if repaired is not None and left > 0.0:
             low, high = lb.copy(), ub.copy()
             low[:n][binary] = high[:n][binary] = repaired[binary]
-            rows, cols, vals, lo_row, hi_row = model.triplets()
-            fix, text = call(
-                "repair LP",
-                sp.csc_array((vals, (rows, cols)), shape=(lo_row.size, c.size)),
-                lo_row, hi_row, np.zeros(c.size, dtype=np.uint8), low, high,
-                left)
+            fix, text = call("repair LP", model.triplets(),
+                             np.zeros(c.size, dtype=np.uint8), low, high, left)
             if fix.status == 0 and fix.x is not None:
                 y = np.asarray(fix.x[:n], dtype=float)
                 y[binary] = repaired[binary]
@@ -1070,71 +1068,83 @@ class _RelaxedProjection:
     a projection is kept only where it has no more rows than its
     component.
 
+    The rows a round can hand HiGHS are laid out once, in final order: the
+    model's rows, with each kept component's projected rows at its first
+    row. A round keeps them by one mask.
+
     Rows are `coeffs @ x <= hi` throughout: a `>=` row is negated.
     """
 
     def __init__(self, model: MilpModel):
-        n = model.n_vars
         rows, cols, vals, lo, hi = model.triplets()
         lb, ub = model.lb, model.ub
         starts = _starts(rows, model.n_rows)
         row_cols, row_vals = cols.tolist(), vals.tolist()
+        self.n_components = 0
+        # the columns and rows of the kept components, and their components
+        c_cols, c_rows, c_col_comp, c_row_comp = [], [], [], []
         # components that read alike once their columns are numbered
         # locally, binaries first (each hour's baseline pair, say), are
-        # eliminated once
-        alike: dict[tuple, list[tuple[list[int], list[int]]]] = {}
+        # eliminated once; None where the projection is not kept
+        kinds: dict[tuple, list | None] = {}
+        # projected rows: their component's first row and their bound, and
+        # their entries' rows (counted among projected rows), columns and
+        # coefficients
+        p_at, p_hi, p_rows, p_cols, p_vals = [], [], [], [], []
         for bins, crows in _relaxable_components(model):
             local = dict(zip(bins, range(len(bins))))
             system = []
             for r in crows:
                 a, b = starts[r], starts[r + 1]
                 sign = 1.0 if math.isinf(lo[r]) else -1.0
-                system.append((tuple(
+                system.append((tuple([
                     (local.setdefault(col, len(local)), sign * v)
-                    for col, v in zip(row_cols[a:b], row_vals[a:b])),
+                    for col, v in zip(row_cols[a:b], row_vals[a:b])]),
                     sign * (hi[r] if sign > 0 else lo[r])))
-            sig = (len(bins), tuple(system), tuple(lb[c] for c in local),
-                   tuple(ub[c] for c in local))
-            alike.setdefault(sig, []).append((list(local), crows))
-
-        self.comp_of_col = np.full(n, -1)
-        self.comp_of_row = np.full(model.n_rows, -1)
-        self.n_components = 0
-        anchors = [np.zeros(0, np.intp)]
-        # projected rows in blocks, one row per component of a kind: the
-        # component, the row's number within it, its bound, and its
-        # entries' rows, columns and coefficients
-        empty = np.zeros(0, np.intp)
-        blocks = [(empty, empty, np.zeros(0), empty, empty, np.zeros(0))]
-        n_proj = 0
-        for sig, members in alike.items():
-            projected = _fourier_motzkin(*sig)
-            n_rows = len(sig[1])
-            if projected is None or len(projected) > n_rows:
+            sig = (len(bins), tuple(system),
+                   tuple(map(lb.__getitem__, local)),
+                   tuple(map(ub.__getitem__, local)))
+            if sig not in kinds:
+                kinds[sig] = _fourier_motzkin(*sig)
+            projected = kinds[sig]
+            if projected is None:
                 continue
-            # column `k` of a member's local numbering is `glob[:, k]`
-            glob = np.array([local for local, _ in members], dtype=np.intp)
-            m = len(members)
-            comps = self.n_components + np.arange(m)
-            self.n_components += m
-            self.comp_of_col[glob[:, :sig[0]]] = comps[:, None]
-            if n_rows:
-                crows = np.array([r for _, r in members], dtype=np.intp)
-                self.comp_of_row[crows] = comps[:, None]
-                anchors.append(crows[:, 0])
-            else:
-                anchors.append(np.zeros(m, np.intp))
-            for j, (coeffs, rhs) in enumerate(projected):
-                blocks.append((
-                    comps, np.full(m, j), np.full(m, rhs),
-                    np.repeat(n_proj + np.arange(m), len(coeffs)),
-                    glob[:, list(coeffs)].ravel(),
-                    np.tile(np.array(list(coeffs.values()), dtype=float), m)))
-                n_proj += m
-        self.anchor = np.concatenate(anchors)
-        (self.p_comp, self.p_sub, self.p_hi, *self.p_entries) = map(
-            np.concatenate, zip(*blocks))
-        self._model = model
+            k = self.n_components
+            self.n_components += 1
+            c_cols += bins
+            c_col_comp += [k] * len(bins)
+            c_rows += crows
+            c_row_comp += [k] * len(crows)
+            glob = list(local)
+            for coeffs, rhs in projected:
+                p_rows += [len(p_hi)] * len(coeffs)
+                p_cols += [glob[col] for col in coeffs]
+                p_vals += coeffs.values()
+                p_at.append(crows[0])
+                p_hi.append(rhs)
+        self.comp_of_col = np.full(model.n_vars, -1)
+        self.comp_of_col[c_cols] = c_col_comp
+        comp_of_row = np.full(model.n_rows, -1)
+        comp_of_row[c_rows] = c_row_comp
+        # model rows first, so that a stable sort by position puts each
+        # component's projected rows after its first row, in their order
+        n_rows = model.n_rows
+        position = np.concatenate(
+            (np.arange(n_rows), np.array(p_at, dtype=np.intp)))
+        order = np.argsort(position, kind="stable")
+        self.comp = comp_of_row[position[order]]
+        self.is_projected = order >= n_rows
+        self.lo = np.concatenate((lo, np.full(len(p_hi), -np.inf)))[order]
+        self.hi = np.concatenate((hi, np.array(p_hi, dtype=float)))[order]
+        at = np.empty(order.size, dtype=np.intp)
+        at[order] = np.arange(order.size)
+        e_rows = at[np.concatenate(
+            (rows, n_rows + np.array(p_rows, dtype=np.intp)))]
+        by_row = np.argsort(e_rows, kind="stable")
+        self.entries = (
+            e_rows[by_row],
+            np.concatenate((cols, np.array(p_cols, dtype=np.intp)))[by_row],
+            np.concatenate((vals, np.array(p_vals, dtype=float)))[by_row])
 
     def active(self, enforced: np.ndarray) -> np.ndarray:
         """Mask of the components with no enforced binary, plus a last
@@ -1154,26 +1164,12 @@ class _RelaxedProjection:
         # HiGHS returns the same points with the projected rows after the
         # kept ones, but took twice as long on some days (ROADMAP.md,
         # "Settled findings")
-        rows, cols, vals, lo, hi = self._model.triplets()
-        dropped = active[self.comp_of_row]
-        kept = np.flatnonzero(~dropped)
-        used = np.flatnonzero(active[self.p_comp])
-        order = np.lexsort((
-            np.concatenate((np.zeros(kept.size, np.intp), self.p_sub[used])),
-            np.concatenate((kept, self.anchor[self.p_comp[used]]))))
-        index = np.empty(order.size, dtype=np.intp)
-        index[order] = np.arange(order.size)
-        old = np.full(self._model.n_rows, -1)
-        old[kept] = index[:kept.size]
-        new = np.full(self.p_comp.size, -1)
-        new[used] = index[kept.size:]
-        p_rows, p_cols, p_vals = self.p_entries
-        keep, use = ~dropped[rows], active[self.p_comp[p_rows]]
-        return (np.concatenate((old[rows[keep]], new[p_rows[use]])),
-                np.concatenate((cols[keep], p_cols[use])),
-                np.concatenate((vals[keep], p_vals[use])),
-                np.concatenate((lo[kept], np.full(used.size, -np.inf)))[order],
-                np.concatenate((hi[kept], self.p_hi[used]))[order])
+        keep = active[self.comp] == self.is_projected
+        number = np.cumsum(keep) - 1
+        rows, cols, vals = self.entries
+        used = keep[rows]
+        return (number[rows[used]], cols[used], vals[used], self.lo[keep],
+                self.hi[keep])
 
 
 def _relaxable_components(model: MilpModel) -> list[tuple[list[int],
@@ -1216,8 +1212,8 @@ def _fourier_motzkin(n_bins: int, rows: tuple, lb: tuple,
     columns are bounded by `lb` and `ub`.
 
     Returns the projected rows, each `({col: coeff}, hi)`. None when a row
-    without columns is violated, so that the rows go to the solver as they
-    are.
+    without columns is violated or when there are more projected rows than
+    `rows`, so that the rows go to the solver as they are.
     """
     system = []
     for coeffs, hi in rows:
@@ -1248,7 +1244,7 @@ def _fourier_motzkin(n_bins: int, rows: tuple, lb: tuple,
             if not coeffs:
                 return None
             system.append((coeffs, hi))
-    return system
+    return system if len(system) <= len(rows) else None
 
 
 def _round_binaries(model: MilpModel, x: np.ndarray,

@@ -119,10 +119,17 @@ def float_fields(cls) -> list[str]:
     # `salvage_ratio` and `temperature` once took NaN
     *({name: value} for name in float_fields(BatterySpec)
       for value in (math.nan, math.inf)),
+    # above FCR-N's bid cap, p_max, though within FCR-D's, 2*p_max
+    dict(min_bid_n=1.5),
 ])
 def test_battery_spec_validation(kwargs):
     with pytest.raises(InvalidParameter):
         BatterySpec(**kwargs)
+
+
+def test_minimum_bid_is_checked_against_its_market_cap():
+    spec = BatterySpec(min_bid_du=1.5, min_bid_dd=2.0)
+    assert [spec.bid_cap(m) for m in ("N", "DU", "DD")] == [1.0, 2.0, 2.0]
 
 
 # -- run config -----------------------------------------------------------------
@@ -130,7 +137,6 @@ def test_battery_spec_validation(kwargs):
 def test_run_config_defaults_and_grid():
     cfg = RunConfig(days=(0, 1), steps_per_hour=4)
     assert cfg.initial_soe == pytest.approx(0.5)
-    assert cfg.degmode == "deg"
     g = cfg.grid_for(1)
     assert g.day_index == 1 and g.n_steps == 96
 

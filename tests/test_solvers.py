@@ -1153,6 +1153,53 @@ def test_projection_keeps_a_component_it_would_grow():
         assert got.tolist() == want.tolist()
 
 
+def test_projection_lays_out_each_component_at_its_first_row():
+    # two components of one kind (b <= y, x <= b, z <= b: three rows that
+    # project to x <= y and z <= y) and one of another (x <= b <= y: two
+    # rows, one a `>=` row, that project to x <= y), with plain rows
+    # between them
+    m = MilpModel("layout")
+    col = {name: m.add_variable(name, 0.0, 1.0, binary=name[0] == "b")
+           for name in ("b_a0", "x_a0", "z_a0", "y_a0", "b_a1", "x_a1",
+                        "z_a1", "y_a1", "b_b", "x_b", "y_b")}
+    for name, terms, sense, rhs in (
+            ("cap", [("x_a0", 1.0), ("x_b", 1.0)], "<=", 1.5),
+            ("lo_x_a0", [("x_a0", 1.0), ("b_a0", -1.0)], "<=", 0.0),
+            ("lo_x_b", [("x_b", 1.0), ("b_b", -1.0)], "<=", 0.0),
+            ("lo_z_a0", [("z_a0", 1.0), ("b_a0", -1.0)], "<=", 0.0),
+            ("floor", [("y_a0", 1.0), ("y_a1", 1.0)], ">=", 0.5),
+            ("lo_x_a1", [("x_a1", 1.0), ("b_a1", -1.0)], "<=", 0.0),
+            ("up_a0", [("b_a0", 1.0), ("y_a0", -1.0)], "<=", 0.0),
+            ("up_b", [("y_b", 1.0), ("b_b", -1.0)], ">=", 0.0),
+            ("lo_z_a1", [("z_a1", 1.0), ("b_a1", -1.0)], "<=", 0.0),
+            ("up_a1", [("b_a1", 1.0), ("y_a1", -1.0)], "<=", 0.0),
+            ("sum", [("x_a1", 1.0), ("z_a1", 1.0)], "==", 0.75)):
+        m.add_constraint(name, [(col[c], v) for c, v in terms], sense, rhs)
+    for name in ("x_a0", "z_a0", "x_a1", "z_a1", "x_b"):
+        m.set_objective_coeff(col[name], 1.0)
+    from fcrsched.solvers import _RelaxedProjection
+
+    projection = _RelaxedProjection(m)
+    enforced = np.zeros(m.n_vars, dtype=bool)
+    enforced[col["b_a1"]] = True
+    active = projection.active(enforced)
+    rows, cols, vals, lo, hi = projection.rows(active)
+    # cap; a0's x <= y and z <= y at lo_x_a0; b's x <= y at lo_x_b;
+    # floor; a1's own rows in model order; sum
+    assert rows.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7,
+                             8, 8]
+    assert [m.var_names[c] for c in cols] == [
+        "x_a0", "x_b", "y_a0", "x_a0", "y_a0", "z_a0", "y_b", "x_b",
+        "y_a0", "y_a1", "x_a1", "b_a1", "z_a1", "b_a1", "b_a1", "y_a1",
+        "x_a1", "z_a1"]
+    assert vals.tolist() == [1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0,
+                             1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
+    assert lo.tolist() == [-np.inf] * 4 + [0.5] + [-np.inf] * 3 + [0.75]
+    assert hi.tolist() == [1.5, 0.0, 0.0, 0.0, np.inf, 0.0, 0.0, 0.0, 0.75]
+    assert [m.var_names[c] for c in np.flatnonzero(projection.fixed(active))] \
+        == ["b_a0", "b_b"]
+
+
 @pytest.mark.parametrize("model", ["indicators", "day"])
 def test_restored_point_meets_every_row_of_the_full_model(model):
     import scipy.sparse as sp
