@@ -65,14 +65,19 @@ print(f"\nrevenue: spot {sol.r_da:,.2f}  FCR-N {sol.r_n:,.2f}  "
       f"FCR-D up {sol.r_du:,.2f}  FCR-D down {sol.r_dd:,.2f} EUR")
 print(f"cost: charged energy {sol.c_da:,.2f} EUR")
 
-# The solver's SoE columns, one per step, are bounded to the usable window.
-# Rolling the start SoE forward through the stored hourly decisions
-# rebuilds each step's SoE; it matches the solver's own columns.
+# The solver's SoE columns hold each hour's end. Inside an hour the model
+# writes the window only at the steps where it can bind (the `soe_max` and
+# `soe_min` rows). Rolling the start SoE forward through the stored hourly
+# decisions rebuilds each step's SoE; its hour ends match the solver's
+# columns.
 soe = step_soe(sol, inputs.contents, spec)
-solver_soe = result.x[[model.col(f"soe[t={t}]") for t in range(soe.size)]]
-drift = np.abs(soe - solver_soe).max()
+solver_soe = result.x[[model.col(f"soe[h={h}]") for h in range(grid.hours)]]
+drift = np.abs(soe[grid.steps_per_hour - 1::grid.steps_per_hour]
+               - solver_soe).max()
 assert drift <= VALIDATION_TOL, drift
-print(f"SoE over all {soe.size} steps: {solver_soe.min():.3f}.."
-      f"{solver_soe.max():.3f} MWh in the window "
-      f"[{spec.soe_min:.1f}, {spec.soe_max:.1f}]; the roll-forward of the "
-      f"decisions is within {drift:.1e} MWh of it")
+window_rows = sum(name.startswith(("soe_max[", "soe_min["))
+                  for name in model.row_names)
+print(f"SoE over all {soe.size} steps: {soe.min():.3f}..{soe.max():.3f} MWh "
+      f"in the window [{spec.soe_min:.1f}, {spec.soe_max:.1f}], guarded by "
+      f"{window_rows} intra-hour rows; the roll-forward's hour ends are "
+      f"within {drift:.1e} MWh of the solver's")

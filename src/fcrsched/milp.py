@@ -1,20 +1,24 @@
 """Day-model MILP assembly, solution validation and semantic extraction.
 
 One model covers one day: hourly baseline charge/discharge and reserve bids,
-the state-of-energy recursion driven by the droop activation of those bids,
-reserve power and endurance requirements, and the linearized degradation
-cost when it is priced in the objective: calendar aging once per hour on
-the hour's mean SoE, cycle aging once per hour on an upper bound of the
-hour's throughput. Realized power is never a column: each step's net power
-is an affine expression of the hour's decisions (`step_power_coeffs`). A
+the state of energy (SoE) at each hour's end, driven by the baseline and
+the droop activation of those bids, reserve power and endurance
+requirements, and the linearized degradation cost when it is priced in
+the objective: calendar aging once per hour on the hour's mean SoE, cycle
+aging once per hour on an upper bound of the hour's throughput. No
+continuous column is per step. Each step's net power and SoE are affine
+expressions of the hour's decisions and the SoE before the hour
+(`step_power_coeffs`, `soe_step_deltas`). The SoE window is written inside
+an hour only at the steps where it can bind (`soe_window_steps`). A
 battery with a positive minimum power gets per-step charge/discharge
-binaries that keep that expression out of (-p_min, p_min). A solution
-stores only hourly arrays: the five decisions and the SoE at each hour's
-end. `step_net_power` rebuilds each step's power from the decisions, and
-`step_soe` each step's SoE by rolling the start SoE forward through them.
+binaries that keep the step's net power out of (-p_min, p_min). A
+solution stores only hourly arrays: the five decisions and the SoE at
+each hour's end. `step_net_power` rebuilds each step's power from the
+decisions, and `step_soe` each step's SoE by rolling the start SoE
+forward through them.
 
-Variable registry names follow the `family[index]` pattern, e.g. `soe[t=37]`
-or `bid_n[h=5]`; constraint names follow the same pattern. The exact count of
+Variable registry names follow the `family[index]` pattern, e.g. `soe[h=5]`
+or `b_ch[t=37]`; constraint names follow the same pattern. The exact count of
 variables, binaries and rows for a given configuration is the closed form in
 `model_size`, asserted by tests against every built model.
 """
@@ -299,9 +303,10 @@ def model_size(inputs: DayInputs) -> dict[str, int]:
     With H hours, T steps, A = number of case-allowed markets whose minimum
     bid is positive, deg = degradation in objective, F = number of falling
     kinks of the calendar secants (`CalendarLinearization.falling_kinks`,
-    1 for the default coefficients) and pmin = (p_min > 0):
+    1 for the default coefficients), W = number of intra-hour SoE window
+    rows (`soe_window_steps`, both lists) and pmin = (p_min > 0):
 
-      vars  = 2H + 2H + 3H + A*H + T
+      vars  = 2H + 2H + 3H + A*H + H             decisions, binaries, soe
             + (2T if pmin)                        step charge/discharge
                                                   binaries
             + ((4 + F)*H if deg)                  calendar fills + kink picks
@@ -310,25 +315,30 @@ def model_size(inputs: DayInputs) -> dict[str, int]:
       rows  = 2H + (2H if pmin) + H              baseline bounds + exclusivity
             + (3T if pmin)                        step power bounds +
                                                   exclusivity
-            + T                                   SoE recursion
+            + H + W                               SoE recursion + window
             + 2*A*H                               bid bounds
             + 2H + 10H                            power requirement + endurance
             + ((2 + 3F)*H if deg)                 hourly calendar and cycle rows
 
-    So `soe` is the one per-step continuous family; `b_ch`, `b_ds` and the
-    `st_*` rows exist only when `p_min > 0`.
+    So no continuous family is per step; `b_ch`, `b_ds` and the `st_*`
+    rows exist only when `p_min > 0`, and W is at most 2(T - H).
     """
+    return _size(inputs, sum(map(len, soe_window_steps(inputs.contents))))
+
+
+def _size(inputs: DayInputs, W: int) -> dict[str, int]:
+    """`model_size` with the number of window rows given."""
     H, T = inputs.grid.hours, inputs.grid.n_steps
     A = sum(1 for m in CASE_MARKETS[inputs.case_id]
             if inputs.spec.min_bid(m) > 0.0)
     deg = inputs.degradation_in_objective
     F = len(inputs.cal_lin.falling_kinks) if deg else 0
     pmin = inputs.spec.p_min > 0.0
-    n_vars = 2 * H + 2 * H + 3 * H + A * H + T + (2 * T if pmin else 0) \
+    n_vars = 2 * H + 2 * H + 3 * H + A * H + H + (2 * T if pmin else 0) \
         + ((4 + F) * H if deg else 0)
     n_bins = 2 * H + A * H + (2 * T if pmin else 0) + F * H
     n_rows = 2 * H + (2 * H if pmin else 0) + H + (3 * T if pmin else 0) \
-        + T + 2 * A * H + 2 * H + 10 * H + ((2 + 3 * F) * H if deg else 0)
+        + H + W + 2 * A * H + 2 * H + 10 * H + ((2 + 3 * F) * H if deg else 0)
     return {"n_vars": n_vars, "n_binaries": n_bins, "n_rows": n_rows}
 
 
@@ -370,19 +380,70 @@ def step_net_power(solution, contents: EnergyContentSeries) -> np.ndarray:
 
 def soe_step_deltas(contents: EnergyContentSeries, spec: BatterySpec,
                     dt_h: float) -> dict[str, np.ndarray]:
-    """Per-step SoE change per unit of each hourly decision:
-    `soe[t] = soe[t-1] + sum over families f of deltas[f][t] * f[h(t)]`.
+    """Per-step SoE change per unit of each hourly decision: the SoE at the
+    end of step t is the SoE at the end of step t-1 plus the sum over
+    families f of `deltas[f][t] * f[h(t)]`.
 
     Efficiencies act on the baseline flows only; activation energy enters
-    unscaled. The builder writes the SoE recursion and each hour's mean
-    SoE from these deltas; `step_soe` rebuilds a solution's per-step SoE
-    from them.
+    unscaled. The builder writes from these deltas each hour's SoE
+    recursion (their hour sums), the intra-hour window rows (their sums
+    from the hour's start) and each hour's mean SoE; `step_soe` rebuilds a
+    solution's per-step SoE from them.
     """
     n = contents.n_steps
     return {"ch_bl": np.full(n, spec.eta_ch * dt_h),
             "ds_bl": np.full(n, -dt_h / spec.eta_ds),
             "bid_n": contents.e_dr_n - contents.e_ur_n,
             "bid_dd": contents.e_dr_dd, "bid_du": -contents.e_ur_du}
+
+
+def soe_window_steps(contents: EnergyContentSeries) -> tuple[list[int],
+                                                             list[int]]:
+    """The steps, not at an hour's end, whose SoE can reach the top and the
+    bottom of the window first: where the day model writes its `soe_max`
+    and `soe_min` rows.
+
+    Inside an hour the SoE after step k is the hour's start plus
+    `(k+1)·(a·ch_bl − b·ds_bl) + N_k·bid_n` plus FCR-D terms, with every
+    decision ≥ 0 and `N_k` the hour's FCR-N delta summed up to step k. The
+    first two terms are affine in k, so where `(k, N_k)` lies on or below
+    the chord between two other points of the hour (the start being
+    `(-1, 0)`), the SoE after step k is at most the larger of theirs: only
+    the interior vertices of the upper hull of the points can set the
+    hour's highest SoE, and of the lower hull its lowest. An hour with any
+    FCR-D activation keeps every step but its last.
+    """
+    spH, H = contents.steps_per_hour, contents.n_hours
+    # each hour's points at x = 0..spH, the start at x = 0: one row per
+    # hour for the upper hulls, then one per hour, negated, for the lower
+    y = np.zeros((2 * H, spH + 1))
+    y[:H, 1:] = (contents.e_dr_n - contents.e_ur_n).reshape(H, spH).cumsum(
+        axis=1)
+    y[H:] = -y[:H]
+    # a vertex lies strictly above the chord of its two neighbours, so
+    # only those points enter the monotone chain
+    candidate = y[:, :-2] + y[:, 2:] < 2.0 * y[:, 1:-1]
+    fcrd = (contents.e_dr_dd.reshape(H, spH).any(axis=1)
+            | contents.e_ur_du.reshape(H, spH).any(axis=1)).tolist() * 2
+    found: list[list[int]] = [[], []]
+    for r, (ys, cand, every) in enumerate(zip(y.tolist(), candidate.tolist(),
+                                              fcrd)):
+        first = (r % H) * spH - 1     # the step at x = 1 is the hour's first
+        if every:
+            found[r // H] += range(first + 1, first + spH)
+            continue
+        xs, vs = [0], [0.0]
+        for x in [x for x, ok in enumerate(cand, 1) if ok] + [spH]:
+            v = ys[x]
+            # drop the last vertex while it lies on or below the chord
+            while len(xs) > 1 and ((vs[-1] - vs[-2]) * (x - xs[-2])
+                                   <= (v - vs[-2]) * (xs[-1] - xs[-2])):
+                xs.pop()
+                vs.pop()
+            xs.append(x)
+            vs.append(v)
+        found[r // H] += [first + x for x in xs[1:-1]]
+    return found[0], found[1]
 
 
 def step_soe(solution, contents: EnergyContentSeries,
@@ -440,7 +501,6 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     dt_h = grid.dt_hours
     allowed = CASE_MARKETS[inputs.case_id]
     m = MilpModel(f"day{grid.day_index}_{inputs.case_id}")
-    hour = np.arange(T) // spH      # hour of each step
 
     def hour_sums(arr: np.ndarray) -> np.ndarray:
         return np.array([math.fsum(steps)
@@ -472,7 +532,7 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     if spec.p_min > 0.0:
         b_ch = per_step("b_ch", 0.0, 1.0, binary=True)
         b_ds = per_step("b_ds", 0.0, 1.0, binary=True)
-    soe = per_step("soe", spec.soe_min, spec.soe_max)
+    soe = hourly("soe", spec.soe_min, spec.soe_max)     # at each hour's end
 
     if inputs.degradation_in_objective:
         segs = inputs.cal_lin.segments
@@ -508,6 +568,7 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
                  "bid_dd": bid["DD"], "bid_du": bid["DU"]}
     net_coeffs = step_power_coeffs(cont)
     if spec.p_min > 0.0:
+        hour = np.arange(T) // spH      # hour of each step
         net = [(decisions[f][hour], c) for f, c in net_coeffs.items()]
         _add_row_group(m, T, [
             ("st_ch[t={}]", net + [(b_ch, -spec.p_max), (b_ds, spec.p_min)],
@@ -516,17 +577,38 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
              ">=", 0.0),
             ("st_excl[t={}]", [(b_ch, 1.0), (b_ds, 1.0)], "<=", 1.0)])
 
-    # state-of-energy recursion. Step 0 starts from s0, not from a previous
-    # soe column.
+    # state of energy: one recursion row per hour from the SoE before the
+    # hour, s0 in hour 0, on each decision's delta summed over the hour.
+    # Inside the hour the window holds at the steps of `soe_window_steps`,
+    # which imply it at every other step, on the deltas summed from the
+    # hour's start.
     deltas = soe_step_deltas(cont, spec, dt_h)
-    prev_soe = np.concatenate(([-1], soe[:-1]))
-    rhs = np.zeros(T)
-    rhs[0] = inputs.s0
-    _add_row_group(m, T, [(
-        "soe_rec[t={}]",
-        [(soe, 1.0)] + [(decisions[f][hour], -d) for f, d in deltas.items()]
-        + [(prev_soe, -1.0)],
-        "==", rhs)])
+    cum = {f: d.reshape(H, spH).cumsum(axis=1) for f, d in deltas.items()}
+    hour_start = np.concatenate(([-1], soe[:-1]))
+    start_const = np.zeros(H)
+    start_const[0] = inputs.s0
+    _add_row_group(m, H, [(
+        "soe_rec[h={}]",
+        [(soe, 1.0)] + [(decisions[f], -c[:, -1]) for f, c in cum.items()]
+        + [(hour_start, -1.0)],
+        "==", start_const)])
+    top, bottom = soe_window_steps(cont)
+    steps = np.array(top + bottom, dtype=np.intp)
+    is_min = np.arange(steps.size) >= len(top)
+    order = np.lexsort((is_min, steps))     # by step, soe_max first
+    steps, is_min = steps[order], is_min[order]
+    h = steps // spH
+    cols = np.column_stack([hour_start[h]] + [decisions[f][h] for f in cum])
+    vals = np.column_stack([np.ones(steps.size)]
+                           + [c.ravel()[steps] for c in cum.values()])
+    keep = (cols >= 0) & (vals != 0.0)
+    m.add_constraints(
+        [f"soe_{'min' if low else 'max'}[t={t}]"
+         for t, low in zip(steps.tolist(), is_min.tolist())],
+        np.broadcast_to(np.arange(steps.size)[:, None], cols.shape)[keep],
+        cols[keep], vals[keep],
+        [">=" if low else "<=" for low in is_min.tolist()],
+        np.where(is_min, spec.soe_min, spec.soe_max) - start_const[h])
 
     # minimum-bid linking
     for mk, var in (("N", "bid_n"), ("DU", "bid_du"), ("DD", "bid_dd")):
@@ -549,13 +631,9 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
          "<=", spec.p_max)])
 
     # endurance: worst-case hour-start SoE scenarios, both bound sides; hour
-    # 0 starts from s0, later hours from the last soe column of the hour
-    # before
+    # 0 starts from s0, later hours from the soe column of the hour before
     third = 1.0 / 3.0
-    hour_start = np.concatenate(([-1], soe[spH - 1:T - 1:spH]))
     prev = [(hour_start, 1.0)]
-    prev_const = np.zeros(H)
-    prev_const[0] = inputs.s0
     scenarios = {
         "endur_bl": [(ch_bl, 1.0), (ds_bl, -1.0)],
         "endur_act20_dn": [(ch_bl, third), (ds_bl, -third),
@@ -570,9 +648,9 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     rows = []
     for label, terms in scenarios.items():
         rows += [(label + "_max[h={}]", prev + terms, "<=",
-                  spec.soe_max - prev_const),
+                  spec.soe_max - start_const),
                  (label + "_min[h={}]", prev + terms, ">=",
-                  spec.soe_min - prev_const)]
+                  spec.soe_min - start_const)]
     _add_row_group(m, H, rows)
 
     # calendar cost as incremental fills of the secant segments, summing to
@@ -598,7 +676,7 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
                      + [(hour_start, -1.0)]
                      + [(decisions[f], -hour_sums(d * weights))
                         for f, d in deltas.items()],
-                     "==", prev_const))
+                     "==", start_const))
         # cyc bounds the hour's throughput sum_t |net_t|: one step's
         # activation terms share one sign, and so does the hour's baseline,
         # so the bound is exact unless the two oppose
@@ -637,7 +715,7 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
     # slower than one full solve (ROADMAP.md, "Settled findings")
     m.relax_binaries_first = spec.p_min == 0.0
 
-    built = model_size(inputs)
+    built = _size(inputs, steps.size)
     assert (m.n_vars, m.n_binaries, m.n_rows) == (
         built["n_vars"], built["n_binaries"], built["n_rows"]), \
         "model size drifted from the documented closed form"

@@ -5,7 +5,9 @@ rows as one block of arrays; this builder states the same model with the
 scalar `add_variable`, `add_constraint` and `set_objective_coeff` calls,
 one loop iteration per hour or step, and the tests require both to give
 the same model, array for array. Like the block builder, it leaves a
-term with a zero coefficient out of its row.
+term with a zero coefficient out of its row. It picks the steps of the
+intra-hour SoE window rows by their definition, a pair of the hour's
+points that dominates the step, not by the builder's monotone chain.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
                 for t in range(T)]
         b_ds = [m.add_variable(f"b_ds[t={t}]", 0.0, 1.0, binary=True)
                 for t in range(T)]
-    soe = [m.add_variable(f"soe[t={t}]", spec.soe_min, spec.soe_max)
-           for t in range(T)]
+    soe = [m.add_variable(f"soe[h={h}]", spec.soe_min, spec.soe_max)
+           for h in range(H)]
 
     if inputs.degradation_in_objective:
         segs = inputs.cal_lin.segments
@@ -110,22 +112,59 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
             add_row(f"st_excl[t={t}]",
                     [(b_ch[t], 1.0), (b_ds[t], 1.0)], "<=", 1.0)
 
-    # state-of-energy recursion; efficiencies act on the baseline flows only,
+    # the SoE change per unit of each decision at each step, then summed
+    # from the hour's start; efficiencies act on the baseline flows only,
     # activation energy enters unscaled
+    cum = []
     for t in range(T):
         h = t // spH
-        coeffs = [(soe[t], 1.0),
-                  (ch_bl[h], -spec.eta_ch * dt_h),
-                  (ds_bl[h], dt_h / spec.eta_ds),
-                  (bid["N"][h], -(cont.e_dr_n[t] - cont.e_ur_n[t])),
-                  (bid["DD"][h], -cont.e_dr_dd[t]),
-                  (bid["DU"][h], cont.e_ur_du[t])]
-        rhs = 0.0
-        if t == 0:
-            rhs = inputs.s0
-        else:
-            coeffs.append((soe[t - 1], -1.0))
-        add_row(f"soe_rec[t={t}]", coeffs, "==", rhs)
+        step = [(ch_bl[h], spec.eta_ch * dt_h),
+                (ds_bl[h], -dt_h / spec.eta_ds),
+                (bid["N"][h], cont.e_dr_n[t] - cont.e_ur_n[t]),
+                (bid["DD"][h], cont.e_dr_dd[t]),
+                (bid["DU"][h], -cont.e_ur_du[t])]
+        if t % spH:
+            step = [(col, c + float(d)) for (col, c), (_, d)
+                    in zip(cum[-1], step)]
+        cum.append([(col, float(d)) for col, d in step])
+
+    def start_of(h):
+        """The SoE before hour h: the soe column before it, or s0."""
+        return ([], inputs.s0) if h == 0 else ([(soe[h - 1], 1.0)], 0.0)
+
+    # one recursion row per hour
+    for h in range(H):
+        start, const = start_of(h)
+        add_row(f"soe_rec[h={h}]",
+                [(soe[h], 1.0)]
+                + [(col, -c) for col, c in cum[(h + 1) * spH - 1]]
+                + [(col, -v) for col, v in start], "==", const)
+
+    # the window inside an hour, at each step that no pair of the hour's
+    # points around it dominates. The points are (k, N_k), N_k the hour's
+    # FCR-N delta summed up to step k, and the start (-1, 0). Step j's
+    # soe_max row is dropped when N_j is at most the interpolation of
+    # N_i and N_l at j for some i < j < l, its soe_min row when it is at
+    # least that. An hour with FCR-D activation keeps every step but its
+    # last.
+    def dominated(n, j, sign):
+        return any(sign * (n[j] - n[i]) * (l - i)
+                   <= sign * (n[l] - n[i]) * (j - i)
+                   for i in range(j) for l in range(j + 1, len(n)))
+
+    for h in range(H):
+        s = slice(h * spH, (h + 1) * spH)
+        fcrd = cont.e_dr_dd[s].any() or cont.e_ur_du[s].any()
+        n = [0.0] + [cum[t][2][1] for t in range(h * spH, (h + 1) * spH)]
+        start, const = start_of(h)
+        for j in range(1, spH):
+            t = h * spH + j - 1
+            for sign, name, sense, bound in (
+                    (1.0, "soe_max", "<=", spec.soe_max),
+                    (-1.0, "soe_min", ">=", spec.soe_min)):
+                if fcrd or not dominated(n, j, sign):
+                    add_row(f"{name}[t={t}]", start + cum[t], sense,
+                            bound - const)
 
     # minimum-bid linking
     for mk, var in (("N", "bid_n"), ("DU", "bid_du"), ("DD", "bid_dd")):
@@ -157,11 +196,7 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
     # endurance: worst-case hour-start SoE scenarios, both bound sides
     third = 1.0 / 3.0
     for h in range(H):
-        prev: list[tuple[int, float]]
-        if h == 0:
-            prev, prev_const = [], inputs.s0
-        else:
-            prev, prev_const = [(soe[h * spH - 1], 1.0)], 0.0
+        prev, prev_const = start_of(h)
         scenarios = {
             "endur_bl": [(ch_bl[h], 1.0), (ds_bl[h], -1.0)],
             "endur_act20_dn": [(ch_bl[h], third), (ds_bl[h], -third),
@@ -198,17 +233,15 @@ def loop_day_model(inputs: DayInputs) -> MilpModel:
             # the hour's mean SoE: the SoE before the hour plus each step's
             # delta weighted by the share of the hour's steps from it on
             s = slice(h * spH, (h + 1) * spH)
-            if h == 0:
-                start, start_const = [], inputs.s0
-            else:
-                start, start_const = [(soe[h * spH - 1], -1.0)], 0.0
+            start, start_const = start_of(h)
             flows = [(ch_bl[h], [spec.eta_ch * dt_h] * spH),
                      (ds_bl[h], [-dt_h / spec.eta_ds] * spH),
                      (bid["N"][h], cont.e_dr_n[s] - cont.e_ur_n[s]),
                      (bid["DD"][h], cont.e_dr_dd[s]),
                      (bid["DU"][h], -cont.e_ur_du[s])]
             add_row(f"cal_link[h={h}]",
-                    [(d_cal[h][k], 1.0) for k in range(3)] + start
+                    [(d_cal[h][k], 1.0) for k in range(3)]
+                    + [(col, -v) for col, v in start]
                     + [(col, -math.fsum(float(d[i]) * ((spH - i) / spH)
                                         for i in range(spH)))
                        for col, d in flows],

@@ -320,7 +320,7 @@ def test_export_model_is_the_model_run_solved(tmp_path):
     # day 1 starts from day 0's final SoE
     rows = {name: (coeffs, sense, rhs) for name, coeffs, sense, rhs
             in model.rows}
-    assert rows["soe_rec[t=0]"][2] == day0["soe"][-1]
+    assert rows["soe_rec[h=0]"][2] == day0["soe"][-1]
     # the calendar cost is priced at the mid-horizon age, 0 + 0.5 * 2 days
     cfg = RunConfig.from_file(cfg_path)
     spec = cfg.battery
@@ -351,7 +351,7 @@ def test_export_model_without_checkpoint_starts_from_initial_soe(tmp_path):
     assert main(["export-model", "--config", cfg_path, "--day", "1",
                  "--synthetic-seed", "3", "--out", out_path]) == 0
     rows = {name: rhs for name, _, _, rhs in parse_mps(out_path).rows}
-    assert rows["soe_rec[t=0]"] == 0.5   # initial_soe of the 1 MWh default
+    assert rows["soe_rec[h=0]"] == 0.5   # initial_soe of the 1 MWh default
 
 
 def test_export_model_after_a_stale_checkpoint_starts_from_initial_soe(
@@ -369,7 +369,7 @@ def test_export_model_after_a_stale_checkpoint_starts_from_initial_soe(
     assert main(["export-model", "--config", cfg_path, "--day", "1",
                  "--synthetic-seed", "3", "--out", out_path]) == 0
     rows = {name: rhs for name, _, _, rhs in parse_mps(out_path).rows}
-    assert rows["soe_rec[t=0]"] == 0.5
+    assert rows["soe_rec[h=0]"] == 0.5
 
 
 # -- declared entry point -----------------------------------------------------------

@@ -17,13 +17,18 @@ from fcrsched import (
     InvalidParameter,
     MilpModel,
     RegistryMiss,
+    TimeGrid,
     build_day_model,
     energy_content,
     extract_day_solution,
     model_size,
+    solve_scipy,
+    synth_frequency,
 )
 from fcrsched.milp import (
+    VALIDATION_TOL,
     soe_step_deltas,
+    soe_window_steps,
     step_net_power,
     step_soe,
     validate_solution,
@@ -260,6 +265,8 @@ def test_block_builder_matches_the_loop_reference(case, positive_p_min, deg):
     inp = day_inputs(case=case, hours=3, steps_per_hour=4, spec=spec,
                      deg=deg, s0=0.4, tax=2.0, grid_tariff=5.0)
     assert_same_model(build_day_model(inp), loop_day_model(inp))
+    fcrd = with_fcrd_activation(inp)
+    assert_same_model(build_day_model(fcrd), loop_day_model(fcrd))
 
 
 def assert_same_model(got: MilpModel, ref: MilpModel) -> None:
@@ -314,14 +321,26 @@ def test_day_model_holds_no_zero_entries(case, positive_p_min, deg):
         assert m.triplets()[2].all()
         rows = entries_by_row(m)
         assert all(rows.values())
-        # FCR-D bids enter a step's SoE recursion only where they activate
-        cont = inp.contents
+        # FCR-D bids enter the SoE after a step (its window row, or the
+        # hour's recursion at the hour's last step) only where they have
+        # activated since the hour began
+        cont, sph = inp.contents, inp.grid.steps_per_hour
+
+        def soe_row(t: int) -> str:
+            return (f"soe_rec[h={t // sph}]" if t % sph == sph - 1
+                    else f"soe_max[t={t}]")
+
+        steps = [t for t in range(inp.grid.n_steps) if soe_row(t) in rows]
+        if inp is fcrd:     # every step of an hour with FCR-D has its row
+            assert steps == list(range(inp.grid.n_steps))
+            assert all(f"soe_min[t={t}]" in rows for t in steps
+                       if t % sph != sph - 1)
         for family, energy in (("bid_dd", cont.e_dr_dd),
                                ("bid_du", cont.e_ur_du)):
-            kept = [t for t in range(inp.grid.n_steps)
-                    if m.col(f"{family}[h={t // inp.grid.steps_per_hour}]")
-                    in rows[f"soe_rec[t={t}]"]]
-            assert kept == np.flatnonzero(energy).tolist()
+            so_far = energy.reshape(-1, sph).cumsum(axis=1).ravel()
+            kept = [t for t in steps
+                    if m.col(f"{family}[h={t // sph}]") in rows[soe_row(t)]]
+            assert kept == [t for t in steps if so_far[t] != 0.0]
     assert 0 < np.count_nonzero(fcrd.contents.e_dr_dd) < fcrd.grid.n_steps
     assert 0 < np.count_nonzero(fcrd.contents.e_ur_du) < fcrd.grid.n_steps
 
@@ -343,7 +362,8 @@ def test_cal_link_is_the_hour_mean_of_the_soe_recursion(steps_per_hour):
         values = rng.uniform(0.0, 1.0, grid.hours)
         x[[m.col(f"{family}[h={h}]") for h in range(grid.hours)]] = values
         soe += np.cumsum(delta * values[hour])
-    x[[m.col(f"soe[t={t}]") for t in range(grid.n_steps)]] = soe
+    x[[m.col(f"soe[h={h}]") for h in range(grid.hours)]] = \
+        soe[steps_per_hour - 1::steps_per_hour]
     # with every fill at zero, a row's fills must sum to rhs - A @ x
     rows, cols, vals, _, _ = m.triplets()
     lhs = np.bincount(rows, weights=vals * x[cols], minlength=m.n_rows)
@@ -367,7 +387,7 @@ def test_registry_names_unique_and_resolvable():
     m = build_day_model(inp)
     assert len(set(m.var_names)) == m.n_vars
     assert len({r[0] for r in m.rows}) == m.n_rows
-    for name in ("ch_bl[h=0]", "bid_n[h=1]", "cyc[h=1]", "soe[t=0]",
+    for name in ("ch_bl[h=0]", "bid_n[h=1]", "cyc[h=1]", "soe[h=1]",
                  "d_cal[h=1,k=2]", "d_cal[h=1,k=0]", "y_cal[h=1,j=2]"):
         assert m.has(name)
     assert "cyc_def[h=1]" in m.row_names
@@ -378,7 +398,7 @@ def test_registry_names_unique_and_resolvable():
     assert not m.has("b_ch[t=7]") and "st_ch[t=7]" not in m.row_names
     m = build_day_model(day_inputs(hours=2, deg=True,
                                    spec=BatterySpec(p_min=0.05)))
-    for name in ("b_ch[t=7]", "b_ds[t=7]", "soe[t=0]", "cyc[h=1]"):
+    for name in ("b_ch[t=7]", "b_ds[t=7]", "soe[h=1]", "cyc[h=1]"):
         assert m.has(name)
     for name in ("st_ch[t=7]", "st_ds[t=7]", "st_excl[t=7]", "cyc_def[h=1]"):
         assert name in m.row_names
@@ -409,7 +429,7 @@ def test_validator_flags_injected_violation():
     inp = day_inputs(seed=4, hours=2)
     model, res, sol = solve_day(inp)
     x = res.x.copy()
-    x[model.col("soe[t=0]")] += 0.5      # break the recursion and bounds
+    x[model.col("soe[h=0]")] += 0.5      # break the recursion and bounds
     report = validate_solution(model, x)
     assert not report.ok
     assert "soe_rec" in report.worst_by_family()
@@ -454,10 +474,21 @@ def test_min_bid_semantics():
         assert np.all(nz >= 0.1 - 1e-9)
 
 
-def soe_columns(model, x) -> np.ndarray:
-    """The solved model's per-step `soe[t]` columns."""
-    return x[[c for c, name in enumerate(model.var_names)
-              if name.startswith("soe[")]]
+def solved_step_soe(model, x, inp) -> np.ndarray:
+    """The per-step SoE of a point of the model: each hour's start (its
+    `soe[h-1]` column, s0 in hour 0) plus the hour's decisions at their
+    deltas summed from the hour's start."""
+    grid = inp.grid
+    sph = grid.steps_per_hour
+    hour = np.arange(grid.n_steps) // sph
+    ends = x[[model.col(f"soe[h={h}]") for h in range(grid.hours)]]
+    soe = np.concatenate(([inp.s0], ends[:-1]))[hour]
+    for family, delta in soe_step_deltas(inp.contents, inp.spec,
+                                         grid.dt_hours).items():
+        within = delta.reshape(grid.hours, sph).cumsum(axis=1).ravel()
+        values = x[[model.col(f"{family}[h={h}]") for h in range(grid.hours)]]
+        soe = soe + within * values[hour]
+    return soe
 
 
 def test_degradation_term_in_objective():
@@ -467,7 +498,7 @@ def test_degradation_term_in_objective():
     dt_h, sph = inp.grid.dt_hours, inp.grid.steps_per_hour
     cyc = inp.cyc_lin.k_cyc * dt_h * float(np.sum(
         hourly_cycle_bound(inp, sol)))
-    hour_means = soe_columns(model, res.x).reshape(
+    hour_means = solved_step_soe(model, res.x, inp).reshape(
         inp.grid.hours, sph).mean(axis=1)
     cal = sum(sph * inp.cal_lin.cost_at(float(s)) for s in hour_means)
     assert sol.c_deg_lin == pytest.approx(cyc + cal, abs=1e-6)
@@ -621,16 +652,21 @@ def test_step_soe_is_the_solved_soe_columns(deg):
     inp = day_inputs(seed=3, hours=24, steps_per_hour=4, deg=deg)
     model, res, sol = solve_day(inp)
     rebuilt = step_soe(sol, inp.contents, inp.spec)
-    columns = soe_columns(model, res.x)
+    columns = solved_step_soe(model, res.x, inp)
     assert rebuilt.shape == (inp.grid.n_steps,)
     np.testing.assert_allclose(rebuilt, columns, rtol=0.0, atol=1e-9)
+    # the hour ends are the solver's `soe[h]` columns
+    np.testing.assert_allclose(
+        columns[3::4], res.x[[model.col(f"soe[h={h}]")
+                              for h in range(inp.grid.hours)]],
+        rtol=0.0, atol=1e-9)
     # the stored SoE is the roll-forward's hour ends
     np.testing.assert_array_equal(sol.soe, rebuilt[3::4])
 
 
 def test_extracted_soe_rolls_the_clamped_decisions_forward():
     # a solver value a little below 0, as HiGHS once left a `ds_bl`:
-    # extraction clamps it to 0, while the solver's `soe[t]` columns roll
+    # extraction clamps it to 0, while the solver's `soe[h]` columns roll
     # forward from the raw value; the stored SoE must be the clamped
     # decisions' own roll-forward
     inp = day_inputs(seed=3, hours=4, steps_per_hour=4, s0=0.5)
@@ -642,8 +678,9 @@ def test_extracted_soe_rolls_the_clamped_decisions_forward():
              if x[model.col(f"ds_bl[h={h}]")] == 0.0)
     x[model.col(f"ds_bl[h={h}]")] = -3.3e-7
     per_step = 3.3e-7 * grid.dt_hours / spec.eta_ds
-    for t in range(h * sph, grid.n_steps):
-        x[model.col(f"soe[t={t}]")] += per_step * min(t - h * sph + 1, sph)
+    for later in range(h, grid.hours):
+        x[model.col(f"soe[h={later}]")] += per_step * sph
+    assert validate_solution(model, x).ok
     sol = extract_day_solution(model, dataclasses.replace(res, x=x), inp)
     assert sol.ds_bl[h] == 0.0
     hour = np.arange(grid.n_steps) // sph
@@ -665,17 +702,134 @@ def test_validate_rejects_wrong_length():
 
 
 @pytest.mark.parametrize("steps_per_hour, expected", [
-    (4, (456, 144, 720)),
-    (60, (1800, 144, 2064)),
+    (4, (384, 144, 704)),
+    (60, (384, 144, 854)),
 ])
 def test_model_size_of_a_default_multi_deg_day(steps_per_hour, expected):
-    # no per-step powers or binaries for the default battery, so soe and
-    # its recursion are the only per-step families: H calendar binaries at
-    # the one falling kink, 2H baseline and 3H minimum-bid binaries at any
-    # resolution
-    inp = day_inputs(hours=24, steps_per_hour=steps_per_hour, deg=True)
+    # no per-step column for the default battery, so the columns do not
+    # depend on the resolution: H calendar binaries at the one falling
+    # kink, 2H baseline and 3H minimum-bid binaries. The only rows that do
+    # are the SoE window's, 56 of 2·3·24 interior steps at spH=4 and 206
+    # of 2·59·24 at spH=60 on seed 1's day 0
+    inp = day_inputs(seed=1, hours=24, steps_per_hour=steps_per_hour,
+                     deg=True)
     size = model_size(inp)
     assert (size["n_vars"], size["n_binaries"], size["n_rows"]) == expected
+
+
+# -- intra-hour SoE window ---------------------------------------------------
+
+def window_row_steps(m: MilpModel, family: str) -> set[int]:
+    """The steps t of a model's `family[t=...]` rows."""
+    return {int(name[len(family) + 3:-1]) for name in m.row_names
+            if name.startswith(family + "[")}
+
+
+@pytest.mark.parametrize("steps_per_hour", [4, 60])
+def test_kept_window_rows_bound_every_step_of_the_roll_forward(
+        steps_per_hour):
+    """For random hourly decisions >= 0 and start SoEs, each hour's highest
+    and lowest step of the unclipped roll-forward is at a step with a
+    `soe_max` / `soe_min` row, at the hour's end or at its start. So when
+    every kept row and the hour-end bounds hold, every step is inside the
+    window, also in the hours with FCR-D activation."""
+    inp = day_inputs(seed=2, hours=6, steps_per_hour=steps_per_hour)
+    grid, spec = inp.grid, inp.spec
+    sph = grid.steps_per_hour
+    f = synth_frequency(seed=2, grid=grid).values.copy()
+    f[sph:2 * sph:3] = 49.8          # FCR-D up in hour 1
+    f[4 * sph + 1:5 * sph:2] = 50.2  # FCR-D down in hour 4
+    inp = dataclasses.replace(inp, contents=energy_content(
+        FrequencyTrace(f, grid.n_steps), grid))
+    cont = inp.contents
+    fcrd = (cont.e_dr_dd + cont.e_ur_du).reshape(grid.hours, sph).any(axis=1)
+    assert fcrd.tolist() == [False, True, False, False, True, False]
+    m = build_day_model(inp)
+    top, bottom = window_row_steps(m, "soe_max"), window_row_steps(m, "soe_min")
+    assert (sorted(top), sorted(bottom)) == soe_window_steps(cont)
+    interior = [t for t in range(grid.n_steps) if t % sph != sph - 1]
+    for h in (1, 4):
+        assert set(interior[h * (sph - 1):(h + 1) * (sph - 1)]) <= top & bottom
+    if sph == 60:       # the hulls keep a few steps of the other hours
+        assert len(top | bottom) < len(interior) // 2
+    deltas = soe_step_deltas(cont, spec, grid.dt_hours)
+    hour = np.arange(grid.n_steps) // sph
+    caps = {"ch_bl": 1.0, "ds_bl": 1.0, "bid_n": 1.0, "bid_dd": 2.0,
+            "bid_du": 2.0}
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        s0 = rng.uniform(spec.soe_min, spec.soe_max)
+        flow = sum(d * rng.uniform(0.0, caps[f], grid.hours)[hour]
+                   for f, d in deltas.items())
+        soe = s0 + np.cumsum(flow)
+        for h in range(grid.hours):
+            steps = range(h * sph, (h + 1) * sph)
+            start = s0 if h == 0 else soe[h * sph - 1]
+            hi = max([start, soe[steps[-1]]] + [soe[t] for t in steps
+                                                 if t in top])
+            lo = min([start, soe[steps[-1]]] + [soe[t] for t in steps
+                                                 if t in bottom])
+            assert soe[steps].max() <= hi + 1e-12
+            assert soe[steps].min() >= lo - 1e-12
+
+
+def test_a_front_loaded_activation_binds_mid_hour_and_every_step_row_is_implied(
+        monkeypatch):
+    # FCR-N up activates fully in hour 0's first two steps only. From the
+    # window's bottom, a charging baseline must carry the bid through
+    # them, so the SoE after step 1 sits at soe_min, the one row the hull
+    # keeps in hour 0
+    grid = TimeGrid(day_index=0, steps_per_hour=4, hours=2)
+    f = np.full(grid.n_steps, 50.0)
+    f[:2] = 49.9
+    contents = energy_content(FrequencyTrace(f, grid.n_steps), grid)
+    spec = BatterySpec()
+    inp = DayInputs(grid=grid, prices=flat_prices(2, fcr_n=100.0),
+                    contents=contents, spec=spec, s0=spec.soe_min,
+                    case_id="FCR_N")
+    assert soe_window_steps(contents) == ([], [1])
+    model, res, sol = solve_day(inp)
+    assert sol.bid_n[0] > 0.1 and sol.ch_bl[0] > 0.0
+    soe = step_soe(sol, contents, spec)
+    assert soe[1] == pytest.approx(spec.soe_min, abs=1e-9)
+    assert soe[3] > spec.soe_min + 0.1
+    # the window rows of every step, appended, change no optimum
+    full = build_day_model(inp)
+    deltas = soe_step_deltas(contents, spec, grid.dt_hours)
+    sph = grid.steps_per_hour
+    for t in range(grid.n_steps):
+        h, k = divmod(t, sph)
+        if k == sph - 1:
+            continue
+        terms = [(full.col(f"soe[h={h - 1}]"), 1.0)] if h else []
+        terms += [(full.col(f"{fam}[h={h}]"), float(d[h * sph:t + 1].sum()))
+                  for fam, d in deltas.items()]
+        terms = [(c, v) for c, v in terms if v != 0.0]
+        const = inp.s0 if h == 0 else 0.0
+        full.add_constraint(f"every_max[t={t}]", terms, "<=",
+                            spec.soe_max - const)
+        full.add_constraint(f"every_min[t={t}]", terms, ">=",
+                            spec.soe_min - const)
+    every = solve_scipy(full, mip_gap=1e-9)
+    assert every.ok and validate_solution(full, every.x).ok
+    assert abs(every.objective - res.objective) \
+        <= 1e-9 * abs(res.objective)
+    # and the kept row is needed: without it the bid grows
+    monkeypatch.setattr("fcrsched.milp.soe_window_steps",
+                        lambda contents: ([], []))
+    loose = solve_scipy(build_day_model(inp), mip_gap=1e-9)
+    assert loose.ok and loose.objective > res.objective + 0.01
+
+
+def test_a_minute_resolution_multi_deg_day_stays_in_the_window():
+    inp = day_inputs(seed=1, hours=24, steps_per_hour=60, deg=True)
+    model = build_day_model(inp)
+    res = solve_scipy(model, mip_gap=1e-4)
+    assert res.ok and validate_solution(model, res.x).ok
+    sol = extract_day_solution(model, res, inp)
+    worst = audit_solution(inp, sol)
+    assert worst["soe_window"] <= 1e-9, worst
+    assert max(worst.values()) <= VALIDATION_TOL, worst
 
 
 # -- lazily enforced binaries ------------------------------------------------
