@@ -2,8 +2,10 @@
 One optimized day
 =================
 
-Build the day model for a small battery, solve it, and read the schedule:
-baseline power, stacked reserve bids, and the state-of-energy path.
+Settle one day for a small battery the way a horizon run does: build the
+day model, solve it, check the point against every row, read the schedule
+(baseline power, stacked reserve bids, the state-of-energy path) and
+charge the exact aging of that schedule to its profit.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from fcrsched import (
     BatterySpec,
     DayInputs,
     TimeGrid,
-    build_day_model,
     energy_content,
-    extract_day_solution,
     model_size,
+    solve_day,
     solve_scipy,
     synth_frequency,
     synth_prices,
@@ -27,7 +28,8 @@ from fcrsched.milp import VALIDATION_TOL, step_soe
 # Inputs: a 24-hour day at 15-minute resolution, synthetic frequency and
 # prices, all three reserve markets allowed ("MULTI"). No aging
 # linearizations are given, so degradation is charged after the fact rather
-# than inside the objective.
+# than inside the objective: `solve_day` post-calculates it on the realized
+# schedule at the battery's age, here 30 days.
 grid = TimeGrid(day_index=0, steps_per_hour=4, hours=24)
 spec = BatterySpec()
 trace = synth_frequency(seed=11, grid=grid)
@@ -46,10 +48,11 @@ size = model_size(inputs)
 print(f"model: {size['n_vars']} variables "
       f"({size['n_binaries']} binary), {size['n_rows']} rows")
 
-model = build_day_model(inputs)
-result = solve_scipy(model, mip_gap=1e-6)
-assert result.ok, result.status
-sol = extract_day_solution(model, result, inputs)
+# `solve_day` is the one path from a day's inputs to a settled day, the one
+# `run_case` takes for every day it solves. It raises SolverFailure when the
+# solver does not end optimal or its point breaks a row of the model.
+model, result, sol = solve_day(inputs, age_days=30.0, backend=solve_scipy,
+                               time_limit_s=600.0, mip_gap=1e-6)
 print(f"solved in {result.wall_time:.2f} s, objective "
       f"{sol.objective:,.2f} EUR\n")
 
@@ -63,7 +66,10 @@ for h in range(grid.hours):
 
 print(f"\nrevenue: spot {sol.r_da:,.2f}  FCR-N {sol.r_n:,.2f}  "
       f"FCR-D up {sol.r_du:,.2f}  FCR-D down {sol.r_dd:,.2f} EUR")
-print(f"cost: charged energy {sol.c_da:,.2f} EUR")
+print(f"cost: charged energy {sol.c_da:,.2f} EUR, post-calculated aging "
+      f"{sol.cal_cost:,.2f} calendar + {sol.cyc_cost:,.2f} cycle EUR "
+      f"({sol.cal_pct + sol.cyc_pct:.4f} % of capacity)")
+print(f"realized profit: {sol.profit:,.2f} EUR")
 
 # The solver's SoE columns hold each hour's end. Inside an hour the model
 # writes the window only at the steps where it can bind (the `soe_max` and

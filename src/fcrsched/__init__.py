@@ -87,6 +87,7 @@ from .orchestrate import (
     load_horizon,
     run_case,
     run_matrix,
+    solve_day,
 )
 from .report import (
     HistogramSpec,

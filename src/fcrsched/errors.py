@@ -44,10 +44,18 @@ class TooLarge(SolverError):
 
 
 class SolverFailure(SolverError):
-    """A day's solve did not reach optimality inside an orchestrated run."""
+    """A day's solve did not end in a valid optimum.
 
-    def __init__(self, day: int, message: str = ""):
+    `status` is the solve status, or "InvalidSolution" for an optimum that
+    breaks a row, and `detail` the solver's message or the worst violated
+    row family: what a run records in its `failure.json`.
+    """
+
+    def __init__(self, day: int, message: str = "", status: str = "",
+                 detail: str = ""):
         self.day = day
+        self.status = status
+        self.detail = detail
         super().__init__(f"day {day}: {message}" if message else f"day {day}")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -533,17 +534,15 @@ def synth_frequency(seed: int, grid: TimeGrid, days: int = 1) -> FrequencyTrace:
     rng = np.random.default_rng(seed)
     n = grid.n_steps * days
     noise = rng.standard_normal(n - 1) * SYNTH_SIGMA_HZ
-    lo, hi = SYNTH_CLAMP_HZ
-    values = np.empty(n)
-    values[0] = SYNTH_MEAN_HZ
-    f = SYNTH_MEAN_HZ
-    for k in range(1, n):
-        f = f + SYNTH_KAPPA * (SYNTH_MEAN_HZ - f) + noise[k - 1]
-        if f < lo:
-            f = lo
-        elif f > hi:
-            f = hi
-        values[k] = f
+    kappa, mean, (lo, hi) = SYNTH_KAPPA, SYNTH_MEAN_HZ, SYNTH_CLAMP_HZ
+
+    def step(f: float, e: float) -> float:
+        f = f + kappa * (mean - f) + e
+        return lo if f < lo else hi if f > hi else f
+
+    values = np.fromiter(itertools.accumulate(noise.tolist(), step,
+                                              initial=mean),
+                         dtype=float, count=n)
     return FrequencyTrace(values=values, steps_per_day=grid.n_steps)
 
 

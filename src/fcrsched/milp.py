@@ -793,8 +793,9 @@ class DaySolution:
     decisions rolled forward from `s0`, not a solver column. Each step's
     power and SoE are not stored but rebuilt by `step_net_power` and
     `step_soe`.
-    Post-calculated aging and profit are attached by the orchestrator via
-    `dataclasses.replace`; they default to NaN until then.
+    `extract_day_solution` leaves the post-calculated aging and the profit
+    at NaN; `orchestrate.solve_day` fills them in, and every settled day
+    (`run_case`'s, a checkpoint's) carries them.
     """
 
     day_index: int

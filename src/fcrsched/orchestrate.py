@@ -1,10 +1,12 @@
 """Horizon runs: day-by-day optimization with state carry-over.
 
 `run_case` optimizes each configured day in order, carrying the final
-state of energy of one day into the next, post-calculating the exact
-nonlinear aging of every solved day, and checkpointing each day to disk so
-interrupted horizons resume where they stopped. `run_matrix` sweeps the
-case x degradation-mode grid used by the comparison tables.
+state of energy of one day into the next and checkpointing each day to
+disk so interrupted horizons resume where they stopped. `solve_day` is the
+one path from a day's inputs to a settled day: build, solve, check,
+extract, and post-calculate the exact nonlinear aging of the schedule.
+`run_matrix` sweeps the case x degradation-mode grid used by the
+comparison tables.
 
 Reported profit always charges the post-calculated aging (the nonlinear
 model evaluated on the realized schedule), whether or not the linearized
@@ -53,13 +55,14 @@ from .ingest import (
 from .milp import (
     DayInputs,
     DaySolution,
+    MilpModel,
     build_day_model,
     extract_day_solution,
     step_net_power,
     step_soe,
     validate_solution,
 )
-from .solvers import get_backend
+from .solvers import SolveResult, get_backend
 
 log = logging.getLogger("fcrsched")
 
@@ -353,6 +356,40 @@ def carried_soe(bundle: DataBundle, case_id: str, deg: bool, k: int) -> float:
     return s0
 
 
+def solve_day(inputs: DayInputs, age_days: float, backend,
+              time_limit_s: float, mip_gap: float
+              ) -> tuple[MilpModel, SolveResult, DaySolution]:
+    """Build and solve one day's model and settle the day: the model, the
+    backend's result, and the extracted day with its aging post-calculated
+    at `age_days` days and its profit charging that aging.
+
+    `backend` is called as `backend(model, time_limit_s=, mip_gap=)`. A
+    status other than Optimal, or a point `validate_solution` rejects,
+    raises SolverFailure with the status and detail a run records.
+    """
+    day = inputs.grid.day_index
+    model = build_day_model(inputs)
+    result = backend(model, time_limit_s=time_limit_s, mip_gap=mip_gap)
+    if not result.ok:
+        raise SolverFailure(
+            day, f"solver ended with {result.status} ({result.message})",
+            result.status, result.message)
+    report = validate_solution(model, result.x)
+    if not report.ok:
+        worst = report.worst_by_family()
+        raise SolverFailure(day, f"solution violates {worst}",
+                            "InvalidSolution", str(worst))
+    sol = extract_day_solution(model, result, inputs)
+    cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
+        step_soe(sol, inputs.contents, inputs.spec),
+        step_net_power(sol, inputs.contents),
+        sol.dt_seconds, inputs.spec, age_days)
+    profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur
+    return model, result, dataclasses.replace(
+        sol, cal_cost=cal_eur, cyc_cost=cyc_eur, cal_pct=cal_pct,
+        cyc_pct=cyc_pct, profit=profit)
+
+
 # -- the horizon loop ---------------------------------------------------------
 
 def run_case(bundle: DataBundle, case_id: str | None = None,
@@ -360,8 +397,11 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
              resume: bool = True) -> HorizonResult:
     """Optimize every configured day of one case, in order.
 
-    On solver failure the completed days remain checkpointed under the run
-    directory and `SolverFailure` (carrying the failing day index) is raised.
+    A day is taken from its checkpoint when `_read_day` reuses it and
+    settled by `solve_day` otherwise. On solver failure the completed days
+    remain checkpointed under the run directory, `failure.json` records
+    the failing day with the status and detail of its `SolverFailure`, and
+    that exception is raised.
     """
     cfg = bundle.config
     case = cfg.case_id if case_id is None else case_id
@@ -369,7 +409,6 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
         raise InvalidParameter(f"unknown case {case!r}")
     deg = cfg.degradation_in_objective if degradation_in_objective is None \
         else degradation_in_objective
-    spec = cfg.battery
     backend = get_backend(cfg.solver)
     run_dir = _run_dir(cfg, case, deg)
     os.makedirs(run_dir, exist_ok=True)
@@ -380,7 +419,6 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
     solutions: list[DaySolution] = []
     solved: list[DaySolution] = []      # days not taken from a checkpoint
     for k, day in enumerate(cfg.days):
-        age_k = cfg.start_age_days + float(k)
         ckpt = _checkpoint_path(run_dir, day)
         sol = None
         if resume:
@@ -391,31 +429,16 @@ def run_case(bundle: DataBundle, case_id: str | None = None,
         if sol is None:
             inputs = day_inputs(bundle, day, s0, calendar_age(cfg, k), case,
                                 deg)
-            model = build_day_model(inputs)
-            result = backend(model, time_limit_s=cfg.time_limit_s,
-                             mip_gap=cfg.mip_gap)
-            if result.status != "Optimal" or result.x is None:
-                _write_failure(run_dir, day, result.status, result.message)
-                raise SolverFailure(
-                    day, f"solver ended with {result.status} ({result.message})")
-            report = validate_solution(model, result.x)
-            if not report.ok:
-                worst = report.worst_by_family()
-                _write_failure(run_dir, day, "InvalidSolution", str(worst))
-                raise SolverFailure(day, f"solution violates {worst}")
-            sol = extract_day_solution(model, result, inputs)
+            try:
+                _, _, sol = solve_day(inputs, cfg.start_age_days + float(k),
+                                      backend, cfg.time_limit_s, cfg.mip_gap)
+            except SolverFailure as exc:
+                _write_failure(run_dir, exc.day, exc.status, exc.detail)
+                raise
             log.info("day %d case %s (%s): objective %.2f EUR, gap %.2e, "
                      "%d nodes in %d rounds in %.2fs", day, case,
                      "deg" if deg else "nodeg", sol.objective, sol.gap,
-                     sol.nodes, sol.rounds, result.wall_time)
-            cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
-                step_soe(sol, inputs.contents, spec),
-                step_net_power(sol, inputs.contents),
-                sol.dt_seconds, spec, age_k)
-            profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur
-            sol = dataclasses.replace(sol, cal_cost=cal_eur, cyc_cost=cyc_eur,
-                                      cal_pct=cal_pct, cyc_pct=cyc_pct,
-                                      profit=profit)
+                     sol.nodes, sol.rounds, sol.wall_time)
             _write_checkpoint(ckpt, chash, dhash, case, deg, sol)
             solved.append(sol)
         else:

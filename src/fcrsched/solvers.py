@@ -800,7 +800,9 @@ def solve_external(model: MilpModel, command_template: str,
         raise ParseError(
             f"solution file omits {n_missing} variables and its objective "
             f"{file_obj} disagrees with the recomputed {objective}")
-    return SolveResult(status, x, objective, 0.0, wall,
+    # a file gives no bound, so only an optimum has a known gap
+    gap = 0.0 if status == "Optimal" else math.inf
+    return SolveResult(status, x, objective, gap, wall,
                        "external", f"command: {argv[0]}")
 
 

@@ -13,7 +13,7 @@ from fcrsched import (
     RunConfig,
     load_bundle,
 )
-from fcrsched import orchestrate
+from fcrsched import orchestrate, solvers
 from fcrsched.milp import step_net_power
 
 
@@ -161,15 +161,9 @@ def hourly_cycle_bound(inputs: DayInputs, sol) -> np.ndarray:
             + sol.bid_du * hour_sums(cont.frac_du))
 
 
-def solve_day(inputs: DayInputs, backend=None):
-    """Build, solve with scipy (tight gap), validate, and extract."""
-    from fcrsched import build_day_model, extract_day_solution, solve_scipy
-    from fcrsched.milp import validate_solution
-
-    model = build_day_model(inputs)
-    res = (backend or (lambda m: solve_scipy(m, mip_gap=1e-9)))(model)
-    assert res.ok, res.status
-    report = validate_solution(model, res.x)
-    assert report.ok, report.worst_by_family()
-    sol = extract_day_solution(model, res, inputs)
-    return model, res, sol
+def solve_day(inputs: DayInputs):
+    """`orchestrate.solve_day` on the scipy backend at a tight gap: the
+    model, the result and the settled day, its aging post-calculated at 30
+    days (the default age of `day_inputs`)."""
+    return orchestrate.solve_day(inputs, 30.0, solvers.solve_scipy,
+                                 time_limit_s=600.0, mip_gap=1e-9)

@@ -8,6 +8,8 @@ failure behaviours so error paths can be tested:
 
     ok (default)  solve and write the solution file
     infeasible    write a solution file declaring infeasibility
+    timelimit     solve, but declare the time limit reached next to the
+                  primal values, as a solver stopped with an incumbent does
     crash         exit nonzero without writing anything
     silent        exit zero without writing anything
     garbage       write an unparseable solution file
@@ -61,7 +63,8 @@ def main() -> int:
         if not res.ok:
             lines.append(f"Model status: {res.status}\n")
         else:
-            lines.append("Model status: Optimal\n")
+            lines.append("Model status: Time limit reached\n"
+                         if mode == "timelimit" else "Model status: Optimal\n")
             lines.append("\n# Primal solution values\n")
             lines.append("Feasible\n")
             lines.append(f"Objective {float(res.objective)!r}\n")

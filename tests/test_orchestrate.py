@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import math
@@ -393,6 +394,41 @@ def test_solver_failure_keeps_completed_days(tmp_path, monkeypatch):
     assert failure["day"] == 1
     assert failure["status"] == "Infeasible"
     assert "no feasible point" in failure["message"]
+
+
+def test_invalid_optimum_is_recorded_with_its_worst_row_family(tmp_path,
+                                                                monkeypatch):
+    cfg = toy_config(tmp_path)
+    bundle = load_bundle(cfg, synthetic_seed=7)
+
+    def breaks_soe_rec(model, time_limit_s=600.0, mip_gap=1e-6):
+        # the optimum with hour 0's end SoE moved 0.01 MWh inside its window
+        res = solve_scipy(model, mip_gap=mip_gap)
+        x = res.x.copy()
+        col = model.col("soe[h=0]")
+        x[col] += -0.01 if x[col] > 0.5 else 0.01
+        return dataclasses.replace(res, x=x)
+
+    patch_backend(monkeypatch, breaks_soe_rec)
+    with pytest.raises(SolverFailure) as exc:
+        run_case(bundle)
+    assert exc.value.day == 0
+    assert exc.value.status == "InvalidSolution"
+    assert "solution violates" in str(exc.value)
+
+    run_dir = os.path.join(str(tmp_path), "MULTI_nodeg")
+    assert not os.path.exists(os.path.join(run_dir, "day_0000.json"))
+    with open(os.path.join(run_dir, "failure.json")) as fh:
+        failure = json.load(fh)
+    assert failure["day"] == 0
+    assert failure["status"] == "InvalidSolution"
+    worst = ast.literal_eval(failure["message"])
+    assert failure["message"] == exc.value.detail
+    assert "bounds" not in worst
+    # the moved column breaks its own recursion row by exactly the move,
+    # and no row by more
+    assert worst["soe_rec"] == pytest.approx(0.01, rel=1e-9)
+    assert max(worst.values()) == pytest.approx(0.01, rel=1e-9)
 
 
 def test_completed_rerun_removes_stale_failure(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -545,6 +546,16 @@ def test_external_stub_infeasible(monkeypatch):
     monkeypatch.setenv("STUB_MODE", "infeasible")
     res = solve_external(tiny_milp(), STUB_CMD)
     assert res.status == "Infeasible" and res.x is None
+
+
+def test_external_stub_time_limit_keeps_point_with_unknown_gap(monkeypatch):
+    monkeypatch.setenv("STUB_MODE", "timelimit")
+    m = tiny_milp()
+    res = solve_external(m, STUB_CMD)
+    ref = solve_scipy(m)
+    assert res.status == "TimeLimit" and not res.ok
+    np.testing.assert_allclose(res.x, ref.x)
+    assert res.gap == math.inf
 
 
 def test_external_stub_crash(monkeypatch):
