@@ -64,6 +64,9 @@ for h in range(grid.hours):
     print(f"{h:4d}  {net:+12.2f}  {sol.bid_n[h]:5.2f}  {sol.bid_du[h]:6.2f}"
           f"  {sol.bid_dd[h]:6.2f}  {sol.soe[h]:13.3f}")
 
+# A day's money is its stored decisions priced: each revenue and cost is
+# an hourly decision times its price (`decision_prices`), and the profit
+# charges the aging post-calculated on the stored schedule.
 print(f"\nrevenue: spot {sol.r_da:,.2f}  FCR-N {sol.r_n:,.2f}  "
       f"FCR-D up {sol.r_du:,.2f}  FCR-D down {sol.r_dd:,.2f} EUR")
 print(f"cost: charged energy {sol.c_da:,.2f} EUR, post-calculated aging "
@@ -76,7 +79,7 @@ print(f"realized profit: {sol.profit:,.2f} EUR")
 # `soe_min` rows). Rolling the start SoE forward through the stored hourly
 # decisions rebuilds each step's SoE; its hour ends match the solver's
 # columns.
-soe = step_soe(sol, inputs.contents, spec)
+soe = step_soe(sol, inputs)
 solver_soe = result.x[[model.col(f"soe[h={h}]") for h in range(grid.hours)]]
 drift = np.abs(soe[grid.steps_per_hour - 1::grid.steps_per_hour]
                - solver_soe).max()

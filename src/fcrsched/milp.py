@@ -25,10 +25,9 @@ variables, binaries and rows for a given configuration is the closed form in
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -397,6 +396,20 @@ def soe_step_deltas(contents: EnergyContentSeries, spec: BatterySpec,
             "bid_dd": contents.e_dr_dd, "bid_du": -contents.e_ur_du}
 
 
+def decision_prices(prices: PriceSeries,
+                    contents: EnergyContentSeries) -> dict[str, np.ndarray]:
+    """EUR per MW of each hourly decision in each hour: the objective's
+    decision terms and a settled day's money parts are the decisions
+    times these prices. Discharge earns spot plus tax, charging pays spot,
+    tariff and tax, FCR-N earns its capacity price plus its activation
+    energy at the regulating prices, FCR-D its capacity price."""
+    return {"ds_bl": prices.spot + prices.tax,
+            "ch_bl": -(prices.spot + prices.grid_tariff + prices.tax),
+            "bid_n": prices.fcr_n + prices.up_reg * contents.eh_ur_n
+            - prices.down_reg * contents.eh_dr_n,
+            "bid_du": prices.fcr_du, "bid_dd": prices.fcr_dd}
+
+
 def soe_window_steps(contents: EnergyContentSeries) -> tuple[list[int],
                                                              list[int]]:
     """The steps, not at an hour's end, whose SoE can reach the top and the
@@ -446,17 +459,17 @@ def soe_window_steps(contents: EnergyContentSeries) -> tuple[list[int],
     return found[0], found[1]
 
 
-def step_soe(solution, contents: EnergyContentSeries,
-             spec: BatterySpec) -> np.ndarray:
-    """The SoE at the end of each step (MWh) of a day solution: `s0` rolled
-    forward through `soe_step_deltas` by the hourly decisions, clipped to
-    the spec's window.
+def step_soe(solution, inputs: DayInputs) -> np.ndarray:
+    """The SoE at the end of each step (MWh) of a day's hourly decisions:
+    the day's `s0` rolled forward through `soe_step_deltas` by the
+    decisions, clipped to the spec's window.
 
-    Extraction stores this roll-forward's hour ends as the solution's
-    `soe`, so the SoE a day hands on is the one its stored decisions reach.
+    A settled day stores this roll-forward's hour ends as its `soe`, so the
+    SoE a day hands on is the one its stored decisions reach.
     """
-    deltas = soe_step_deltas(contents, spec, solution.dt_seconds / 3600.0)
-    soe = solution.s0 + np.cumsum(_per_step(solution, deltas, contents))
+    cont, spec = inputs.contents, inputs.spec
+    soe = inputs.s0 + np.cumsum(_per_step(
+        solution, soe_step_deltas(cont, spec, inputs.grid.dt_hours), cont))
     return np.clip(soe, spec.soe_min, spec.soe_max)
 
 
@@ -698,12 +711,8 @@ def build_day_model(inputs: DayInputs) -> MilpModel:
         for col, v in zip(cols.tolist(), vals.tolist()):
             objective[col] = objective.get(col, 0.0) + v
 
-    price((ds_bl, prices.spot + prices.tax),
-          (ch_bl, -(prices.spot + prices.grid_tariff + prices.tax)),
-          (bid["N"], prices.fcr_n + prices.up_reg * cont.eh_ur_n
-           - prices.down_reg * cont.eh_dr_n),
-          (bid["DU"], prices.fcr_du),
-          (bid["DD"], prices.fcr_dd))
+    price(*[(decisions[f], p)
+            for f, p in decision_prices(prices, cont).items()])
     if inputs.degradation_in_objective:
         price((cyc, -inputs.cyc_lin.k_cyc * dt_h))
         # the per-step secant cost, charged spH times at the hour's mean SoE:
@@ -785,17 +794,15 @@ def validate_solution(model: MilpModel, x: np.ndarray) -> ViolationReport:
 
 @dataclass(frozen=True)
 class DaySolution:
-    """Semantically unpacked optimum of one day, plus reporting fields.
+    """One settled day, built by `orchestrate.settle_day` and stored by a
+    checkpoint: its hourly decisions, priced and aged, and the solve's
+    record (`DayPlan`).
 
-    Every array holds one value per hour: the five hourly decisions and
-    `soe`, the SoE at the end of each hour, so `soe[-1]` is the SoE the
-    next day starts from. `soe` is the hour ends of `step_soe`, the
-    decisions rolled forward from `s0`, not a solver column. Each step's
-    power and SoE are not stored but rebuilt by `step_net_power` and
-    `step_soe`.
-    `extract_day_solution` leaves the post-calculated aging and the profit
-    at NaN; `orchestrate.solve_day` fills them in, and every settled day
-    (`run_case`'s, a checkpoint's) carries them.
+    Every array holds one value per hour: the five decisions and `soe`,
+    the hour ends of `step_soe` (the decisions rolled forward from `s0`,
+    not a solver column), so `soe[-1]` is the SoE the next day starts
+    from. A day's money is its stored decisions priced by
+    `decision_prices`; `profit` charges the post-calculated aging.
     """
 
     day_index: int
@@ -816,16 +823,16 @@ class DaySolution:
     c_da: float
     c_deg_lin: float
     objective: float
+    cal_cost: float
+    cyc_cost: float
+    cal_pct: float
+    cyc_pct: float
+    profit: float
     status: str = "Optimal"
     gap: float = 0.0
     nodes: int = 0
     rounds: int = 0
     wall_time: float = 0.0
-    cal_cost: float = math.nan
-    cyc_cost: float = math.nan
-    cal_pct: float = math.nan
-    cyc_pct: float = math.nan
-    profit: float = math.nan
 
     @property
     def r_fcr(self) -> float:
@@ -856,55 +863,41 @@ _DAY_ARRAYS = tuple(f.name for f in fields(DaySolution)
                     if f.type == "np.ndarray")
 
 
+class DayPlan(NamedTuple):
+    """A solve's hourly decisions (MW), the aging its objective priced
+    (EUR), its objective and its record, as `DaySolution` names them."""
+
+    ch_bl: np.ndarray
+    ds_bl: np.ndarray
+    bid_n: np.ndarray
+    bid_du: np.ndarray
+    bid_dd: np.ndarray
+    c_deg_lin: float
+    objective: float
+    status: str
+    gap: float
+    nodes: int
+    rounds: int
+    wall_time: float
+
+
 def extract_day_solution(model: MilpModel, result: SolveResult,
-                         inputs: DayInputs) -> DaySolution:
-    """Unpack a solve's point into market units, one variable family (the
-    registry name before `[`) at a time; status, gap, wall time, nodes
-    and rounds come from the solve's result.
-
-    Each money part is its families' share of the model's own objective,
-    so the parts sum to the solver objective; the objective's constant,
-    the calendar cost at the first breakpoint, goes to `c_deg_lin`.
-    Tiny negative decisions are clamped to zero. Besides the objective,
-    only the five hourly decision families are read: `soe` is their
-    roll-forward from `s0` (`step_soe`), not the solver's `soe` columns,
-    so the stored SoE telescopes over the stored decisions also where the
-    solver used a decision a little below 0 that extraction clamped.
-    """
+                         inputs: DayInputs) -> DayPlan:
+    """Unpack a solve into its `DayPlan`: the five hourly decision
+    families, a value below 1e-9 read as 0; `c_deg_lin`, the aging columns'
+    priced cost plus the objective's constant (0.0 without aging columns);
+    the objective; and the result's record. No money is read: a day's
+    money is its stored decisions priced (`orchestrate.settle_day`)."""
     x = np.asarray(result.x, dtype=float)
-    grid = inputs.grid
-    sph = grid.steps_per_hour
-    family_cols: dict[str, list[int]] = {}
-    for col, name in enumerate(model.var_names):
-        family_cols.setdefault(name.split("[", 1)[0], []).append(col)
-    earned = model.objective_vector() * x
-
-    def values(family: str) -> np.ndarray:
-        return x[family_cols[family]]
-
-    def share(*families: str) -> float:
-        return float(sum(earned[family_cols.get(f, [])].sum()
-                         for f in families))
-
-    def cost(*families: str) -> float:
-        return 0.0 - share(*families)   # +0.0, not -0.0, when nothing is spent
-
-    def clean(arr: np.ndarray) -> np.ndarray:
-        return np.where(np.abs(arr) < 1e-9, 0.0, np.maximum(arr, 0.0))
-
-    hourly = {f: clean(values(f))
-              for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd")}
-    sol = DaySolution(
-        day_index=grid.day_index, steps_per_hour=sph,
-        hours=grid.hours, dt_seconds=float(grid.step_seconds), s0=inputs.s0,
-        **hourly, soe=np.full(grid.hours, math.nan),
-        r_da=share("ds_bl"), r_n=share("bid_n"), r_du=share("bid_du"),
-        r_dd=share("bid_dd"), c_da=cost("ch_bl"),
-        c_deg_lin=cost("d_cal", "cyc")
-        - model.objective_const,
-        objective=model.objective_value(x),
-        status=result.status, gap=result.gap, nodes=result.nodes,
-        rounds=result.rounds, wall_time=result.wall_time)
-    # the roll-forward reads the solution's own decisions
-    return dataclasses.replace(sol, soe=step_soe(
-        sol, inputs.contents, inputs.spec)[sph - 1::sph])
+    cols = {f: [model.col(f"{f}[h={h}]") for h in range(inputs.grid.hours)]
+            for f in ("ch_bl", "ds_bl", "bid_n", "bid_du", "bid_dd")}
+    # every priced column besides the decisions prices aging
+    aging = model.objective_vector() * x
+    aging[np.concatenate(list(cols.values()))] = 0.0
+    return DayPlan(
+        **{f: np.where(np.abs(x[c]) < 1e-9, 0.0, np.maximum(x[c], 0.0))
+           for f, c in cols.items()},
+        c_deg_lin=0.0 - float(aging.sum()) - model.objective_const,
+        objective=model.objective_value(x), status=result.status,
+        gap=result.gap, nodes=result.nodes, rounds=result.rounds,
+        wall_time=result.wall_time)

@@ -4,7 +4,7 @@
 state of energy of one day into the next and checkpointing each day to
 disk so interrupted horizons resume where they stopped. `solve_day` is the
 one path from a day's inputs to a settled day: build, solve, check,
-extract, and post-calculate the exact nonlinear aging of the schedule.
+extract, and settle (price the decisions, post-calculate their aging).
 `run_matrix` sweeps the case x degradation-mode grid used by the
 comparison tables.
 
@@ -16,7 +16,6 @@ degradation cost was part of the objective.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import logging
@@ -54,9 +53,11 @@ from .ingest import (
 )
 from .milp import (
     DayInputs,
+    DayPlan,
     DaySolution,
     MilpModel,
     build_day_model,
+    decision_prices,
     extract_day_solution,
     step_net_power,
     step_soe,
@@ -148,23 +149,12 @@ class HorizonResult:
         return len(self.days)
 
     def totals(self) -> dict[str, float]:
-        out = {key: 0.0 for key in
-               ("r_da", "r_n", "r_du", "r_dd", "r_fcr", "c_da", "c_deg_lin",
-                "cal_cost", "cyc_cost", "cal_pct", "cyc_pct", "aging_pct",
-                "profit")}
+        out = dict.fromkeys(
+            ("r_da", "r_n", "r_du", "r_dd", "r_fcr", "c_da", "c_deg_lin",
+             "cal_cost", "cyc_cost", "cal_pct", "cyc_pct", "profit"), 0.0)
         for sol in self.days:
-            out["r_da"] += sol.r_da
-            out["r_n"] += sol.r_n
-            out["r_du"] += sol.r_du
-            out["r_dd"] += sol.r_dd
-            out["r_fcr"] += sol.r_fcr
-            out["c_da"] += sol.c_da
-            out["c_deg_lin"] += sol.c_deg_lin
-            out["cal_cost"] += sol.cal_cost
-            out["cyc_cost"] += sol.cyc_cost
-            out["cal_pct"] += sol.cal_pct
-            out["cyc_pct"] += sol.cyc_pct
-            out["profit"] += sol.profit
+            for key in out:
+                out[key] += getattr(sol, key)
         out["aging_pct"] = out["cal_pct"] + out["cyc_pct"]
         return out
 
@@ -356,12 +346,35 @@ def carried_soe(bundle: DataBundle, case_id: str, deg: bool, k: int) -> float:
     return s0
 
 
+def settle_day(plan: DayPlan, inputs: DayInputs,
+               age_days: float) -> DaySolution:
+    """Settle a solve's `plan` on the day's `inputs`: its decisions priced
+    by `decision_prices` and rolled forward by `step_soe`, that schedule's
+    exact aging post-calculated at `age_days` days and charged to profit."""
+    grid, sph = inputs.grid, inputs.grid.steps_per_hour
+    value = {f: float((p * getattr(plan, f)).sum()) for f, p in
+             decision_prices(inputs.prices, inputs.contents).items()}
+    soe = step_soe(plan, inputs)
+    cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
+        soe, step_net_power(plan, inputs.contents), float(grid.step_seconds),
+        inputs.spec, age_days)
+    c_da = 0.0 - value["ch_bl"]     # +0.0, not -0.0, when nothing is spent
+    r_fcr = value["bid_n"] + value["bid_du"] + value["bid_dd"]
+    return DaySolution(
+        day_index=grid.day_index, steps_per_hour=sph, hours=grid.hours,
+        dt_seconds=float(grid.step_seconds), s0=inputs.s0,
+        soe=soe[sph - 1::sph], r_da=value["ds_bl"], r_n=value["bid_n"],
+        r_du=value["bid_du"], r_dd=value["bid_dd"], c_da=c_da,
+        cal_cost=cal_eur, cyc_cost=cyc_eur, cal_pct=cal_pct, cyc_pct=cyc_pct,
+        profit=value["ds_bl"] + r_fcr - c_da - cal_eur - cyc_eur,
+        **plan._asdict())
+
+
 def solve_day(inputs: DayInputs, age_days: float, backend,
               time_limit_s: float, mip_gap: float
               ) -> tuple[MilpModel, SolveResult, DaySolution]:
     """Build and solve one day's model and settle the day: the model, the
-    backend's result, and the extracted day with its aging post-calculated
-    at `age_days` days and its profit charging that aging.
+    backend's result, and the extracted plan settled at `age_days` days.
 
     `backend` is called as `backend(model, time_limit_s=, mip_gap=)`. A
     status other than Optimal, or a point `validate_solution` rejects,
@@ -379,15 +392,8 @@ def solve_day(inputs: DayInputs, age_days: float, backend,
         worst = report.worst_by_family()
         raise SolverFailure(day, f"solution violates {worst}",
                             "InvalidSolution", str(worst))
-    sol = extract_day_solution(model, result, inputs)
-    cal_eur, cyc_eur, cal_pct, cyc_pct = post_calculate_aging(
-        step_soe(sol, inputs.contents, inputs.spec),
-        step_net_power(sol, inputs.contents),
-        sol.dt_seconds, inputs.spec, age_days)
-    profit = sol.r_da + sol.r_fcr - sol.c_da - cal_eur - cyc_eur
-    return model, result, dataclasses.replace(
-        sol, cal_cost=cal_eur, cyc_cost=cyc_eur, cal_pct=cal_pct,
-        cyc_pct=cyc_pct, profit=profit)
+    plan = extract_day_solution(model, result, inputs)
+    return model, result, settle_day(plan, inputs, age_days)
 
 
 # -- the horizon loop ---------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fcrsched import (
+    CASES,
     AgingCoefficients,
     BatterySpec,
     DayInputs,
@@ -33,6 +34,7 @@ from fcrsched.milp import (
     step_soe,
     validate_solution,
 )
+from fcrsched.orchestrate import settle_day
 
 from helpers import (
     audit_solution,
@@ -408,11 +410,27 @@ def test_registry_names_unique_and_resolvable():
 # -- solved-model semantics ---------------------------------------------------
 
 def test_objective_decomposition_matches_solver():
-    inp = day_inputs(seed=21, hours=3)
-    model, res, sol = solve_day(inp)
-    parts = sol.r_da + sol.r_fcr - sol.c_da - sol.c_deg_lin
-    assert parts == pytest.approx(res.objective, abs=1e-6)
-    assert sol.objective == pytest.approx(res.objective, abs=1e-12)
+    # every case in both modes: each money part, the stored decisions
+    # priced, is its family's share of the solver's objective, and the
+    # parts less the priced aging are that objective
+    for case in CASES:
+        for deg in (False, True):
+            inp = day_inputs(seed=21, case=case, hours=4, deg=deg)
+            model, res, sol = solve_day(inp)
+            earned = model.objective_vector() * res.x
+            for part, family, sign in (
+                    ("r_da", "ds_bl", 1.0), ("c_da", "ch_bl", -1.0),
+                    ("r_n", "bid_n", 1.0), ("r_du", "bid_du", 1.0),
+                    ("r_dd", "bid_dd", 1.0)):
+                share = math.fsum(earned[model.col(f"{family}[h={h}]")]
+                                  for h in range(inp.grid.hours))
+                assert getattr(sol, part) == pytest.approx(
+                    sign * share, rel=1e-9), (case, deg, part)
+            parts = sol.r_da + sol.r_fcr - sol.c_da - sol.c_deg_lin
+            assert parts == pytest.approx(res.objective, rel=1e-9), (case,
+                                                                      deg)
+            assert sol.objective == pytest.approx(res.objective, abs=1e-12)
+            assert (sol.c_deg_lin == 0.0) == (not deg)
 
 
 def test_audit_clean_on_solved_days():
@@ -576,7 +594,7 @@ def test_calendar_pieces_select_correct_segment():
     segs = inp.cal_lin.segments
     sph = inp.grid.steps_per_hour
     assert inp.cal_lin.falling_kinks == (2,)
-    soe = step_soe(sol, inp.contents, inp.spec)
+    soe = step_soe(sol, inp)
     picks = set()
     for h in range(inp.grid.hours):
         d = [res.x[model.col(f"d_cal[h={h},k={k}]")] for k in range(3)]
@@ -622,7 +640,7 @@ def test_calendar_cost_exact_over_kink_patterns(pattern):
     dt_h, sph = inp.grid.dt_hours, inp.grid.steps_per_hour
     cyc = inp.cyc_lin.k_cyc * dt_h * float(np.sum(
         hourly_cycle_bound(inp, sol)))
-    hour_means = step_soe(sol, inp.contents, inp.spec).reshape(
+    hour_means = step_soe(sol, inp).reshape(
         inp.grid.hours, sph).mean(axis=1)
     assert hour_means.max() > inp.cal_lin.segments[2].lo_mwh
     cal = sum(sph * inp.cal_lin.cost_at(float(s)) for s in hour_means)
@@ -651,7 +669,7 @@ def test_extract_roundtrip_to_dict():
 def test_step_soe_is_the_solved_soe_columns(deg):
     inp = day_inputs(seed=3, hours=24, steps_per_hour=4, deg=deg)
     model, res, sol = solve_day(inp)
-    rebuilt = step_soe(sol, inp.contents, inp.spec)
+    rebuilt = step_soe(sol, inp)
     columns = solved_step_soe(model, res.x, inp)
     assert rebuilt.shape == (inp.grid.n_steps,)
     np.testing.assert_allclose(rebuilt, columns, rtol=0.0, atol=1e-9)
@@ -681,7 +699,8 @@ def test_extracted_soe_rolls_the_clamped_decisions_forward():
     for later in range(h, grid.hours):
         x[model.col(f"soe[h={later}]")] += per_step * sph
     assert validate_solution(model, x).ok
-    sol = extract_day_solution(model, dataclasses.replace(res, x=x), inp)
+    sol = settle_day(extract_day_solution(
+        model, dataclasses.replace(res, x=x), inp), inp, 30.0)
     assert sol.ds_bl[h] == 0.0
     hour = np.arange(grid.n_steps) // sph
     flows = ((spec.eta_ch * sol.ch_bl[hour] - sol.ds_bl[hour] / spec.eta_ds)
@@ -692,6 +711,35 @@ def test_extracted_soe_rolls_the_clamped_decisions_forward():
     # acceptance test 3's telescoping identity and the re-audit's hour ends
     assert abs((sol.soe[-1] - inp.s0) - math.fsum(flows)) <= 1e-9
     assert audit_solution(inp, sol)["soe_hour_end"] <= 1e-9
+
+
+def test_settled_money_is_the_clamped_decisions_priced():
+    # a solver value a little below 0, within VALIDATION_TOL: the day
+    # stores the decision as 0 and earns what that 0 earns, not what the
+    # solver's point would
+    inp = day_inputs(seed=3, hours=4, s0=BatterySpec().soe_min)
+    model, res, _ = solve_day(inp)
+    grid, spec = inp.grid, inp.spec
+    x = res.x.copy()
+    col = model.col("ds_bl[h=0]")
+    assert x[col] == 0.0        # nothing to discharge at the SoE floor
+    x[col] = -5e-7
+    for h in range(grid.hours):
+        x[model.col(f"soe[h={h}]")] += \
+            5e-7 * grid.dt_hours / spec.eta_ds * grid.steps_per_hour
+    assert validate_solution(model, x).ok
+    sol = settle_day(extract_day_solution(
+        model, dataclasses.replace(res, x=x), inp), inp, 30.0)
+    assert sol.ds_bl[0] == 0.0
+    sale = inp.prices.spot + inp.prices.tax
+    assert sol.r_da == pytest.approx(math.fsum(sale * sol.ds_bl),
+                                     rel=0.0, abs=1e-12)
+    raw = math.fsum(sale[h] * x[model.col(f"ds_bl[h={h}]")]
+                    for h in range(grid.hours))
+    assert abs(sol.r_da - raw) > 1e-6
+    assert sol.profit == pytest.approx(
+        sol.r_da + sol.r_fcr - sol.c_da - sol.cal_cost - sol.cyc_cost,
+        rel=0.0, abs=1e-12)
 
 
 def test_validate_rejects_wrong_length():
@@ -790,7 +838,7 @@ def test_a_front_loaded_activation_binds_mid_hour_and_every_step_row_is_implied(
     assert soe_window_steps(contents) == ([], [1])
     model, res, sol = solve_day(inp)
     assert sol.bid_n[0] > 0.1 and sol.ch_bl[0] > 0.0
-    soe = step_soe(sol, contents, spec)
+    soe = step_soe(sol, inp)
     assert soe[1] == pytest.approx(spec.soe_min, abs=1e-9)
     assert soe[3] > spec.soe_min + 0.1
     # the window rows of every step, appended, change no optimum
@@ -826,7 +874,7 @@ def test_a_minute_resolution_multi_deg_day_stays_in_the_window():
     model = build_day_model(inp)
     res = solve_scipy(model, mip_gap=1e-4)
     assert res.ok and validate_solution(model, res.x).ok
-    sol = extract_day_solution(model, res, inp)
+    sol = settle_day(extract_day_solution(model, res, inp), inp, 30.0)
     worst = audit_solution(inp, sol)
     assert worst["soe_window"] <= 1e-9, worst
     assert max(worst.values()) <= VALIDATION_TOL, worst

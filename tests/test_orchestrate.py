@@ -37,8 +37,8 @@ from fcrsched.errors import (
     SolverFailure,
 )
 from fcrsched import orchestrate
-from fcrsched.milp import step_net_power
-from fcrsched.orchestrate import calendar_age
+from fcrsched.milp import DayPlan, step_net_power
+from fcrsched.orchestrate import calendar_age, settle_day
 from fcrsched.solvers import SolveResult
 
 from helpers import audit_solution, toy_config
@@ -470,6 +470,26 @@ def test_reused_days_are_neither_post_calculated_nor_rewritten(tmp_path,
     second = run_case(bundle)
     assert calls == []
     assert second.totals() == first.totals()
+
+
+@pytest.mark.parametrize("deg", [False, True], ids=["nodeg", "deg"])
+def test_every_checkpoint_is_its_stored_decisions_settled(tmp_path, deg):
+    # the money, SoE, aging and profit a checkpoint holds are what settling
+    # its stored decisions again on the day's inputs gives, bit for bit
+    cfg = toy_config(tmp_path, days=(0, 1), degradation_in_objective=deg)
+    bundle = load_bundle(cfg, synthetic_seed=7)
+    run_case(bundle)
+    s0 = cfg.initial_soe
+    for k, day in enumerate(cfg.days):
+        path = tmp_path / f"MULTI_{'deg' if deg else 'nodeg'}" / \
+            f"day_{day:04d}.json"
+        stored = DaySolution.from_dict(json.loads(path.read_text())["solution"])
+        inputs = orchestrate.day_inputs(bundle, day, s0, calendar_age(cfg, k),
+                                        "MULTI", deg)
+        plan = DayPlan(**{f: getattr(stored, f) for f in DayPlan._fields})
+        again = settle_day(plan, inputs, cfg.start_age_days + float(k))
+        assert again.to_dict() == stored.to_dict()
+        s0 = float(stored.soe[-1])
 
 
 # -- load_horizon ----------------------------------------------------------------
